@@ -20,6 +20,8 @@ from .counterexample import CounterexampleParams
 from .measures import exponent_fit
 
 _SCAN_CHUNK = 1 << 20
+# largest dense slot store of the 1-D packing: two int64 arrays of 32 MiB
+_DENSE_SLOTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -222,38 +224,117 @@ def dirichlet_approx(x: Sequence[float], n: int) -> tuple[tuple[int, ...], int]:
 
 
 def _to_fraction_power(q: int, tau) -> Fraction:
-    """1/q^tau as an exact Fraction for integer tau, else the nearest float."""
-    if isinstance(tau, int) or (isinstance(tau, Fraction) and tau.denominator == 1):
-        return Fraction(1, q ** int(tau))
-    return Fraction(float(q) ** (-float(tau)))
+    """1/q^tau as an exact Fraction; tau must be an integer (2 and 2.0 both are)."""
+    exponent = Fraction(tau)
+    if exponent.denominator != 1:
+        raise ValueError(f"tau = {tau!r} is not an integer; 1/q^tau has no exact Fraction")
+    return Fraction(1, q ** exponent.numerator)
 
 
-def _candidate_scan_1d(
-    lo: Fraction, hi: Fraction, q_lo: int, q_hi: int
-):
-    """Yield anchors (p, q) with p/q in [lo, hi], ordered by (q, p).
+def _candidate_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
+    """Yield (q, p0, p1) for every q in [q_lo, q_hi] whose exact anchor range
+    p0..p1 (p0 = max(ceil(q lo), 0), p1 = floor(q hi)) is nonempty, by q.
 
-    Chunked vectorized prefilter with exact integer verification, so large
-    denominator windows stream without materializing empty ranges.
+    A chunked vectorized float prefilter skips the denominators whose window
+    holds no integer, so large denominator windows stream without
+    materializing empty ranges; the range itself is computed exactly.
     """
     lo_f, hi_f = float(lo), float(hi)
     for start in range(q_lo, q_hi + 1, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, q_hi + 1)
         qs = np.arange(start, stop, dtype=np.float64)
-        # slack must cover the rounding of q*bound at large q; candidates
-        # are verified exactly below, so only misses matter here
+        # slack must cover the rounding of q*bound at large q; the ranges are
+        # exact below, so only misses matter here
         slack = 1e-9 + np.abs(qs) * (abs(lo_f) + abs(hi_f)) * 1e-12
         p_lo = np.ceil(qs * lo_f - slack)
         p_hi = np.floor(qs * hi_f + slack)
-        hits = np.nonzero(p_hi >= p_lo)[0]
-        for i in hits:
+        for i in np.nonzero(p_hi >= p_lo)[0]:
             q = start + int(i)
-            first = max(int(p_lo[i]) - 1, 0)
-            last = int(p_hi[i]) + 1
-            for p in range(first, last + 1):
-                # exact verification: lo <= p/q <= hi
-                if p * lo.denominator >= lo.numerator * q and p * hi.denominator <= hi.numerator * q:
-                    yield p, q
+            p0 = max(-((-lo.numerator * q) // lo.denominator), 0)
+            p1 = hi.numerator * q // hi.denominator
+            if p0 <= p1:
+                yield q, p0, p1
+
+
+def _pack_1d(
+    lo: Fraction, hi: Fraction, gap: Fraction, q_lo: int, q_hi: int, max_cubes: int | None
+) -> list[tuple[tuple[int, ...], int]]:
+    """Greedy (q, p)-lexicographic anchors p/q in [lo, hi], pairwise > gap apart.
+
+    Accepted anchors sit in a slot store keyed by the exact integer slot
+    s = floor((p/q - lo) / gap) = ((p b - a q) h) // (q b g), with lo = a/b
+    and gap = g/h.  Accepted anchors are more than gap apart, so a slot holds
+    at most one, and an anchor can clash only with slots s - 1, s, s + 1.  A
+    clash is decided exactly: |p q2 - p2 q| h <= g q q2.
+
+    The dense store checks a whole q at once against earlier denominators,
+    which is the greedy only when anchors of one q cannot clash: they are
+    >= 1/q >= 1/q_hi apart (Farey spacing), so this needs g q_hi < h.
+    """
+    a, b = lo.numerator, lo.denominator
+    g, h = gap.numerator, gap.denominator
+    ranges = _candidate_scan_1d(lo, hi, q_lo, q_hi)
+    n_slots = math.floor((hi - lo) / gap) + 1
+    p_max = hi.numerator * q_hi // hi.denominator
+    # every int64 product of the dense path below is at most one of these
+    # (0 <= p <= p_max, q <= q_hi, p b - a q >= 0)
+    magnitude = max(
+        (p_max * b + abs(a) * q_hi) * h, q_hi * b * g, p_max * q_hi * h, g * q_hi * q_hi
+    )
+    if g * q_hi < h and magnitude < 2**63 and n_slots <= _DENSE_SLOTS:
+        return _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes)
+    return _pack_1d_sparse(a, b, g, h, ranges, max_cubes)
+
+
+def _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes):
+    """_pack_1d with int64 numpy arithmetic, one whole denominator per step."""
+    # slot s lives at index s + 1, so the neighbours s - 1 and s + 1 always
+    # exist; q = 0 marks an empty slot
+    slot_p = np.zeros(n_slots + 2, dtype=np.int64)
+    slot_q = np.zeros(n_slots + 2, dtype=np.int64)
+    near = np.arange(3)
+    accepted: list[tuple[tuple[int, ...], int]] = []
+    for q, p0, p1 in ranges:
+        ps = np.arange(p0, p1 + 1, dtype=np.int64)
+        slots = (ps * b - a * q) * h // (q * b * g)
+        nb = slots[:, None] + near
+        q2, p2 = slot_q[nb], slot_p[nb]
+        clash = ((q2 > 0) & (np.abs(ps[:, None] * q2 - p2 * q) * h <= g * q * q2)).any(axis=1)
+        ps, slots = ps[~clash], slots[~clash]
+        if max_cubes is not None:
+            room = max_cubes - len(accepted)
+            ps, slots = ps[:room], slots[:room]
+        slot_p[slots + 1] = ps
+        slot_q[slots + 1] = q
+        accepted.extend(((p,), q) for p in ps.tolist())
+        if max_cubes is not None and len(accepted) >= max_cubes:
+            break
+    return accepted
+
+
+def _pack_1d_sparse(a, b, g, h, ranges, max_cubes):
+    """_pack_1d in Python integers with a dict slot store, one anchor per step.
+
+    Serves the windows whose products leave int64 (the huge denominators of
+    nested levels), whose slot count is too large for a dense store, or
+    whose anchors of one q can clash (n <= 3 beta^2).
+    """
+    store: dict[int, tuple[int, int]] = {}
+    accepted: list[tuple[tuple[int, ...], int]] = []
+    for q, p0, p1 in ranges:
+        den = q * b * g
+        for p in range(p0, p1 + 1):
+            s = (p * b - a * q) * h // den
+            for key in (s - 1, s, s + 1):
+                other = store.get(key)
+                if other is not None and abs(p * other[1] - other[0] * q) * h <= g * q * other[1]:
+                    break
+            else:
+                store[s] = (p, q)
+                accepted.append(((p,), q))
+                if max_cubes is not None and len(accepted) >= max_cubes:
+                    return accepted
+    return accepted
 
 
 def separated_cubes(
@@ -270,11 +351,26 @@ def separated_cubes(
     apart; the cubes themselves are then separated by at least n^(-1-1/d).
     Greedy order is lexicographic in (q, p).  With max_cubes set the scan
     stops early, producing a valid (not necessarily maximal) family.
+
+    In one dimension the scan takes one denominator at a time, in exact
+    integer arithmetic.  Two anchors sharing q are at least 1/q apart (Farey
+    spacing), so when gap q_hi < 1, with gap = 3 (beta/n)^2 (that is, when
+    n > 3 beta^2), anchors of one q never clash with each other: the whole
+    range ceil(q lo)..floor(q hi) is checked at once against the anchors
+    accepted for earlier q, through a store of gap-wide slots that each hold
+    at most one accepted anchor.  The cost is O(1) vectorized steps per
+    denominator, O(candidates) work in all, plus a store of about
+    (hi - lo)/gap slots.  Windows with n <= 3 beta^2, whose products leave
+    int64, or whose store would pass _DENSE_SLOTS, run the same scan one
+    anchor at a time in Python integers with a dict store.  The result is
+    the same list, in the same order, as the anchor-by-anchor greedy.
     """
     d = c.d
     beta = Fraction(beta)
     if beta <= 1:
         raise ValueError("beta must exceed 1")
+    if max_cubes is not None and max_cubes < 1:
+        raise ValueError(f"max_cubes = {max_cubes} must be at least 1")
     q_lo = int(math.ceil(n / float(beta) - 1e-9))
     q_hi = n
     if q_lo > q_hi:
@@ -284,13 +380,43 @@ def separated_cubes(
     else:
         margin = Fraction((float(beta) / n) ** (1.0 + 1.0 / d))
     gap = 3 * margin
-    gap_f = float(gap)
 
     lo_b = [c.lo_corner(i) + margin for i in range(d)]
     hi_b = [c.hi_corner(i) - margin for i in range(d)]
     if any(l > h for l, h in zip(lo_b, hi_b)):
         raise ValueError("margin exceeds the cube; n is too small for the window")
 
+    if d == 1:
+        accepted = _pack_1d(lo_b[0], hi_b[0], gap, q_lo, q_hi, max_cubes)
+    else:
+        accepted = _pack_nd(lo_b, hi_b, gap, q_lo, q_hi, max_cubes)
+
+    cubes = []
+    for p, q in accepted:
+        r = _to_fraction_power(q, tau)
+        cubes.append(Cube(p, q, -r, r))
+    return CubeFamily(
+        level=0,
+        cubes=cubes,
+        meta={
+            "n": n,
+            "beta": float(beta),
+            "tau": float(tau),
+            "margin": margin,
+            "anchor_gap": gap,
+            "cube_separation": float(n) ** (-1.0 - 1.0 / d),
+            "count": len(cubes),
+            "maximal": max_cubes is None,
+        },
+    )
+
+
+def _pack_nd(lo_b, hi_b, gap: Fraction, q_lo: int, q_hi: int, max_cubes: int | None):
+    """Greedy (q, p)-lexicographic packing for d >= 2, anchor by anchor."""
+    d = len(lo_b)
+    if q_hi > 1 << 14 and max_cubes is None:
+        raise ValueError("full enumeration in d >= 2 is limited to n <= 2^14")
+    gap_f = float(gap)
     accepted: list[tuple[tuple[int, ...], int]] = []
     buckets: dict[tuple[int, ...], list[int]] = {}
 
@@ -312,52 +438,73 @@ def separated_cubes(
                     return False
         return True
 
-    def push(p: tuple[int, ...], q: int) -> None:
-        accepted.append((p, q))
-        buckets.setdefault(bucket_key(p, q), []).append(len(accepted) - 1)
-
-    if d == 1:
-        gen = _candidate_scan_1d(lo_b[0], hi_b[0], q_lo, q_hi)
-        for p, q in gen:
-            if separated((p,), q):
-                push((p,), q)
+    for q in range(q_lo, q_hi + 1):
+        ranges = []
+        for i in range(d):
+            p0 = -((-(lo_b[i].numerator * q)) // lo_b[i].denominator)
+            p1 = (hi_b[i].numerator * q) // hi_b[i].denominator
+            ranges.append(range(p0, p1 + 1))
+        for p in product(*ranges):
+            if separated(p, q):
+                accepted.append((p, q))
+                buckets.setdefault(bucket_key(p, q), []).append(len(accepted) - 1)
                 if max_cubes is not None and len(accepted) >= max_cubes:
-                    break
-    else:
-        if q_hi > 1 << 14 and max_cubes is None:
-            raise ValueError("full enumeration in d >= 2 is limited to n <= 2^14")
-        done = False
-        for q in range(q_lo, q_hi + 1):
-            ranges = []
-            for i in range(d):
-                p0 = -((-(lo_b[i].numerator * q)) // lo_b[i].denominator)
-                p1 = (hi_b[i].numerator * q) // hi_b[i].denominator
-                ranges.append(range(p0, p1 + 1))
-            for p in product(*ranges):
-                if separated(p, q):
-                    push(p, q)
-                    if max_cubes is not None and len(accepted) >= max_cubes:
-                        done = True
-                        break
-            if done:
-                break
+                    return accepted
+    return accepted
 
-    cubes = [Cube(p, q, -_to_fraction_power(q, tau), _to_fraction_power(q, tau))
-             for p, q in accepted]
-    return CubeFamily(
-        level=0,
-        cubes=cubes,
-        meta={
-            "n": n,
-            "beta": float(beta),
-            "tau": float(tau),
-            "margin": margin,
-            "anchor_gap": gap,
-            "cube_separation": float(n) ** (-1.0 - 1.0 / d),
-            "count": len(cubes),
-            "maximal": max_cubes is None,
-        },
+
+def _audit_separated_1d(
+    c: Cube, cubes: Sequence[Cube], margin: Fraction, gap: Fraction, sep: Fraction
+) -> None:
+    """audit_separated_family for d = 1, in exact integer arithmetic.
+
+    Python integers in numpy object arrays: nested denominators overflow int64.
+    """
+    if not cubes:
+        return
+    p, q, lo_n, lo_d, hi_n, hi_d = (
+        np.array(column, dtype=object)
+        for column in zip(*[
+            (cb.p[0], cb.q, cb.lo.numerator, cb.lo.denominator, cb.hi.numerator, cb.hi.denominator)
+            for cb in cubes
+        ])
     )
+    lo_b, hi_b = c.lo_corner(0) + margin, c.hi_corner(0) - margin
+    c_lo, c_hi = c.lo_corner(0), c.hi_corner(0)
+    # lo_b <= p/q <= hi_b, and c_lo <= p/q + lo, p/q + hi <= c_hi (q, denominators > 0)
+    bad_margin = (p * lo_b.denominator < lo_b.numerator * q) | (
+        p * hi_b.denominator > hi_b.numerator * q
+    )
+    bad_leave = ((p * lo_d + lo_n * q) * c_lo.denominator < c_lo.numerator * q * lo_d) | (
+        (p * hi_d + hi_n * q) * c_hi.denominator > c_hi.numerator * q * hi_d
+    )
+    bad = np.flatnonzero(bad_margin | bad_leave)
+    if bad.size:
+        cube = cubes[bad[0]]
+        if bad_margin[bad[0]]:
+            raise AssertionError(f"anchor {cube.p}/{cube.q} violates the margin")
+        raise AssertionError(f"cube at {cube.p}/{cube.q} leaves the parent")
+
+    def adjacent_gaps(order):
+        a, b = order[:-1], order[1:]
+        diff = p[b] * q[a] - p[a] * q[b]  # (anchor_b - anchor_a) q_a q_b
+        return a, b, diff, diff * gap.denominator > gap.numerator * q[a] * q[b]
+
+    # a float sort, certified exactly: gaps > gap > 0 prove the order strict
+    order = np.argsort([cb.p[0] / cb.q for cb in cubes], kind="stable")
+    a, b, diff, apart = adjacent_gaps(order)
+    if not apart.all():
+        order = np.array(sorted(range(len(cubes)), key=lambda i: Fraction(p[i], q[i])))
+        a, b, diff, apart = adjacent_gaps(order)
+        if not apart.all():
+            i = int(np.flatnonzero(~apart)[0])
+            ca, cb = cubes[a[i]], cubes[b[i]]
+            raise AssertionError(f"anchors {ca.p}/{ca.q} and {cb.p}/{cb.q} too close")
+    # diff/(q_a q_b) - hi_a - hi_b >= sep, times q_a q_b hi_da hi_db sep_d > 0
+    qq = q[a] * q[b]
+    lhs = (diff * hi_d[a] * hi_d[b] - qq * (hi_n[a] * hi_d[b] + hi_n[b] * hi_d[a])) * sep.denominator
+    if not (lhs >= sep.numerator * qq * hi_d[a] * hi_d[b]).all():
+        raise AssertionError("cube separation below the guarantee")
 
 
 def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
@@ -365,29 +512,29 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
     and cube separation at least n^(-1-1/d); raises on any violation.
 
     In one dimension adjacent anchors in sorted order witness the minimum,
-    so the audit is linear; higher dimensions scan all pairs.
+    so the audit is linear and runs in integer cross-multiplication; higher
+    dimensions scan all pairs.
     """
     n = family.meta["n"]
     margin: Fraction = family.meta["margin"]
     gap: Fraction = family.meta["anchor_gap"]
     d = c.d
-    sep = Fraction(1, n ** (d + 1)) if d == 1 else Fraction(float(n) ** (-1 - 1 / d))
+    if d == 1:
+        _audit_separated_1d(c, family.cubes, margin, gap, Fraction(1, n**2))
+        return
+    sep = Fraction(float(n) ** (-1 - 1 / d))
     for cube in family:
         if not c.contains_anchor(cube.p, cube.q, margin):
             raise AssertionError(f"anchor {cube.p}/{cube.q} violates the margin")
         for i in range(d):
             if cube.lo_corner(i) < c.lo_corner(i) or cube.hi_corner(i) > c.hi_corner(i):
                 raise AssertionError(f"cube at {cube.p}/{cube.q} leaves the parent")
-    if d == 1:
-        order = sorted(family.cubes, key=lambda cb: cb.anchor(0))
-        pairs = zip(order, order[1:])
-    else:
-        cubes = family.cubes
-        pairs = (
-            (cubes[a], cubes[b])
-            for a in range(len(cubes))
-            for b in range(a + 1, len(cubes))
-        )
+    cubes = family.cubes
+    pairs = (
+        (cubes[a], cubes[b])
+        for a in range(len(cubes))
+        for b in range(a + 1, len(cubes))
+    )
     for ca, cb in pairs:
         dist = max(abs(ca.anchor(i) - cb.anchor(i)) for i in range(d))
         if dist <= gap:
@@ -408,15 +555,16 @@ def audit_separated_maximal(c: Cube, n: int, tau, beta, family: CubeFamily) -> N
     hi_b = [c.hi_corner(i) - margin for i in range(d)]
     if d != 1:
         raise NotImplementedError("maximality audit implemented for d = 1")
-    for p, q in _candidate_scan_1d(lo_b[0], hi_b[0], q_lo, n):
-        if ((p,), q) in accepted:
-            continue
-        clash = any(
-            abs(p * cq - cp[0] * q) * gap.denominator <= gap.numerator * q * cq
-            for cp, cq in accepted
-        )
-        if not clash:
-            raise AssertionError(f"family is not maximal: {p}/{q} could be added")
+    for q, p0, p1 in _candidate_scan_1d(lo_b[0], hi_b[0], q_lo, n):
+        for p in range(p0, p1 + 1):
+            if ((p,), q) in accepted:
+                continue
+            clash = any(
+                abs(p * cq - cp[0] * q) * gap.denominator <= gap.numerator * q * cq
+                for cp, cq in accepted
+            )
+            if not clash:
+                raise AssertionError(f"family is not maximal: {p}/{q} could be added")
 
 
 @dataclass(frozen=True)

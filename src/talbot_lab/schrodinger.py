@@ -43,7 +43,10 @@ class RationalTime:
 
 @dataclass(frozen=True)
 class SamplePoint:
-    """Point x = 2 pi (p/q + eps), anchored to the rational lattice p/q."""
+    """Point x = 2 pi (p/q + eps), anchored to the rational lattice p/q.
+
+    The anchor is stored reduced, 0 <= p_i < q.
+    """
 
     p: tuple[int, ...]
     q: int
@@ -56,6 +59,8 @@ class SamplePoint:
             raise ValueError("anchor and offset dimensions differ")
         if not self.p:
             raise ValueError("sample point needs at least one coordinate")
+        # p only matters mod q; reducing it keeps the anchored phase k.p in int64
+        object.__setattr__(self, "p", tuple(int(v) % self.q for v in self.p))
 
     @property
     def d(self) -> int:
@@ -212,8 +217,17 @@ def partial_sum_direct(
     Phases are reduced modulo one full turn; the reduction is exact in
     integer arithmetic when t is a RationalTime and x a SamplePoint.  For
     floating-point times the reduction happens in double precision, which
-    degrades once N^2 t approaches 2^53.
+    degrades once N^2 t approaches 2^53.  The int64 phases |k|^2 <= d N^2
+    and |k.p| < d N q (N the truncated bandwidth) must stay below 2^63;
+    a ValueError is raised otherwise.
     """
+    bandwidth = int(min(n, f.bandwidth))
+    anchor_q = int(x.q) if isinstance(x, SamplePoint) else 1
+    if f.d * bandwidth * max(bandwidth, anchor_q) >= 2**63:
+        raise ValueError(
+            f"d={f.d}, N={bandwidth}, q={anchor_q}: d N^2 or d N q reaches 2^63, "
+            "so the exact int64 phases would wrap"
+        )
     ks, coeffs = f.ks, f.coeffs
     if f.bandwidth > n:
         keep = (np.abs(ks) <= n).all(axis=1)

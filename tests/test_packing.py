@@ -1,0 +1,222 @@
+"""The 1-D separated packing against the anchor-by-anchor greedy, and the
+integer audit against hand-made violations."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from talbot_lab.fractal import (
+    Cube,
+    CubeFamily,
+    audit_separated_family,
+    build_nested_levels,
+    separated_cubes,
+)
+
+E0 = Cube((1,), 8, Fraction(0), Fraction(1, 8))
+BETAS = [Fraction(2), Fraction(5, 2), Fraction(4), Fraction(6)]
+PROPERTY = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _oracle_scan_1d(lo, hi, q_lo, q_hi):
+    """Anchors (p, q) with p/q in [lo, hi] and p >= 0, ordered by (q, p)."""
+    lo_f, hi_f = float(lo), float(hi)
+    chunk = 1 << 20
+    for start in range(q_lo, q_hi + 1, chunk):
+        stop = min(start + chunk, q_hi + 1)
+        qs = np.arange(start, stop, dtype=np.float64)
+        slack = 1e-9 + np.abs(qs) * (abs(lo_f) + abs(hi_f)) * 1e-12
+        p_lo = np.ceil(qs * lo_f - slack)
+        p_hi = np.floor(qs * hi_f + slack)
+        for i in np.nonzero(p_hi >= p_lo)[0]:
+            q = start + int(i)
+            for p in range(max(int(p_lo[i]) - 1, 0), int(p_hi[i]) + 2):
+                if p * lo.denominator >= lo.numerator * q and p * hi.denominator <= hi.numerator * q:
+                    yield p, q
+
+
+def oracle_separated_1d(c, n, beta=4, max_cubes=None):
+    """Reference greedy: every candidate, in (q, p) order, checked one at a
+    time against the accepted anchors in its float bucket and the two
+    neighbouring buckets."""
+    beta = Fraction(beta)
+    q_lo = int(math.ceil(n / float(beta) - 1e-9))
+    margin = (beta / n) ** 2
+    gap = 3 * margin
+    gap_f = float(gap)
+    lo, hi = c.lo_corner(0) + margin, c.hi_corner(0) - margin
+    if lo > hi:
+        raise ValueError("margin exceeds the cube")
+    accepted, buckets = [], {}
+    for p, q in _oracle_scan_1d(lo, hi, q_lo, n):
+        key = int(p / q / gap_f)
+        if all(
+            abs(p * q2 - p2 * q) * gap.denominator > gap.numerator * q * q2
+            for k in (key - 1, key, key + 1)
+            for p2, q2 in buckets.get(k, ())
+        ):
+            accepted.append(((p,), q))
+            buckets.setdefault(key, []).append((p, q))
+            if max_cubes is not None and len(accepted) >= max_cubes:
+                break
+    return accepted
+
+
+def _assert_matches_oracle(parent, n, beta, max_cubes):
+    width = parent.side
+    if 2 * (beta / n) ** 2 > width:
+        with pytest.raises(ValueError, match="margin"):
+            separated_cubes(parent, n, 2, beta=beta, max_cubes=max_cubes)
+        return
+    fam = separated_cubes(parent, n, 2, beta=beta, max_cubes=max_cubes)
+    assert [(cb.p, cb.q) for cb in fam] == oracle_separated_1d(parent, n, beta, max_cubes)
+    audit_separated_family(parent, fam, 2)
+
+
+max_cubes_st = st.one_of(st.none(), st.integers(1, 64))
+
+
+@PROPERTY
+@given(
+    q=st.integers(1, 64),
+    p_frac=st.fractions(0, 1),
+    off=st.fractions(Fraction(-1, 8), 1, max_denominator=256),
+    spread=st.integers(3, 1 << 14),
+    beta=st.sampled_from(BETAS),
+    max_cubes=max_cubes_st,
+    data=st.data(),
+)
+def test_packing_matches_greedy_oracle(q, p_frac, off, spread, beta, max_cubes, data):
+    # n <= 3 beta^2: anchors sharing q can clash
+    n = data.draw(st.one_of(st.integers(12, math.floor(3 * beta**2)), st.integers(16, 1 << 10)))
+    # a window of about spread beta^2 / 2 candidates, capped to keep the oracle fast
+    width = (beta / n) ** 2 * min(spread, (1 << 14) // math.ceil(beta**2))
+    parent = Cube((int(p_frac * q),), q, off, off + width)
+    _assert_matches_oracle(parent, n, beta, max_cubes)
+
+
+@PROPERTY
+@given(
+    q=st.integers(32, 256),
+    p_frac=st.fractions(Fraction(1, 8), Fraction(1, 4)),
+    n=st.integers(1 << 17, 1 << 21),
+    beta=st.sampled_from(BETAS),
+    max_cubes=st.integers(1, 64),
+)
+def test_narrow_parent_matches_greedy_oracle(q, p_frac, n, beta, max_cubes):
+    # nested-style parents far narrower than 1/q: products leave int64
+    parent = Cube((int(p_frac * q),), q, Fraction(1, 200 * q * q), Fraction(1, 100 * q * q))
+    _assert_matches_oracle(parent, n, beta, max_cubes)
+
+
+def test_same_denominator_clashes_match_greedy_oracle():
+    # gap = 3 (6/16)^2 > 1/q for every q in [3, 16]
+    parent = Cube((0,), 1, Fraction(0), Fraction(1))
+    fam = separated_cubes(parent, 16, 2, beta=6)
+    assert fam.meta["anchor_gap"] * 3 > 1
+    _assert_matches_oracle(parent, 16, Fraction(6), None)
+
+
+@pytest.mark.parametrize("max_cubes", [0, -1])
+def test_max_cubes_below_one_rejected(max_cubes):
+    with pytest.raises(ValueError, match="max_cubes"):
+        separated_cubes(E0, 64, 2, max_cubes=max_cubes)
+
+
+def test_oversized_slot_store_matches_greedy_oracle():
+    # lo corner + margin = 0 keeps every product in int64, but the window
+    # holds about 5.6e6 gap-wide slots, too many for a dense store
+    n = 1 << 15
+    margin = Fraction(4, n) ** 2
+    parent = Cube((0,), 1, -margin, Fraction(1))
+    _assert_matches_oracle(parent, n, Fraction(4), 16)
+
+
+def test_nested_levels_match_greedy_oracle():
+    families, plan = build_nested_levels(1, 2, 64, 2, retain=2)
+    for parents, n in zip(([E0], families[0].cubes), plan.n):
+        for parent in parents:
+            _assert_matches_oracle(parent, n, Fraction(4), 64)
+
+
+class TestIntegerAudit:
+    @pytest.fixture()
+    def family(self):
+        return separated_cubes(E0, 256, 2)
+
+    @staticmethod
+    def _with(family, cubes):
+        return CubeFamily(family.level, cubes, dict(family.meta))
+
+    def test_equal_rationals_raise(self, family):
+        cube = family.cubes[len(family) // 2]
+        twin = Cube((2 * cube.p[0],), 2 * cube.q, cube.lo / 4, cube.hi / 4)
+        with pytest.raises(AssertionError, match="too close"):
+            audit_separated_family(E0, self._with(family, family.cubes + [twin]), 2)
+
+    def test_one_quarter_and_two_eighths_raise(self):
+        parent = Cube((0,), 1, Fraction(0), Fraction(1))
+        meta = {"n": 64, "margin": Fraction(1, 4096), "anchor_gap": Fraction(3, 4096)}
+        r = Fraction(1, 4096)
+        fam = CubeFamily(0, [Cube((1,), 4, -r, r), Cube((2,), 8, -r, r)], meta)
+        with pytest.raises(AssertionError, match="too close"):
+            audit_separated_family(parent, fam, 2)
+
+    def test_anchor_within_gap_raises(self, family):
+        cube = family.cubes[len(family) // 2]
+        anchor = cube.anchor(0) + family.meta["anchor_gap"] / 2
+        r = Fraction(1, 10**12)
+        near = Cube((anchor.numerator,), anchor.denominator, -r, r)
+        with pytest.raises(AssertionError, match="too close"):
+            audit_separated_family(E0, self._with(family, family.cubes + [near]), 2)
+
+    def test_anchor_inside_margin_raises(self, family):
+        anchor = E0.lo_corner(0) + family.meta["margin"] / 2
+        r = Fraction(1, 10**12)
+        stray = Cube((anchor.numerator,), anchor.denominator, -r, r)
+        with pytest.raises(AssertionError, match="margin"):
+            audit_separated_family(E0, self._with(family, [stray] + family.cubes), 2)
+
+    def test_cube_leaving_parent_raises(self, family):
+        cube = family.cubes[0]
+        wide = Cube(cube.p, cube.q, cube.lo, Fraction(1, 4))
+        with pytest.raises(AssertionError, match="leaves the parent"):
+            audit_separated_family(E0, self._with(family, [wide] + family.cubes[1:]), 2)
+
+    def test_separation_below_guarantee_raises(self, family):
+        order = sorted(family.cubes, key=lambda cb: cb.anchor(0))
+        a, b = order[len(order) // 2], order[len(order) // 2 + 1]
+        sep = Fraction(1, family.meta["n"] ** 2)
+        r = b.anchor(0) - a.anchor(0) - a.hi - sep / 2
+        grown = Cube(b.p, b.q, -r, r)
+        cubes = [grown if cb is b else cb for cb in family.cubes]
+        with pytest.raises(AssertionError, match="separation"):
+            audit_separated_family(E0, self._with(family, cubes), 2)
+
+    def test_float_ties_are_ordered_exactly(self):
+        # level-3 anchors lie closer than a double can tell apart
+        families, plan = build_nested_levels(1, 2, 256, 2, retain=4)
+        parent = families[1].cubes[0]
+        fam = separated_cubes(parent, plan.n[1] * 4096, 2, max_cubes=64)
+        keys = [cb.p[0] / cb.q for cb in fam]
+        assert len(set(keys)) < len(keys)
+        audit_separated_family(parent, fam, 2)
+
+
+def test_non_integer_tau_rejected():
+    with pytest.raises(ValueError, match="tau"):
+        separated_cubes(E0, 64, 2.5)
+    with pytest.raises(ValueError, match="tau"):
+        build_nested_levels(1, Fraction(5, 2), 64, 1)
+
+
+def test_integral_float_tau_is_exact():
+    fam = separated_cubes(E0, 64, 2.0)
+    assert [cb.hi for cb in fam] == [Fraction(1, cb.q**2) for cb in fam]

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from talbot_lab.expsum import MODULUS_LIMIT
 from talbot_lab.schrodinger import (
+    FREQ_LIMIT,
     DirichletBlock,
     FourierData,
     RationalTime,
@@ -265,3 +269,70 @@ class TestSobolevNorm:
         f = FourierData.from_dict(1, {0: 1.0})
         with pytest.raises(ValueError):
             sobolev_norm(f, -0.1)
+
+
+def _python_int_sum(ks, coeffs, t_q, p, q, eps):
+    """S_N(2 pi / t_q) f(2 pi (p/q + eps)) with every integer phase in Python ints."""
+    total = 0j
+    for k, c in zip(ks, coeffs):
+        frac = (sum(ki * pi for ki, pi in zip(k, p)) % q) / q
+        frac += sum(float(ki) * e for ki, e in zip(k, eps))
+        frac -= (sum(ki * ki for ki in k) % t_q) / t_q
+        total += c * cmath.exp(2j * math.pi * frac)
+    return total
+
+
+@st.composite
+def anchored_inputs(draw):
+    """Frequencies near FREQ_LIMIT, moduli near MODULUS_LIMIT, d = 1..4."""
+    d = draw(st.integers(1, 4))
+    coord = st.integers(FREQ_LIMIT - (1 << 12), FREQ_LIMIT).flatmap(
+        lambda k: st.sampled_from([k, -k])
+    )
+    ks = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6, unique=True))
+    coeffs = draw(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=len(ks),
+                           max_size=len(ks)))
+    t_q = draw(st.integers(MODULUS_LIMIT - (1 << 12), MODULUS_LIMIT))
+    q = draw(st.one_of(st.integers(1, 1 << 20),
+                       st.integers(MODULUS_LIMIT - (1 << 12), MODULUS_LIMIT - 1)))
+    p = draw(st.tuples(*[st.integers(0, q - 1)] * d))
+    eps = draw(st.tuples(*[st.floats(-1e-6, 1e-6)] * d))
+    return d, ks, coeffs, t_q, p, q, eps
+
+
+class TestInt64Contract:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(anchored_inputs(), st.integers(0, 1 << 40))
+    def test_unreduced_anchor_gives_the_same_value(self, case, m):
+        d, ks, coeffs, t_q, p, q, eps = case
+        f = FourierData(d, np.array(ks), np.array(coeffs))
+        shifted = SamplePoint(tuple(v + q * m for v in p), q, eps)
+        assert shifted.p == p
+        t = RationalTime(t_q)
+        assert partial_sum_direct(f, FREQ_LIMIT, t, shifted) == partial_sum_direct(
+            f, FREQ_LIMIT, t, SamplePoint(p, q, eps)
+        )
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(anchored_inputs())
+    def test_agrees_with_python_int_oracle_at_the_limits(self, case):
+        d, ks, coeffs, t_q, p, q, eps = case
+        f = FourierData(d, np.array(ks), np.array(coeffs))
+        value = partial_sum_direct(f, FREQ_LIMIT, RationalTime(t_q), SamplePoint(p, q, eps))
+        expected = _python_int_sum(ks, coeffs, t_q, p, q, eps)
+        assert abs(value - expected) <= 1e-9 * len(ks)
+
+    def test_negative_anchor_is_reduced(self):
+        assert SamplePoint((13, -3), 5, (0.0, 0.0)).p == (3, 2)
+
+    def test_products_reaching_int64_rejected(self):
+        top = FourierData(4, np.array([[FREQ_LIMIT] * 4]), np.array([1.0]))
+        x = SamplePoint((1,) * 4, MODULUS_LIMIT, (0.0,) * 4)
+        with pytest.raises(ValueError, match="2\\^63"):
+            partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), x)
+        # d N^2 = 8 * 2^60 for a float sample point
+        wide = FourierData(8, np.array([[FREQ_LIMIT] * 8]), np.array([1.0]))
+        with pytest.raises(ValueError, match="2\\^63"):
+            partial_sum_direct(wide, FREQ_LIMIT, 0.1, [0.0] * 8)
+        # truncation below the limit keeps the evaluation legal
+        assert partial_sum_direct(top, FREQ_LIMIT - 1, RationalTime(3), x) == 0
