@@ -231,14 +231,109 @@ def _to_fraction_power(q: int, tau) -> Fraction:
     return Fraction(1, q ** exponent.numerator)
 
 
-def _candidate_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
-    """Yield (q, p0, p1) for every q in [q_lo, q_hi] whose exact anchor range
-    p0..p1 (p0 = max(ceil(q lo), 0), p1 = floor(q hi)) is nonempty, by q.
+def _scan_kind(lo: Fraction, hi: Fraction, q_hi: int) -> str:
+    """Candidate source of _candidate_scan_1d: "lattice" when at most one
+    anchor fits per denominator, (hi - max(lo, 0)) q_hi < 1, else "chunked"."""
+    return "lattice" if (hi - max(lo, 0)) * q_hi < 1 else "chunked"
 
-    A chunked vectorized float prefilter skips the denominators whose window
-    holds no integer, so large denominator windows stream without
-    materializing empty ranges; the range itself is computed exactly.
+
+def _candidate_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
+    """Iterator of (q, p0, p1) for every q in [q_lo, q_hi] whose exact anchor
+    range p0..p1 (p0 = max(ceil(q lo), 0), p1 = floor(q hi)) is nonempty, by q.
+
+    Anchors are clamped to p >= 0, so a window that straddles 0 yields only
+    its part in [0, hi]; nothing wraps around the torus.  Two exact sources
+    give the same triples in the same order, and _scan_kind picks one from
+    the window: the Stern-Brocot lattice walk for windows narrower than
+    1/q_hi, whose cost follows the anchors found, and the chunked float
+    prefilter for wider ones, whose cost follows the denominators scanned.
     """
+    if _scan_kind(lo, hi, q_hi) == "lattice":
+        return _lattice_scan_1d(lo, hi, q_lo, q_hi)
+    return _chunked_scan_1d(lo, hi, q_lo, q_hi)
+
+
+def _stern_brocot_bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with a/b <= lo <= hi < c/d, b c - a d = 1, and the
+    mediant (a + c)/(b + d) in [lo, hi], for 0 <= lo <= hi.
+
+    Descends the Stern-Brocot tree from 0/1, 1/0, taking each run of steps
+    to the same side at once.  The one window no mediant reaches is
+    lo = hi = 0; it returns the root bracket 0/1, 1/0.
+    """
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    a, b, c, d = 0, 1, 1, 0
+    while True:
+        # mediants (a + j c)/(b + j d) rise to c/d > lo: skip those below lo
+        j = max(1, -((a * ld - ln * b) // (c * ld - ln * d)))
+        a, b = a + (j - 1) * c, b + (j - 1) * d
+        # done once the mediant is <= hi too, or hi = a/b (then lo = hi = 0)
+        if (a + c) * hd <= hn * (b + d) or hn * b == a * hd:
+            return a, b, c, d
+        # mediants (c + j a)/(d + j b) fall to a/b < hi: skip those above hi
+        j = -((hn * d - c * hd) // (hn * b - a * hd))
+        c, d = c + (j - 1) * a, d + (j - 1) * b
+
+
+def _lattice_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
+    """_candidate_scan_1d for windows with (hi - max(lo, 0)) q_hi < 1.
+
+    With the Stern-Brocot bracket a/b <= lo <= hi < c/d of the window, the
+    map (m, n) -> (q, p) = m (b, a) + n (d, c) has determinant 1, so every
+    anchor p/q in [lo, hi], reduced or not, is exactly one lattice point
+    with m = c q - d p, n = b p - a q >= 0.  The window is the cone
+    q D <= m <= q B, q A <= n <= q C, with A = lo b - a, B = c - lo d,
+    C = hi b - a, D = c - hi d.  The cone is walked in q-windows of doubling
+    width; each window iterates whichever of m and n takes fewer values and
+    solves for the other, so the work follows the anchors found rather than
+    the denominators passed.  A q holds at most one anchor here, so every
+    triple has p0 = p1.
+    """
+    lo = max(lo, Fraction(0))
+    if hi < lo:
+        return
+    a, b, c, d = _stern_brocot_bracket(lo, hi)
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    # A, B over ld and C, D over hd, all >= 0; B, D > 0
+    A, B, C, D = ln * b - a * ld, c * ld - ln * d, hn * b - a * hd, c * hd - hn * d
+    # about 64 anchors in the first window: density w q plus the mediant's
+    # multiples, exact because either term can underflow a double
+    density = (hi - lo) * q_lo + Fraction(1, b + d)
+    width = max(1, int(64 / density))
+    q0 = q_lo
+    while q0 <= q_hi:
+        q1 = min(q0 + width - 1, q_hi)
+        m_lo, m_hi = -(-q0 * D // hd), q1 * B // ld
+        n_lo, n_hi = -(-q0 * A // ld), q1 * C // hd
+        points = []
+        if m_hi - m_lo <= n_hi - n_lo:
+            for m in range(m_lo, m_hi + 1):
+                n0 = max(-(-m * A // B), -(-(q0 - m * b) // d) if d else 0)
+                n1 = m * C // D
+                if d:
+                    n1 = min(n1, (q1 - m * b) // d)
+                elif not q0 <= m * b <= q1:
+                    continue
+                points.extend((m * b + n * d, m * a + n * c) for n in range(n0, n1 + 1))
+        else:
+            for n in range(n_lo, n_hi + 1):
+                m0 = max(-(-n * D // C) if C else 0, -(-(q0 - n * d) // b))
+                m1 = (q1 - n * d) // b
+                if A:
+                    m1 = min(m1, n * B // A)
+                points.extend((m * b + n * d, m * a + n * c) for m in range(m0, m1 + 1))
+        points.sort()
+        for q, p in points:
+            yield q, p, p
+        q0 = q1 + 1
+        width *= 2
+
+
+def _chunked_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
+    """_candidate_scan_1d by a chunked vectorized float prefilter, which
+    skips the denominators whose window holds no integer, so large
+    denominator windows stream without materializing empty ranges; the
+    range itself is computed exactly."""
     lo_f, hi_f = float(lo), float(hi)
     for start in range(q_lo, q_hi + 1, _SCAN_CHUNK):
         stop = min(start + _SCAN_CHUNK, q_hi + 1)
@@ -258,7 +353,7 @@ def _candidate_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
 
 def _pack_1d(
     lo: Fraction, hi: Fraction, gap: Fraction, q_lo: int, q_hi: int, max_cubes: int | None
-) -> list[tuple[tuple[int, ...], int]]:
+) -> tuple[list[tuple[tuple[int, ...], int]], dict[str, str]]:
     """Greedy (q, p)-lexicographic anchors p/q in [lo, hi], pairwise > gap apart.
 
     Accepted anchors sit in a slot store keyed by the exact integer slot
@@ -270,6 +365,11 @@ def _pack_1d(
     The dense store checks a whole q at once against earlier denominators,
     which is the greedy only when anchors of one q cannot clash: they are
     >= 1/q >= 1/q_hi apart (Farey spacing), so this needs g q_hi < h.
+
+    Candidates come from _candidate_scan_1d, which keeps p >= 0: the lattice
+    walk when (hi - max(lo, 0)) q_hi < 1, else the chunked float scan.
+    Returns the accepted anchors and the path that ran, {"scan": "lattice"
+    or "chunked", "store": "dense" or "sparse"}.
     """
     a, b = lo.numerator, lo.denominator
     g, h = gap.numerator, gap.denominator
@@ -281,9 +381,12 @@ def _pack_1d(
     magnitude = max(
         (p_max * b + abs(a) * q_hi) * h, q_hi * b * g, p_max * q_hi * h, g * q_hi * q_hi
     )
+    path = {"scan": _scan_kind(lo, hi, q_hi)}
     if g * q_hi < h and magnitude < 2**63 and n_slots <= _DENSE_SLOTS:
-        return _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes)
-    return _pack_1d_sparse(a, b, g, h, ranges, max_cubes)
+        path["store"] = "dense"
+        return _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes), path
+    path["store"] = "sparse"
+    return _pack_1d_sparse(a, b, g, h, ranges, max_cubes), path
 
 
 def _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes):
@@ -364,6 +467,17 @@ def separated_cubes(
     int64, or whose store would pass _DENSE_SLOTS, run the same scan one
     anchor at a time in Python integers with a dict store.  The result is
     the same list, in the same order, as the anchor-by-anchor greedy.
+
+    Only anchors with p >= 0 are candidates: a cube straddling 0 is packed
+    in its part [0, hi] alone, and nothing wraps around the torus.  The
+    candidates come from one of two exact sources, picked by the width w of
+    the shrunk window [max(lo, 0), hi].  When w n < 1, at most one anchor
+    fits per denominator, as in the narrow parents of nested levels >= 2;
+    a walk of the Stern-Brocot lattice cone over the window then finds them
+    at a cost that follows the anchors found, not the n - n/beta
+    denominators.  Wider windows stream every denominator through a chunked
+    float prefilter.  meta["scan"] ("lattice" or "chunked") and
+    meta["store"] ("dense" or "sparse") record the path of a 1-D family.
     """
     d = c.d
     beta = Fraction(beta)
@@ -387,9 +501,9 @@ def separated_cubes(
         raise ValueError("margin exceeds the cube; n is too small for the window")
 
     if d == 1:
-        accepted = _pack_1d(lo_b[0], hi_b[0], gap, q_lo, q_hi, max_cubes)
+        accepted, path = _pack_1d(lo_b[0], hi_b[0], gap, q_lo, q_hi, max_cubes)
     else:
-        accepted = _pack_nd(lo_b, hi_b, gap, q_lo, q_hi, max_cubes)
+        accepted, path = _pack_nd(lo_b, hi_b, gap, q_lo, q_hi, max_cubes), {}
 
     cubes = []
     for p, q in accepted:
@@ -407,6 +521,7 @@ def separated_cubes(
             "cube_separation": float(n) ** (-1.0 - 1.0 / d),
             "count": len(cubes),
             "maximal": max_cubes is None,
+            **path,
         },
     )
 

@@ -78,9 +78,12 @@ class FourierData:
 
     Stored as an (n, d) integer array of frequencies and a matching complex
     coefficient array; exact zeros are dropped so the support is genuine.
+    Needs d >= 1 and d N^2 < 2^63 (N the bandwidth), so |k|^2 fits int64.
     """
 
     def __init__(self, d: int, ks: np.ndarray, coeffs: np.ndarray):
+        if d < 1:
+            raise ValueError(f"dimension d = {d} must be at least 1")
         ks = np.asarray(ks, dtype=np.int64).reshape(-1, d)
         coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
         if ks.shape[0] != coeffs.shape[0]:
@@ -91,10 +94,15 @@ class FourierData:
             raise ValueError(f"frequencies exceed limit {FREQ_LIMIT}")
         if np.unique(ks, axis=0).shape[0] != ks.shape[0]:
             raise ValueError("duplicate lattice points in coefficient map")
+        bandwidth = int(np.abs(ks).max()) if ks.size else 0
+        if d * bandwidth**2 >= 2**63:
+            raise ValueError(
+                f"d={d}, N={bandwidth}: |k|^2 up to d N^2 reaches 2^63 and would wrap in int64"
+            )
         self.d = d
         self.ks = ks
         self.coeffs = coeffs
-        self.bandwidth = int(np.abs(ks).max()) if ks.size else 0
+        self.bandwidth = bandwidth
 
     @classmethod
     def from_dict(cls, d: int, coeffs: Mapping[tuple[int, ...] | int, complex]) -> "FourierData":

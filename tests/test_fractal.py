@@ -199,6 +199,14 @@ class TestNestedConstruction:
         audit_nesting(fams[0], fams[1])
         audit_nesting(fams[1], fams[2])
 
+    def test_four_levels_with_defaults(self):
+        # level 4 packs denominators near 2^44 inside parents about 2^-70 wide
+        fams, plan = build_nested_levels(1, 2, 256, 4)
+        assert plan.n[-1] == 256 * 4096**3
+        assert min(plan.m) >= 2
+        for parents, children in zip(fams, fams[1:]):
+            audit_nesting(parents, children)
+
     def test_offset_twins_carry_window_constants(self):
         fams, _ = build_nested_levels(1, 2, 256, 1)
         for cube in fams[0]:

@@ -3,16 +3,20 @@ integer audit against hand-made violations."""
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from talbot_lab import fractal
 from talbot_lab.fractal import (
     Cube,
     CubeFamily,
+    _lattice_scan_1d,
     audit_separated_family,
+    audit_separated_maximal,
     build_nested_levels,
     separated_cubes,
 )
@@ -144,6 +148,106 @@ def test_nested_levels_match_greedy_oracle():
     for parents, n in zip(([E0], families[0].cubes), plan.n):
         for parent in parents:
             _assert_matches_oracle(parent, n, Fraction(4), 64)
+
+
+def _lattice_pairs(lo, hi, q_lo, q_hi, limit=None):
+    """The lattice source's triples as (p, q) pairs, in _oracle_scan_1d's form."""
+    triples = _lattice_scan_1d(lo, hi, q_lo, q_hi)
+    return list(islice(((p, q) for q, p0, p1 in triples for p in range(p0, p1 + 1)), limit))
+
+
+@PROPERTY
+@given(
+    den=st.one_of(st.integers(1, 16), st.integers(1 << 20, 1 << 40)),
+    rnd=st.randoms(use_true_random=False),
+    k=st.integers(0, (1 << 20) - 1),
+    u=st.fractions(0, 1, max_denominator=64),
+    data=st.data(),
+)
+def test_lattice_scan_matches_oracle_on_narrow_windows(den, rnd, k, u, data):
+    # a uniform numerator: drawn integers cluster at 0
+    x = Fraction(rnd.randint(-den // 4, 5 * den // 4), den)
+    # the center's q_hi/den unreduced multiples all fit, so q_hi stays below
+    # 2^10 den: at most 2^11 of them
+    e = data.draw(st.sampled_from(range(min(24, 10 + x.denominator.bit_length()) + 1)))
+    q_hi = data.draw(st.integers(1 << max(e - 1, 0), 1 << e))
+    q_lo = data.draw(st.integers(1, q_hi))
+    # width w < 1/q_hi, and w q_hi^2 / 2 <= 2^11 candidates around a generic center
+    w = Fraction(k, 1 << 20) / q_hi * min(1, Fraction(1 << 12, q_hi))
+    lo = x - u * w
+    assert fractal._scan_kind(lo, lo + w, q_hi) == "lattice"
+    assert _lattice_pairs(lo, lo + w, q_lo, q_hi) == list(_oracle_scan_1d(lo, lo + w, q_lo, q_hi))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (Fraction(3, 7), Fraction(3, 7)),  # zero width, at a small denominator
+        (Fraction(0), Fraction(0)),  # zero width at 0: no mediant lies in the window
+        (Fraction(1, 3) + Fraction(1, 1 << 1100),) * 2,  # zero width, denominator past a double
+        (Fraction(0), Fraction(1, 1 << 20)),  # lo = 0 = left bracket 0/1, A = 0
+        (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1 << 30)),  # endpoint at the mediant
+        (Fraction(1, 3) - Fraction(1, 1 << 30), Fraction(1, 3)),
+        (Fraction(1, 3) - Fraction(1, 1 << 30), Fraction(1, 3) + Fraction(1, 1 << 30)),
+        (Fraction(1, 2) + Fraction(1, 1 << 30), Fraction(1, 2) + Fraction(1, 1 << 29)),
+        (Fraction(-1, 1 << 20), Fraction(1, 1 << 20)),  # straddles 0: p >= 0 clamp
+        (Fraction(-1, 3) - Fraction(1, 1 << 30), Fraction(-1, 3)),  # hi < 0: empty
+        (Fraction(7, 5), Fraction(7, 5) + Fraction(1, 1 << 30)),  # above 1: right bracket 1/0
+    ],
+)
+@pytest.mark.parametrize("q_lo, q_hi", [(1, 1 << 14), (1000, 4321)])
+def test_lattice_scan_matches_oracle_on_edge_windows(lo, hi, q_lo, q_hi):
+    assert fractal._scan_kind(lo, hi, q_hi) == "lattice"
+    assert _lattice_pairs(lo, hi, q_lo, q_hi) == list(_oracle_scan_1d(lo, hi, q_lo, q_hi))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1 << 20, 1 << 34),
+    p_frac=st.fractions(Fraction(1, 8), Fraction(1, 4)),
+    density=st.integers(8, 12),
+)
+def test_lattice_scan_prefix_matches_oracle_on_nested_windows(n, p_frac, density):
+    # a nested parent p/q + [1/(200 q^2), 1/(100 q^2)] minus the margin
+    # (4/n)^2, with q picked so about 2^-density anchors fall per denominator
+    # near n/4: the oracle then finds 200 of them within a few chunks.  The
+    # anchor is reduced, as nested anchors are, or no q' <= n could fit.
+    q_lo = n // 4
+    q = math.isqrt((q_lo << density) // 200)
+    p = int(p_frac * q)
+    while math.gcd(p, q) != 1:
+        p += 1
+    margin = Fraction(4, n) ** 2
+    lo = Fraction(p, q) + Fraction(1, 200 * q * q) + margin
+    hi = Fraction(p, q) + Fraction(1, 100 * q * q) - margin
+    assert fractal._scan_kind(lo, hi, n) == "lattice"
+    expected = list(islice(_oracle_scan_1d(lo, hi, q_lo, n), 200))
+    assert _lattice_pairs(lo, hi, q_lo, n, 200) == expected
+
+
+def test_maximality_audit_on_narrow_parent(monkeypatch):
+    families, _ = build_nested_levels(1, 2, 64, 1)
+    parent, n = families[0].cubes[1], 1 << 14
+    assert parent.side < Fraction(1, n)
+    fam = separated_cubes(parent, n, 2)
+    assert fam.meta["scan"] == "lattice" and len(fam) > 2
+
+    def chunked_scan(*args):
+        raise AssertionError("the chunked scan ran on a narrow window")
+
+    monkeypatch.setattr(fractal, "_chunked_scan_1d", chunked_scan)
+    audit_separated_maximal(parent, n, 2, 4, fam)
+    dropped = CubeFamily(fam.level, fam.cubes[:1] + fam.cubes[2:], dict(fam.meta))
+    with pytest.raises(AssertionError, match="not maximal"):
+        audit_separated_maximal(parent, n, 2, 4, dropped)
+
+
+def test_meta_records_code_path():
+    wide = separated_cubes(E0, 1 << 10, 2)
+    assert (wide.meta["scan"], wide.meta["store"]) == ("chunked", "dense")
+    families, plan = build_nested_levels(1, 2, 256, 2, retain=1)
+    narrow = separated_cubes(families[1].cubes[0], plan.n[1] * 4096, 2, max_cubes=64)
+    assert (narrow.meta["scan"], narrow.meta["store"]) == ("lattice", "sparse")
 
 
 class TestIntegerAudit:

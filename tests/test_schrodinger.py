@@ -85,6 +85,22 @@ class TestFourierData:
         with pytest.raises(ValueError, match="cap"):
             DirichletBlock(2, 16, 3).to_fourier_data(max_coeffs=1000)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match="at least 1"):
+            FourierData(d, np.zeros((0, 1), dtype=np.int64), np.zeros(0))
+
+    def test_squared_norm_reaching_int64_rejected(self):
+        # |k|^2 = 8 * 2^60 = 2^63 would wrap in sobolev_norm's int64 sum
+        with pytest.raises(ValueError, match="2\\^63"):
+            FourierData(8, np.array([[FREQ_LIMIT] * 8]), np.array([1.0]))
+
+    def test_squared_norm_below_int64_accepted(self):
+        f = FourierData(7, np.array([[FREQ_LIMIT] * 7, [-FREQ_LIMIT] * 7]), np.array([1.0, 1.0]))
+        assert f.bandwidth == FREQ_LIMIT
+        expected = math.sqrt(2 * (1 + 7 * FREQ_LIMIT**2))
+        assert sobolev_norm(f, 1.0) == pytest.approx(expected, rel=1e-12)
+
 
 class TestPartialSumDirect:
     def test_constant_datum(self):
@@ -330,9 +346,5 @@ class TestInt64Contract:
         x = SamplePoint((1,) * 4, MODULUS_LIMIT, (0.0,) * 4)
         with pytest.raises(ValueError, match="2\\^63"):
             partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), x)
-        # d N^2 = 8 * 2^60 for a float sample point
-        wide = FourierData(8, np.array([[FREQ_LIMIT] * 8]), np.array([1.0]))
-        with pytest.raises(ValueError, match="2\\^63"):
-            partial_sum_direct(wide, FREQ_LIMIT, 0.1, [0.0] * 8)
         # truncation below the limit keeps the evaluation legal
         assert partial_sum_direct(top, FREQ_LIMIT - 1, RationalTime(3), x) == 0
