@@ -25,8 +25,6 @@ from .schrodinger import (
     block_split,
 )
 
-TAU = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class CounterexampleParams:

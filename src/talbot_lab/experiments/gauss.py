@@ -8,11 +8,11 @@ import numpy as np
 
 from .. import goldens
 from ..expsum import (
-    GaussSumSpec,
     abel_bound_check,
-    gauss_sum_bruteforce,
+    gauss_sum_magnitudes,
     gauss_sum_table,
     perturbed_gauss_sum_check,
+    quadratic_sum,
 )
 from .report import GoldenDiff, RunReport, Sweep
 
@@ -41,15 +41,7 @@ def run(cfg: dict, jobs: int = 1) -> RunReport:
         scale = max(1.0, math.sqrt(2.0 * q))
         q_worst = 0.0
         for r in sorted(rs):
-            mags = np.abs(gauss_sum_table(q, r))
-            ps = np.arange(q)
-            if q % 2 == 1:
-                formula = np.full(q, math.sqrt(q))
-            elif q % 4 == 0:
-                formula = np.where(ps % 2 == 0, math.sqrt(2.0 * q), 0.0)
-            else:
-                formula = np.where(ps % 2 == 1, math.sqrt(2.0 * q), 0.0)
-            err = np.abs(mags - formula)
+            err = np.abs(np.abs(gauss_sum_table(q, r)) - gauss_sum_magnitudes(q, r))
             q_worst = max(q_worst, float(err.max()))
             mismatches += int((err > tol * scale).sum())
         worst_overall = max(worst_overall, q_worst / scale)
@@ -61,14 +53,14 @@ def run(cfg: dict, jobs: int = 1) -> RunReport:
         Sweep("closed_form_error", ["q", "worst_relative_error"], worst_rows)
     )
 
-    # the table path is a fast DFT of the very sums the per-call brute force
-    # computes; keep them honest against each other on a random sample
+    # the table path is a fast DFT of the very sums quadratic_sum adds term
+    # by term; keep them honest against each other on a random sample
     spot_worst = 0.0
     for _ in range(int(cfg["spot_checks"])):
         q = int(rng.integers(1, min(q_max, 512) + 1))
         r = _coprime_sample(rng, q, 1)[0]
         p = int(rng.integers(0, q))
-        direct = gauss_sum_bruteforce(GaussSumSpec(q, r, p))
+        direct = quadratic_sum(r, p, q, 0.0, 0, q - 1)
         table = gauss_sum_table(q, r)[p]
         spot_worst = max(spot_worst, abs(direct - table) / max(1.0, math.sqrt(2 * q)))
     report.add_check("table_vs_bruteforce_spot", spot_worst, 1e-10, "<=")

@@ -13,29 +13,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-TAU = 2.0 * math.pi
-
-# r*(k^2 % q) + p*(k % q) must fit in int64 before the final reduction.
+# Largest modulus of the exact int64 phase reduction; quadratic_sum states the bound.
 MODULUS_LIMIT = 2**31
 
 _CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class GaussSumSpec:
-    """Complete sum over k = 0..q-1 of e^{2 pi i (r k^2 + p k)/q}."""
-
-    q: int
-    r: int
-    p: int = 0
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"modulus must be positive, got q={self.q}")
-        if self.q > MODULUS_LIMIT:
-            raise ValueError(
-                f"q={self.q} exceeds the exact integer-reduction limit {MODULUS_LIMIT}"
-            )
 
 
 @dataclass(frozen=True)
@@ -57,49 +38,29 @@ class IntegerInterval:
     def length(self) -> int:
         return self.right - self.left
 
-    @property
-    def npoints(self) -> int:
-        return self.right - self.left + 1
 
-    def points(self) -> np.ndarray:
-        return np.arange(self.left, self.right + 1, dtype=np.int64)
+def quadratic_sum(a2: int, a1: int, q: int, eps: float, lo: int, hi: int) -> complex:
+    """Sum over k = lo..hi of e^{2 pi i ((a2 k^2 + a1 k) mod q / q + eps k)}.
 
-
-@dataclass(frozen=True)
-class QuadraticPhase:
-    """Phase f(k) = (a2 k^2 + a1 k)/q + eps*k, in cycles.
-
-    The rational part is reduced modulo 1 exactly in integer arithmetic;
-    only the eps*k part is handled in floating point.
+    The rational part of the phase is reduced exactly in int64: with
+    km = k mod q and a2, a1 reduced mod q, each of the products
+    a2 (km^2 mod q) and a1 km is at most (q-1)^2 < 2^62 for
+    q <= MODULUS_LIMIT, and each is reduced mod q before the two are
+    added, so the sum stays below 2q.  Only eps*k is handled in floating
+    point.  The range is summed in chunks of _CHUNK terms from lo; an
+    empty range (hi < lo) sums to 0.
     """
-
-    a2: int
-    a1: int
-    q: int
-    eps: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"modulus must be positive, got q={self.q}")
-        if self.q > MODULUS_LIMIT:
-            raise ValueError(f"q={self.q} exceeds limit {MODULUS_LIMIT}")
-
-
-def gauss_sum_bruteforce(spec: GaussSumSpec) -> complex:
-    """Evaluate the complete quadratic sum by direct summation.
-
-    Each phase (r k^2 + p k) mod q is reduced exactly in integers before
-    the single conversion to floating point, so the result stays accurate
-    for any q up to MODULUS_LIMIT.
-    """
-    q = spec.q
-    r = spec.r % q
-    p = spec.p % q
+    if q < 1 or q > MODULUS_LIMIT:
+        raise ValueError(f"modulus {q} out of range")
+    a2m = a2 % q
+    a1m = a1 % q
     total = 0.0 + 0.0j
-    for start in range(0, q, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)
-        idx = (r * (k * k % q) % q + p * k % q) % q
-        total += np.exp(2j * math.pi * (idx / q)).sum()
+    for start in range(lo, hi + 1, _CHUNK):
+        k = np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.int64)
+        km = k % q
+        idx = (a2m * (km * km % q) % q + a1m * km % q) % q
+        frac = idx / q + (eps * k) % 1.0
+        total += np.exp(2j * math.pi * frac).sum()
     return complex(total)
 
 
@@ -118,52 +79,28 @@ def gauss_sum_table(q: int, r: int) -> np.ndarray:
     return q * np.fft.ifft(v)
 
 
-def gauss_sum_magnitude(spec: GaussSumSpec) -> float:
-    """Closed-form magnitude of the complete sum, classified by q mod 4.
+def gauss_sum_magnitudes(q: int, r: int) -> np.ndarray:
+    """Closed-form magnitudes of the complete sums for every p = 0..q-1.
 
-    Requires gcd(r, q) = 1; the four cases are sqrt(q) for odd q,
-    sqrt(2q) when q = 0 (mod 4) with even p or q = 2 (mod 4) with odd p,
-    and 0 otherwise.
+    The closed-form counterpart of gauss_sum_table.  Requires
+    gcd(r, q) = 1; the magnitude is sqrt(q) for odd q, sqrt(2q) when
+    q = 0 (mod 4) with even p or q = 2 (mod 4) with odd p, and 0 otherwise.
     """
-    q, r, p = spec.q, spec.r, spec.p
+    if q < 1 or q > MODULUS_LIMIT:
+        raise ValueError(f"modulus {q} out of range")
     if math.gcd(r, q) != 1:
         raise ValueError(f"closed form needs gcd(r, q) = 1, got r={r}, q={q}")
     if q % 2 == 1:
-        return math.sqrt(q)
-    if q % 4 == 0 and p % 2 == 0:
-        return math.sqrt(2 * q)
-    if q % 4 == 2 and p % 2 == 1:
-        return math.sqrt(2 * q)
-    return 0.0
-
-
-def weyl_sum(phase: QuadraticPhase, interval: IntegerInterval) -> complex:
-    """Sum of e^{2 pi i f(k)} over the integer interval."""
-    q = phase.q
-    a2 = phase.a2 % q
-    a1 = phase.a1 % q
-    total = 0.0 + 0.0j
-    for start in range(interval.left, interval.right + 1, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, interval.right + 1), dtype=np.int64)
-        km = k % q
-        idx = (a2 * (km * km % q) % q + a1 * km % q) % q
-        frac = idx / q + (phase.eps * k) % 1.0
-        total += np.exp(2j * math.pi * frac).sum()
-    return complex(total)
+        return np.full(q, math.sqrt(q))
+    ps = np.arange(q)
+    if q % 4 == 0:
+        return np.where(ps % 2 == 0, math.sqrt(2.0 * q), 0.0)
+    return np.where(ps % 2 == 1, math.sqrt(2.0 * q), 0.0)
 
 
 def perturbed_gauss_sum_value(q: int, p: int, eps: float) -> complex:
     """Sum over r = 0..q-1 of e^{2 pi i (r(p/q + eps) - r^2/q)}."""
-    if q < 1 or q > MODULUS_LIMIT:
-        raise ValueError(f"modulus {q} out of range")
-    pm = p % q
-    total = 0.0 + 0.0j
-    for start in range(0, q, _CHUNK):
-        r = np.arange(start, min(start + _CHUNK, q), dtype=np.int64)
-        idx = (r * pm % q - r * r % q) % q
-        frac = idx / q + (eps * r) % 1.0
-        total += np.exp(2j * math.pi * frac).sum()
-    return complex(total)
+    return quadratic_sum(-1, p, q, eps, 0, q - 1)
 
 
 class PerturbedGaussCheck(NamedTuple):
@@ -219,11 +156,7 @@ class AbelBoundCheck(NamedTuple):
 ABEL_SLACK = 1e-10
 
 
-def abel_bound_check(
-    a: Sequence[float],
-    b: Sequence[complex],
-    interval: IntegerInterval | None = None,
-) -> AbelBoundCheck:
+def abel_bound_check(a: Sequence[float], b: Sequence[complex]) -> AbelBoundCheck:
     """Check the summation-by-parts inequality |sum a_k b_k| <= C * a_end.
 
     C is the exact maximum of |sum of b over I'| over all integer
@@ -235,10 +168,6 @@ def abel_bound_check(
     bv = np.asarray(b, dtype=complex)
     if av.shape != bv.shape or av.ndim != 1 or av.size == 0:
         raise ValueError("weight and term sequences must be equal-length 1-d arrays")
-    if interval is not None and interval.npoints != av.size:
-        raise ValueError(
-            f"interval has {interval.npoints} points but sequences have {av.size}"
-        )
     if np.any(av < 0):
         raise ValueError("weights must be nonnegative")
     nonincreasing = bool(np.all(np.diff(av) <= 0))

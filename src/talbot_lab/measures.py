@@ -13,9 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .schrodinger import FourierData, RationalTime, dirichlet_kernel_1d, sobolev_norm
-
-TAU = 2.0 * math.pi
+from .schrodinger import TAU, FourierData, RationalTime, dirichlet_kernel_1d, sobolev_norm
 
 _ATOM_CAP = 1 << 22
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expsum import MODULUS_LIMIT, perturbed_gauss_sum_value
+from .expsum import MODULUS_LIMIT, perturbed_gauss_sum_value, quadratic_sum
 
 TAU = 2.0 * math.pi
 
@@ -249,15 +249,9 @@ def partial_sum_direct(
 
 def quad_block_sum(a: int, b: int, q: int, p: int, eps: float) -> complex:
     """Sum over n = a..b of e^{2 pi i (n(p/q + eps) - n^2/q)}, exactly reduced."""
-    if b < a:
-        return 0.0 + 0.0j
     if b > FREQ_LIMIT:
         raise ValueError(f"index range exceeds limit {FREQ_LIMIT}")
-    ns = np.arange(a, b + 1, dtype=np.int64)
-    nm = ns % q
-    idx = (nm * (p % q) % q - nm * nm % q) % q
-    frac = idx / q + (eps * ns) % 1.0
-    return complex(np.exp(2j * math.pi * frac).sum())
+    return quadratic_sum(-1, p, q, eps, a, b)
 
 
 def block_split(lam: int, j: int, q: int, n_hi: int | None = None) -> tuple[int, int, int, int]:

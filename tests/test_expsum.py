@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 
 import mpmath
@@ -5,63 +7,64 @@ import numpy as np
 import pytest
 
 from talbot_lab.expsum import (
-    GaussSumSpec,
+    _CHUNK,
+    MODULUS_LIMIT,
     IntegerInterval,
-    QuadraticPhase,
     abel_bound_check,
-    gauss_sum_bruteforce,
-    gauss_sum_magnitude,
+    gauss_sum_magnitudes,
     gauss_sum_table,
     perturbed_gauss_sum_check,
-    perturbed_gauss_sum_value,
+    quadratic_sum,
     vdc_first_derivative_bound,
     vdc_second_derivative_bound,
-    weyl_sum,
 )
+
+
+def _gauss(q, r, p=0):
+    """Complete sum over k = 0..q-1 of e^{2 pi i (r k^2 + p k)/q}, term by term."""
+    return quadratic_sum(r, p, q, 0.0, 0, q - 1)
 
 
 class TestGaussSumBruteforce:
     def test_odd_modulus(self):
-        assert abs(gauss_sum_bruteforce(GaussSumSpec(3, 1, 0))) == pytest.approx(
-            math.sqrt(3), rel=1e-12
-        )
+        assert abs(_gauss(3, 1)) == pytest.approx(math.sqrt(3), rel=1e-12)
 
     def test_q_four_exact_value(self):
-        assert gauss_sum_bruteforce(GaussSumSpec(4, 1, 0)) == pytest.approx(2 + 2j, abs=1e-12)
+        assert _gauss(4, 1) == pytest.approx(2 + 2j, abs=1e-12)
 
     def test_q_two_vanishes(self):
-        assert abs(gauss_sum_bruteforce(GaussSumSpec(2, 1, 0))) == pytest.approx(0.0, abs=1e-12)
+        assert abs(_gauss(2, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
-            GaussSumSpec(0, 1, 0)
+            quadratic_sum(1, 0, 0, 0.0, 0, 0)
         with pytest.raises(ValueError):
-            GaussSumSpec(2**31 + 1, 1, 0)
+            quadratic_sum(1, 0, 2**31 + 1, 0.0, 0, 0)
 
 
 class TestGaussSumMagnitude:
     def test_odd_case(self):
-        assert gauss_sum_magnitude(GaussSumSpec(3, 1, 0)) == math.sqrt(3)
+        assert gauss_sum_magnitudes(3, 1)[0] == math.sqrt(3)
 
     def test_two_mod_four_odd_p(self):
-        assert gauss_sum_magnitude(GaussSumSpec(6, 1, 1)) == pytest.approx(math.sqrt(12))
+        assert gauss_sum_magnitudes(6, 1)[1] == pytest.approx(math.sqrt(12))
 
     def test_zero_case(self):
-        assert gauss_sum_magnitude(GaussSumSpec(4, 1, 1)) == 0.0
+        assert gauss_sum_magnitudes(4, 1)[1] == 0.0
 
     def test_requires_coprime(self):
         with pytest.raises(ValueError, match="gcd"):
-            gauss_sum_magnitude(GaussSumSpec(6, 2, 0))
+            gauss_sum_magnitudes(6, 2)
 
     def test_agrees_with_bruteforce_small(self):
         for q in range(1, 120):
             for r in (1, q - 1 if q > 1 else 1):
                 if math.gcd(r, q) != 1:
                     continue
+                closed = gauss_sum_magnitudes(q, r)
                 for p in range(0, q, max(1, q // 7)):
-                    direct = abs(gauss_sum_bruteforce(GaussSumSpec(q, r, p)))
-                    closed = gauss_sum_magnitude(GaussSumSpec(q, r, p))
-                    assert direct == pytest.approx(closed, abs=1e-8 * max(1, math.sqrt(2 * q)))
+                    direct = abs(_gauss(q, r, p))
+                    assert direct == pytest.approx(closed[p], abs=1e-8 * max(1, math.sqrt(2 * q)))
 
 
 class TestGaussSumTable:
@@ -72,21 +75,21 @@ class TestGaussSumTable:
             r = int(rng.integers(0, q)) or 1
             table = gauss_sum_table(q, r)
             p = int(rng.integers(0, q))
-            direct = gauss_sum_bruteforce(GaussSumSpec(q, r, p))
-            assert table[p] == pytest.approx(direct, abs=1e-10 * max(1, q))
+            assert table[p] == pytest.approx(_gauss(q, r, p), abs=1e-10 * max(1, q))
 
 
 class TestWeylSum:
+    """quadratic_sum over arbitrary integer ranges."""
+
     def test_single_point_interval(self):
-        phase = QuadraticPhase(-1, 2, 4, 1e-4)
-        k = 5
         expected = np.exp(2j * np.pi * (((-25 + 10) % 4) / 4 + 5e-4))
-        assert weyl_sum(phase, IntegerInterval(5, 5)) == pytest.approx(expected, rel=1e-12)
+        assert quadratic_sum(-1, 2, 4, 1e-4, 5, 5) == pytest.approx(expected, rel=1e-12)
+        assert quadratic_sum(-1, 2, 4, 1e-4, 5, 4) == 0
 
     def test_complete_period_matches_closed_form(self):
         for q, p in [(7, 3), (12, 4), (16, 6), (18, 5)]:
-            value = weyl_sum(QuadraticPhase(-1, p, q, 0.0), IntegerInterval(0, q - 1))
-            closed = gauss_sum_magnitude(GaussSumSpec(q, q - 1, p))
+            value = quadratic_sum(-1, p, q, 0.0, 0, q - 1)
+            closed = gauss_sum_magnitudes(q, q - 1)[p]
             assert abs(value) == pytest.approx(closed, abs=1e-9 * max(1, math.sqrt(2 * q)))
 
     def test_extended_precision_oracle(self):
@@ -97,14 +100,33 @@ class TestWeylSum:
         for k in range(0, 4):
             f = mpmath.mpf(a2 * k * k + a1 * k) / q + mpmath.mpf(eps) * k
             ref += mpmath.e ** (2j * mpmath.pi * f)
-        value = weyl_sum(QuadraticPhase(a2, a1, q, eps), IntegerInterval(0, 3))
+        value = quadratic_sum(a2, a1, q, eps, 0, 3)
         assert abs(value - complex(ref)) <= 1e-12 * abs(complex(ref))
 
     def test_period_shift_invariance_is_exact(self):
-        phase = QuadraticPhase(-1, 6, 20, 0.0)
-        base = weyl_sum(phase, IntegerInterval(0, 19))
-        shifted = weyl_sum(phase, IntegerInterval(20, 39))
+        base = quadratic_sum(-1, 6, 20, 0.0, 0, 19)
+        shifted = quadratic_sum(-1, 6, 20, 0.0, 20, 39)
         assert base == shifted  # identical reduced phases, bit for bit
+
+    def test_int64_contract_at_modulus_limit(self):
+        # the largest residues make the largest int64 products; a wrapped
+        # product would move a term by O(1), far above the tolerance.  A wrap
+        # mod 2^64 keeps residues mod 2^31, so the odd q = 2^31 - 1 is the
+        # modulus that would expose one.
+        eps, lo, hi = 3e-11, MODULUS_LIMIT - 64, MODULUS_LIMIT
+        for q in (MODULUS_LIMIT, MODULUS_LIMIT - 1):
+            for a2, a1 in itertools.product((q - 1, -1, q - 7), repeat=2):
+                ref = sum(
+                    cmath.exp(2j * math.pi * ((a2 * k * k + a1 * k) % q / q + (eps * k) % 1.0))
+                    for k in range(lo, hi + 1)
+                )
+                assert abs(quadratic_sum(a2, a1, q, eps, lo, hi) - ref) <= 1e-12
+
+    def test_chunked_range_equals_its_halves(self):
+        q, lo, mid, hi = 1_000_003, 5, 1_005, 5 + _CHUNK + 5_000
+        whole = quadratic_sum(3, 7, q, 1e-9, lo, hi)
+        halves = quadratic_sum(3, 7, q, 1e-9, lo, mid - 1) + quadratic_sum(3, 7, q, 1e-9, mid, hi)
+        assert whole == pytest.approx(halves, abs=1e-8)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -115,7 +137,6 @@ class TestWeylSum:
     def test_length_is_endpoint_difference(self):
         assert IntegerInterval(2, 7).length == 5
         assert IntegerInterval(5, 5).length == 0
-        assert IntegerInterval(5, 5).npoints == 1
 
 
 class TestPerturbedGaussSum:
@@ -142,11 +163,6 @@ class TestPerturbedGaussSum:
             perturbed_gauss_sum_check(8, 1, 0.0)
         with pytest.raises(ValueError, match="smallness"):
             perturbed_gauss_sum_check(8, 2, 0.02)
-
-    def test_value_matches_weyl_sum(self):
-        q, p, eps = 32, 6, 1e-3 / 32
-        via_weyl = weyl_sum(QuadraticPhase(-1, p, q, eps), IntegerInterval(0, q - 1))
-        assert perturbed_gauss_sum_value(q, p, eps) == pytest.approx(via_weyl, rel=1e-12)
 
 
 class TestVanDerCorputBounds:
@@ -192,7 +208,7 @@ class TestVanDerCorputBounds:
             left = int(rng.integers(0, q))
             length = int(rng.integers(1, q))
             interval = IntegerInterval(left, left + length)
-            value = abs(weyl_sum(QuadraticPhase(a2, a1, q, eps), interval))
+            value = abs(quadratic_sum(a2, a1, q, eps, left, left + length))
             bound = vdc_second_derivative_bound(interval, 2.0 / q, 1.0)
             worst = max(worst, value / bound)
         assert worst <= 10.0
