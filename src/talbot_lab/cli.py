@@ -5,7 +5,8 @@
 
 Writes report.json, sweep_*.csv, and plot_*.dat into the output directory;
 exit status 0 when every configured check passes, 1 on check failure (the
-report is still written), 2 on configuration errors (nothing is written).
+report is still written), 2 on configuration errors, including values the
+schema accepts but a layer rejects (nothing is written).
 Wall time goes to the run_timing.txt sidecar, keeping report bytes
 deterministic for a fixed config and seed.
 """
@@ -61,7 +62,11 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
 
     start = time.monotonic()
-    report = RUNNERS[args.experiment](cfg, args.jobs)
+    try:
+        report = RUNNERS[args.experiment](cfg, args.jobs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     elapsed = time.monotonic() - start
     report.config = config_for_json(cfg)
 

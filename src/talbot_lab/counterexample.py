@@ -16,14 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import ExponentFit, exponent_fit
-from .schrodinger import (
-    DirichletBlock,
-    FourierData,
-    RationalTime,
-    SamplePoint,
-    block_factor_fast,
-    block_split,
-)
+from .schrodinger import RationalTime, SamplePoint, block_factor_fast, block_split
 
 
 @dataclass(frozen=True)
@@ -86,33 +79,30 @@ class CounterexampleParams:
         scale = float(self.lam) ** (-j)
         return float(self.c1) * scale, float(self.c2) * scale
 
+    def q_window(self, j: int) -> range:
+        """Denominators q >= 4, q = 0 (mod 4), in [kappa lam^(j/tau), lam^(j/tau)]."""
+        top = float(self.lam) ** (j / self.tau)
+        lo = int(math.ceil(self.kappa * top - 1e-9))
+        hi = int(math.floor(top + 1e-9))
+        return range(max(4, lo + (-lo) % 4), hi + 1, 4)
 
-def datum_block(params: CounterexampleParams, j: int, max_coeffs: int = 1 << 24) -> FourierData:
-    """Block datum f_j with (lam^j - lam^(j-1))^d equal coefficients."""
-    block = DirichletBlock(params.d, params.lam, j)
-    return block.to_fourier_data(params.amplitude(j), max_coeffs=max_coeffs)
+
+def anchor_range(q: int) -> range:
+    """Even integers in the closed anchor window [q/4, q/2]."""
+    lo = -((-q) // 4)  # ceil(q/4)
+    return range(lo + lo % 2, q // 2 + 1, 2)
 
 
 def time_set(params: CounterexampleParams, j: int) -> list[RationalTime]:
-    """All times 2 pi / q with q = 0 (mod 4) in the level-j window."""
-    top = float(params.lam) ** (j / params.tau)
-    lo = int(math.ceil(params.kappa * top - 1e-9))
-    hi = int(math.floor(top + 1e-9))
-    qs = [q for q in range(lo + (-lo) % 4 if lo % 4 else lo, hi + 1, 4) if q >= 4]
+    """All times 2 pi / q with q in the level-j window params.q_window(j)."""
+    qs = params.q_window(j)
     if not qs:
+        top = float(params.lam) ** (j / params.tau)
         raise ValueError(
             f"no q = 0 (mod 4) in [{params.kappa * top:.2f}, {top:.2f}] at level {j}; "
             f"the cover condition lam^(1/tau) <= 1/kappa needs a larger window"
         )
     return [RationalTime(q) for q in qs]
-
-
-def _even_anchor_range(q: int) -> list[int]:
-    """Even integers in the closed anchor window [q/4, q/2]."""
-    lo = -((-q) // 4)  # ceil(q/4)
-    hi = q // 2
-    start = lo + (lo % 2)
-    return list(range(start, hi + 1, 2))
 
 
 def sample_points(
@@ -129,7 +119,7 @@ def sample_points(
     admits anchors; smaller q are accepted as long as the window is
     nonempty.
     """
-    evens = _even_anchor_range(t.q)
+    evens = anchor_range(t.q)
     if not evens:
         raise ValueError(f"anchor window [q/4, q/2] holds no even integer for q={t.q}")
     lo, hi = params.eps_window(j)

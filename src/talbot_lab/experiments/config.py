@@ -74,12 +74,22 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "c2": Key("fraction", Fraction(1, 100), "upper offset constant"),
         "j_list": Key("intlist", (2, 3, 4), "levels entering the growth claim"),
         "samples_per_j": Key("int", 64, "total samples per level"),
-        "factor_band": Key("float", 8.0, "coherent factor ratios must lie in [1/band, band]"),
+        "factor_band": Key(
+            "float", 8.0,
+            "coherent factor ratios must lie in [1/band, band]; at the defaults they land"
+            " in [1.32, 2.66]",
+        ),
         "factor_frac": Key("float", 0.95, "required fraction of samples inside the band"),
         "slope_tol": Key("float", 0.25, "relative tolerance of the growth-slope fit"),
-        "upper_ratio_cap": Key("float", 4.0, "frozen cap for upper-regime ratios (k < j)"),
+        "upper_ratio_cap": Key(
+            "float", 4.0,
+            "frozen cap for upper-regime ratios (k < j); measured <= 1.33 at the defaults",
+        ),
         "vdc_mult": Key("float", 8.0, "factor-sum cap multiple of the derivative-test bound"),
-        "decay_factor_cap": Key("float", 256.0, "frozen cap for incoherent factor ratios (k > j)"),
+        "decay_factor_cap": Key(
+            "float", 256.0,
+            "frozen cap for incoherent factor ratios (k > j); measured <= 148 at the defaults",
+        ),
         "decay_c_min_frac": Key("float", 0.25, "fitted decay rate must reach this fraction of s_alpha"),
     },
     "dimension": {

@@ -1,14 +1,13 @@
 """Quadratic exponential sums.
 
 Exact evaluation of complete and incomplete quadratic sums, a perturbed
-complete-sum check, and the classical square-root-cancellation bound
-calculators (second/first derivative tests, summation by parts).
+complete-sum check, the first-derivative-test bound and a
+summation-by-parts checker.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,26 +16,6 @@ import numpy as np
 MODULUS_LIMIT = 2**31
 
 _CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class IntegerInterval:
-    """Closed integer interval [left, right]; its length is right - left."""
-
-    left: int
-    right: int
-
-    def __post_init__(self) -> None:
-        if self.left < 0:
-            raise ValueError(f"left endpoint must be nonnegative, got {self.left}")
-        if self.left > self.right:
-            raise ValueError(f"empty interval [{self.left}, {self.right}]")
-        if self.right > MODULUS_LIMIT:
-            raise ValueError(f"right endpoint {self.right} exceeds limit {MODULUS_LIMIT}")
-
-    @property
-    def length(self) -> int:
-        return self.right - self.left
 
 
 def quadratic_sum(a2: int, a1: int, q: int, eps: float, lo: int, hi: int) -> complex:
@@ -122,19 +101,6 @@ def perturbed_gauss_sum_check(q: int, p: int, eps: float) -> PerturbedGaussCheck
         raise ValueError(f"|eps| q = {abs(eps) * q:.3g} violates the smallness bound 1/10")
     mag = abs(perturbed_gauss_sum_value(q, p, eps))
     return PerturbedGaussCheck(mag, abs(mag - math.sqrt(2 * q)))
-
-
-def vdc_second_derivative_bound(interval: IntegerInterval, m: float, ratio: float) -> float:
-    """Second-derivative-test bound ratio*|I|*sqrt(M) + 1/sqrt(M).
-
-    The implicit constant of the underlying estimate is carried by the
-    caller; m is the lower bound of |f''| and ratio the upper/lower ratio.
-    """
-    if m <= 0:
-        raise ValueError(f"M must be positive, got {m}")
-    if ratio < 1:
-        raise ValueError(f"ratio must be >= 1, got {ratio}")
-    return ratio * interval.length * math.sqrt(m) + 1.0 / math.sqrt(m)
 
 
 def vdc_first_derivative_bound(kappa: float) -> float:

@@ -1,9 +1,11 @@
 """Rational-anchor cube families and dimension machinery.
 
 Enumeration of the level-j anchored cube families, covering-exponent
-regression, membership tests for the two-sided approximation set, the
-Dirichlet approximation theorem, greedy separated-cube packings, nested
-Cantor-type constructions, and the mass-distribution dimension bound.
+regression, greedy separated-cube packings with their exact audits, nested
+Cantor-type constructions, and the mass-distribution dimension bound.  The
+packings, their audits, the nested builds and the volume bound are
+one-dimensional and reject d >= 2; cubes, level families and Cantor plans
+stay d-general.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .counterexample import CounterexampleParams
+from .counterexample import CounterexampleParams, anchor_range
 from .measures import exponent_fit
 
 _SCAN_CHUNK = 1 << 20
@@ -52,10 +54,6 @@ class Cube:
     def side(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def side_radians(self) -> float:
-        return 2.0 * math.pi * float(self.side)
-
     def anchor(self, i: int) -> Fraction:
         return Fraction(self.p[i], self.q)
 
@@ -64,14 +62,6 @@ class Cube:
 
     def hi_corner(self, i: int) -> Fraction:
         return self.anchor(i) + self.hi
-
-    def contains_anchor(self, p: tuple[int, ...], q: int, margin: Fraction) -> bool:
-        """Anchor p/q at distance >= margin from this cube's complement."""
-        for i in range(self.d):
-            a = Fraction(p[i], q)
-            if a < self.lo_corner(i) + margin or a > self.hi_corner(i) - margin:
-                return False
-        return True
 
 
 @dataclass
@@ -89,22 +79,14 @@ class CubeFamily:
         return iter(self.cubes)
 
 
-def _even_count(q: int) -> int:
-    """Number of even integers in the closed window [q/4, q/2]."""
-    return q // 4 - (q + 7) // 8 + 1
+def _require_1d(d: int) -> None:
+    if d != 1:
+        raise ValueError(f"the exact packings and audits are one-dimensional; got d = {d}")
 
 
 def level_cube_count(params: CounterexampleParams, j: int) -> int:
     """Exact cube count of the level-j cube family, without materializing it."""
-    top = float(params.lam) ** (j / params.tau)
-    lo = int(math.ceil(params.kappa * top - 1e-9))
-    hi = int(math.floor(top + 1e-9))
-    total = 0
-    for q in range(max(4, lo + (-lo) % 4 if lo % 4 else lo), hi + 1, 4):
-        e = _even_count(q)
-        if e > 0:
-            total += e**params.d
-    return total
+    return sum(len(anchor_range(q)) ** params.d for q in params.q_window(j))
 
 
 def level_cube_family(
@@ -112,115 +94,35 @@ def level_cube_family(
 ) -> CubeFamily:
     """Enumerate every cube p/q + [c1 lam^-j, c2 lam^-j]^d of level j.
 
-    Anchors have q = 0 (mod 4) in the level window and even p_i in
-    [q/4, q/2]; offsets are exact rationals, so corner inequalities can be
-    audited in exact arithmetic.
+    Anchors have q in params.q_window(j) and every p_i in anchor_range(q);
+    offsets are exact rationals, so corner inequalities can be audited in
+    exact arithmetic.
     """
     count = level_cube_count(params, j)
     if count > cap:
         raise ValueError(f"level-{j} family holds {count} cubes, above the cap {cap}")
-    top = float(params.lam) ** (j / params.tau)
-    lo_q = int(math.ceil(params.kappa * top - 1e-9))
-    hi_q = int(math.floor(top + 1e-9))
     scale = Fraction(1, params.lam**j)
     off_lo, off_hi = params.c1 * scale, params.c2 * scale
-    cubes = []
-    for q in range(max(4, lo_q + (-lo_q) % 4 if lo_q % 4 else lo_q), hi_q + 1, 4):
-        lo_p = -((-q) // 4)
-        evens = range(lo_p + lo_p % 2, q // 2 + 1, 2)
-        for p in product(evens, repeat=params.d):
-            cubes.append(Cube(p, q, off_lo, off_hi))
-    fam = CubeFamily(
-        level=j,
-        cubes=cubes,
-        meta={
-            "lam": params.lam,
-            "q_window": (max(4, lo_q), hi_q),
-            "parity": "q = 0 mod 4, p even in [q/4, q/2]",
-        },
-    )
-    assert len(fam) == count
-    return fam
+    cubes = [
+        Cube(p, q, off_lo, off_hi)
+        for q in params.q_window(j)
+        for p in product(anchor_range(q), repeat=params.d)
+    ]
+    return CubeFamily(level=j, cubes=cubes)
 
 
-def covering_exponent(
-    families: Sequence[CubeFamily | tuple[int, int]],
-    lam: int | None = None,
-) -> tuple[float, float]:
-    """Regression of ln(count) against level * ln(lam).
+def covering_exponent(counts: Sequence[tuple[int, int]], lam: int) -> tuple[float, float]:
+    """Regression of ln(count) against level * ln(lam), over (level, count) pairs.
 
     Returns (slope, residual); the slope is the covering exponent of the
     generation sequence, (d+1)/tau for the anchored families.
     """
-    pts = []
-    for fam in families:
-        if isinstance(fam, CubeFamily):
-            level, count = fam.level, len(fam)
-            lam = lam or fam.meta.get("lam")
-        else:
-            level, count = fam
-        pts.append((level, count))
-    if len(pts) < 3:
+    if len(counts) < 3:
         raise ValueError("need at least 3 generation levels")
-    if lam is None:
-        raise ValueError("base lam is required (pass it or supply CubeFamily meta)")
-    if any(c <= 0 for _, c in pts):
+    if any(c <= 0 for _, c in counts):
         raise ValueError("empty generations cannot enter the regression")
-    fit = exponent_fit([(float(lam) ** level, count) for level, count in pts])
+    fit = exponent_fit([(float(lam) ** level, count) for level, count in counts])
     return fit.slope, fit.residual
-
-
-def membership_witnesses(
-    x: Sequence[float],
-    tau: float,
-    c1: float,
-    c2: float,
-    q_max: int,
-) -> list[tuple[tuple[int, ...], int]]:
-    """All (p, q) with q <= q_max, p_i in (q/8, q/4), and
-    c1/q^tau <= x_i - p_i/q <= c2/q^tau in every coordinate."""
-    xv = [float(v) for v in x]
-    if any(not 0.0 <= v <= 1.0 for v in xv):
-        raise ValueError("membership test expects x in [0, 1]^d")
-    out: list[tuple[tuple[int, ...], int]] = []
-    for q in range(1, q_max + 1):
-        qt = float(q) ** tau
-        ranges = []
-        for v in xv:
-            lo = max(math.ceil(q * (v - c2 / qt) - 1e-12), math.floor(q / 8) + 1)
-            hi = min(math.floor(q * (v - c1 / qt) + 1e-12), math.ceil(q / 4) - 1)
-            ok = [
-                p
-                for p in range(lo, hi + 1)
-                if 8 * p > q and 4 * p < q
-                and c1 / qt - 1e-15 <= v - p / q <= c2 / qt + 1e-15
-            ]
-            if not ok:
-                break
-            ranges.append(ok)
-        else:
-            out.extend((tuple(combo), q) for combo in product(*ranges))
-    return out
-
-
-def dirichlet_approx(x: Sequence[float], n: int) -> tuple[tuple[int, ...], int]:
-    """Simultaneous rational approximation with the pigeonhole guarantee.
-
-    Returns (p, q) with 1 <= q <= n and |x - p/q|_inf <= 1/(q n^(1/d)),
-    scanning q upward so the returned denominator is the minimal one that
-    satisfies the bound with the rounded numerator.
-    """
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    d = xv.size
-    bound_root = float(n) ** (1.0 / d)
-    for q in range(1, n + 1):
-        p = np.rint(q * xv)
-        err = np.abs(xv - p / q).max()
-        if err <= 1.0 / (q * bound_root) + 1e-15:
-            return tuple(int(v) for v in p), q
-    raise RuntimeError("pigeonhole guarantee failed; input out of range?")
 
 
 def _to_fraction_power(q: int, tau) -> Fraction:
@@ -447,26 +349,27 @@ def separated_cubes(
     beta=4,
     max_cubes: int | None = None,
 ) -> CubeFamily:
-    """Greedy separated family of balls B(p/q, 1/q^tau) inside the cube c.
+    """Greedy separated family of balls B(p/q, 1/q^tau) inside the interval c.
 
-    Anchors have q in [n/beta, n], sit at distance > (beta/n)^(1+1/d) from
-    the complement of c, and are pairwise further than 3 (beta/n)^(1+1/d)
-    apart; the cubes themselves are then separated by at least n^(-1-1/d).
-    Greedy order is lexicographic in (q, p).  With max_cubes set the scan
-    stops early, producing a valid (not necessarily maximal) family.
+    One-dimensional only: a cube with d >= 2 raises ValueError.  Anchors
+    have q in [n/beta, n], sit at distance > (beta/n)^2 from the complement
+    of c, and are pairwise further than 3 (beta/n)^2 apart; the cubes
+    themselves are then separated by at least n^-2.  Greedy order is
+    lexicographic in (q, p).  With max_cubes set the scan stops early,
+    producing a valid (not necessarily maximal) family.
 
-    In one dimension the scan takes one denominator at a time, in exact
-    integer arithmetic.  Two anchors sharing q are at least 1/q apart (Farey
-    spacing), so when gap q_hi < 1, with gap = 3 (beta/n)^2 (that is, when
-    n > 3 beta^2), anchors of one q never clash with each other: the whole
-    range ceil(q lo)..floor(q hi) is checked at once against the anchors
-    accepted for earlier q, through a store of gap-wide slots that each hold
-    at most one accepted anchor.  The cost is O(1) vectorized steps per
-    denominator, O(candidates) work in all, plus a store of about
-    (hi - lo)/gap slots.  Windows with n <= 3 beta^2, whose products leave
-    int64, or whose store would pass _DENSE_SLOTS, run the same scan one
-    anchor at a time in Python integers with a dict store.  The result is
-    the same list, in the same order, as the anchor-by-anchor greedy.
+    The scan takes one denominator at a time, in exact integer arithmetic.
+    Two anchors sharing q are at least 1/q apart (Farey spacing), so when
+    gap q_hi < 1, with gap = 3 (beta/n)^2 (that is, when n > 3 beta^2),
+    anchors of one q never clash with each other: the whole range
+    ceil(q lo)..floor(q hi) is checked at once against the anchors accepted
+    for earlier q, through a store of gap-wide slots that each hold at most
+    one accepted anchor.  The cost is O(1) vectorized steps per denominator,
+    O(candidates) work in all, plus a store of about (hi - lo)/gap slots.
+    Windows with n <= 3 beta^2, whose products leave int64, or whose store
+    would pass _DENSE_SLOTS, run the same scan one anchor at a time in
+    Python integers with a dict store.  The result is the same list, in the
+    same order, as the anchor-by-anchor greedy.
 
     Only anchors with p >= 0 are candidates: a cube straddling 0 is packed
     in its part [0, hi] alone, and nothing wraps around the torus.  The
@@ -477,9 +380,9 @@ def separated_cubes(
     at a cost that follows the anchors found, not the n - n/beta
     denominators.  Wider windows stream every denominator through a chunked
     float prefilter.  meta["scan"] ("lattice" or "chunked") and
-    meta["store"] ("dense" or "sparse") record the path of a 1-D family.
+    meta["store"] ("dense" or "sparse") record the path that ran.
     """
-    d = c.d
+    _require_1d(c.d)
     beta = Fraction(beta)
     if beta <= 1:
         raise ValueError("beta must exceed 1")
@@ -487,24 +390,16 @@ def separated_cubes(
         raise ValueError(f"max_cubes = {max_cubes} must be at least 1")
     q_lo = int(math.ceil(n / float(beta) - 1e-9))
     q_hi = n
-    if q_lo > q_hi:
-        raise ValueError(f"denominator window [{n}/{beta}, {n}] is empty")
-    if d == 1:
-        margin = (beta / n) ** 2
-    else:
-        margin = Fraction((float(beta) / n) ** (1.0 + 1.0 / d))
+    if q_hi < max(q_lo, 1):
+        raise ValueError(f"denominator window [{n}/{beta}, {n}] holds no q >= 1")
+    margin = (beta / n) ** 2
     gap = 3 * margin
-
-    lo_b = [c.lo_corner(i) + margin for i in range(d)]
-    hi_b = [c.hi_corner(i) - margin for i in range(d)]
-    if any(l > h for l, h in zip(lo_b, hi_b)):
+    lo_b = c.lo_corner(0) + margin
+    hi_b = c.hi_corner(0) - margin
+    if lo_b > hi_b:
         raise ValueError("margin exceeds the cube; n is too small for the window")
 
-    if d == 1:
-        accepted, path = _pack_1d(lo_b[0], hi_b[0], gap, q_lo, q_hi, max_cubes)
-    else:
-        accepted, path = _pack_nd(lo_b, hi_b, gap, q_lo, q_hi, max_cubes), {}
-
+    accepted, path = _pack_1d(lo_b, hi_b, gap, q_lo, q_hi, max_cubes)
     cubes = []
     for p, q in accepted:
         r = _to_fraction_power(q, tau)
@@ -518,7 +413,7 @@ def separated_cubes(
             "tau": float(tau),
             "margin": margin,
             "anchor_gap": gap,
-            "cube_separation": float(n) ** (-1.0 - 1.0 / d),
+            "cube_separation": float(n) ** -2.0,
             "count": len(cubes),
             "maximal": max_cubes is None,
             **path,
@@ -526,57 +421,22 @@ def separated_cubes(
     )
 
 
-def _pack_nd(lo_b, hi_b, gap: Fraction, q_lo: int, q_hi: int, max_cubes: int | None):
-    """Greedy (q, p)-lexicographic packing for d >= 2, anchor by anchor."""
-    d = len(lo_b)
-    if q_hi > 1 << 14 and max_cubes is None:
-        raise ValueError("full enumeration in d >= 2 is limited to n <= 2^14")
-    gap_f = float(gap)
-    accepted: list[tuple[tuple[int, ...], int]] = []
-    buckets: dict[tuple[int, ...], list[int]] = {}
+def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
+    """Exact structural audit of a separated_cubes family: containment with
+    margin, pairwise anchor gap, and cube separation at least n^-2; raises
+    AssertionError on any violation, and ValueError for d >= 2.
 
-    def bucket_key(p: tuple[int, ...], q: int) -> tuple[int, ...]:
-        return tuple(int(p[i] / q / gap_f) for i in range(d))
-
-    def separated(p: tuple[int, ...], q: int) -> bool:
-        key = bucket_key(p, q)
-        for nb in product(*[(k - 1, k, k + 1) for k in key]):
-            for idx in buckets.get(nb, ()):
-                p2, q2 = accepted[idx]
-                close = True
-                for i in range(d):
-                    lhs = abs(p[i] * q2 - p2[i] * q) * gap.denominator
-                    if lhs > gap.numerator * q * q2:
-                        close = False
-                        break
-                if close:
-                    return False
-        return True
-
-    for q in range(q_lo, q_hi + 1):
-        ranges = []
-        for i in range(d):
-            p0 = -((-(lo_b[i].numerator * q)) // lo_b[i].denominator)
-            p1 = (hi_b[i].numerator * q) // hi_b[i].denominator
-            ranges.append(range(p0, p1 + 1))
-        for p in product(*ranges):
-            if separated(p, q):
-                accepted.append((p, q))
-                buckets.setdefault(bucket_key(p, q), []).append(len(accepted) - 1)
-                if max_cubes is not None and len(accepted) >= max_cubes:
-                    return accepted
-    return accepted
-
-
-def _audit_separated_1d(
-    c: Cube, cubes: Sequence[Cube], margin: Fraction, gap: Fraction, sep: Fraction
-) -> None:
-    """audit_separated_family for d = 1, in exact integer arithmetic.
-
-    Python integers in numpy object arrays: nested denominators overflow int64.
+    Adjacent anchors in sorted order witness the minimum, so the audit is
+    linear.  Every comparison is an integer cross-multiplication, on numpy
+    object arrays of Python ints, since nested denominators overflow int64.
     """
+    _require_1d(c.d)
+    cubes = family.cubes
     if not cubes:
         return
+    margin: Fraction = family.meta["margin"]
+    gap: Fraction = family.meta["anchor_gap"]
+    sep = Fraction(1, family.meta["n"] ** 2)
     p, q, lo_n, lo_d, hi_n, hi_d = (
         np.array(column, dtype=object)
         for column in zip(*[
@@ -620,42 +480,6 @@ def _audit_separated_1d(
     lhs = (diff * hi_d[a] * hi_d[b] - qq * (hi_n[a] * hi_d[b] + hi_n[b] * hi_d[a])) * sep.denominator
     if not (lhs >= sep.numerator * qq * hi_d[a] * hi_d[b]).all():
         raise AssertionError("cube separation below the guarantee")
-
-
-def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
-    """Exact structural audit: containment with margin, pairwise anchor gap,
-    and cube separation at least n^(-1-1/d); raises on any violation.
-
-    In one dimension adjacent anchors in sorted order witness the minimum,
-    so the audit is linear and runs in integer cross-multiplication; higher
-    dimensions scan all pairs.
-    """
-    n = family.meta["n"]
-    margin: Fraction = family.meta["margin"]
-    gap: Fraction = family.meta["anchor_gap"]
-    d = c.d
-    if d == 1:
-        _audit_separated_1d(c, family.cubes, margin, gap, Fraction(1, n**2))
-        return
-    sep = Fraction(float(n) ** (-1 - 1 / d))
-    for cube in family:
-        if not c.contains_anchor(cube.p, cube.q, margin):
-            raise AssertionError(f"anchor {cube.p}/{cube.q} violates the margin")
-        for i in range(d):
-            if cube.lo_corner(i) < c.lo_corner(i) or cube.hi_corner(i) > c.hi_corner(i):
-                raise AssertionError(f"cube at {cube.p}/{cube.q} leaves the parent")
-    cubes = family.cubes
-    pairs = (
-        (cubes[a], cubes[b])
-        for a in range(len(cubes))
-        for b in range(a + 1, len(cubes))
-    )
-    for ca, cb in pairs:
-        dist = max(abs(ca.anchor(i) - cb.anchor(i)) for i in range(d))
-        if dist <= gap:
-            raise AssertionError(f"anchors {ca.p}/{ca.q} and {cb.p}/{cb.q} too close")
-        if dist - ca.hi - cb.hi < sep:
-            raise AssertionError("cube separation below the guarantee")
 
 
 def audit_separated_maximal(c: Cube, n: int, tau, beta, family: CubeFamily) -> None:
@@ -730,21 +554,22 @@ def build_nested_levels(
 ) -> tuple[list[CubeFamily], CantorPlan]:
     """Iterate the separated-cube step inside every retained parent cube.
 
-    Level k runs the greedy packing with denominators up to n_k inside each
-    (k-1)-level cube and replaces every ball by its offset twin
-    p/q + [c1/q^tau, c2/q^tau]^d.  The plan records, per level, the child
-    count m_k (min over expanded parents of children found, capped at
-    max_children) and the separation eps_k (min over expanded parents of
-    the exact within-parent child gap, never above eps_(k-1)); both are
-    realized by the greedy runs.  Expansion to the next level proceeds
-    under `retain` children per parent, spread across the parent, so the
-    stored families stay small while the per-parent counts are certified
-    wherever the construction actually descends.
+    One-dimensional only: d >= 2 raises ValueError.  Level k runs the greedy
+    packing with denominators up to n_k inside each (k-1)-level cube and
+    replaces every ball by its offset twin p/q + [c1/q^tau, c2/q^tau].  The
+    plan records, per level, the child count m_k (min over expanded parents
+    of children found, capped at max_children) and the separation eps_k (min
+    over expanded parents of the exact within-parent child gap, never above
+    eps_(k-1)); both are realized by the greedy runs.  Expansion to the next
+    level proceeds under `retain` children per parent, spread across the
+    parent, so the stored families stay small while the per-parent counts
+    are certified wherever the construction actually descends.
     """
+    _require_1d(d)
     if growth is None:
         growth = default_growth_rule
     if e0 is None:
-        e0 = Cube((1,) * d, 8, Fraction(0), Fraction(1, 8))
+        e0 = Cube((1,), 8, Fraction(0), Fraction(1, 8))
     c1, c2 = Fraction(c1), Fraction(c2)
     if not 0 < c1 < c2 <= 1:
         raise ValueError("need 0 < c1 < c2 <= 1")
@@ -772,14 +597,14 @@ def build_nested_levels(
                      c2 * _to_fraction_power(b.q, tau))
                 for b in fam
             ]
-            twins.sort(key=lambda cube: tuple(cube.lo_corner(i) for i in range(d)))
+            twins.sort(key=lambda cube: cube.lo_corner(0))
             found_gap = _min_gap(twins)
             gap_k = found_gap if gap_k is None else min(gap_k, found_gap)
             if len(twins) > retain:
                 idx = np.linspace(0, len(twins) - 1, retain).round().astype(int)
                 twins = [twins[i] for i in sorted(set(int(v) for v in idx))]
             level_cubes.extend(twins)
-        guaranteed = float(n_k) ** (-1.0 - 1.0 / d)
+        guaranteed = float(n_k) ** -2.0
         e_k = min(gap_k, eps[-1] * (1 - 1e-12)) if eps else gap_k
         families.append(
             CubeFamily(
@@ -799,29 +624,10 @@ def build_nested_levels(
 
 
 def _min_gap(cubes: Sequence[Cube]) -> float:
-    """Smallest sup-norm distance between distinct cubes of the family."""
+    """Smallest gap between neighbouring 1-D cubes, given sorted by lo corner."""
     if len(cubes) < 2:
         raise ValueError("need at least two cubes for a separation")
-    d = cubes[0].d
-    if d == 1:
-        order = sorted(cubes, key=lambda c: c.lo_corner(0))
-        best = None
-        for a, b in zip(order, order[1:]):
-            g = b.lo_corner(0) - a.hi_corner(0)
-            best = g if best is None else min(best, g)
-        return float(best)
-    best = None
-    for i in range(len(cubes)):
-        for jdx in range(i + 1, len(cubes)):
-            g = max(
-                max(
-                    cubes[jdx].lo_corner(t) - cubes[i].hi_corner(t),
-                    cubes[i].lo_corner(t) - cubes[jdx].hi_corner(t),
-                )
-                for t in range(d)
-            )
-            best = g if best is None else min(best, g)
-    return float(best)
+    return float(min(b.lo_corner(0) - a.hi_corner(0) for a, b in zip(cubes, cubes[1:])))
 
 
 def audit_nesting(parents: CubeFamily, children: CubeFamily) -> None:
@@ -869,37 +675,22 @@ def idealized_plan(d: int, lam: int, tau: float, levels: int) -> CantorPlan:
 
 
 def level_volume_lower_bound(params: CounterexampleParams, j: int, cap: int = 1 << 20) -> float:
-    """Lower bound for the Lebesgue measure of the level-j cube family at alpha = d.
+    """Lower bound for the Lebesgue measure of the level-j cube family at alpha = d = 1.
 
-    Counts pairwise-disjoint cubes by exact interval arithmetic and
-    multiplies by the exact cube volume (cycle units).
+    Counts pairwise-disjoint intervals by exact interval arithmetic and
+    multiplies by the exact interval length (cycle units).
     """
+    _require_1d(params.d)
     if abs(params.alpha - params.d) > 1e-12:
         raise ValueError("volume lower bound applies to the case alpha = d only")
     fam = level_cube_family(params, j, cap=cap)
     if len(fam) == 0:
         raise ValueError(f"level-{j} family is empty")
-    side = fam.cubes[0].side
-    if params.d == 1:
-        order = sorted(fam.cubes, key=lambda c: (c.hi_corner(0), c.lo_corner(0)))
-        count = 0
-        frontier = None
-        for cube in order:
-            if frontier is None or cube.lo_corner(0) > frontier:
-                count += 1
-                frontier = cube.hi_corner(0)
-    else:
-        chosen: list[Cube] = []
-        for cube in fam.cubes:
-            overlaps = any(
-                all(
-                    cube.lo_corner(i) <= other.hi_corner(i)
-                    and other.lo_corner(i) <= cube.hi_corner(i)
-                    for i in range(params.d)
-                )
-                for other in chosen
-            )
-            if not overlaps:
-                chosen.append(cube)
-        count = len(chosen)
-    return count * float(side) ** params.d
+    order = sorted(fam.cubes, key=lambda c: (c.hi_corner(0), c.lo_corner(0)))
+    count = 0
+    frontier = None
+    for cube in order:
+        if frontier is None or cube.lo_corner(0) > frontier:
+            count += 1
+            frontier = cube.hi_corner(0)
+    return count * float(fam.cubes[0].side)

@@ -18,13 +18,3 @@ DIRICHLET_L1_N1 = 2.0 * math.pi / 3.0 + 4.0 * math.sqrt(3.0)
 # Frostman quotient of the level-12 middle-thirds measure on the triadic
 # radius grid 2 pi 3^-m, m = 1..12 (stable to 6 digits across levels 10-12).
 MIDDLE_THIRDS_FROSTMAN = 0.627241
-
-# Claim sweeps at d=1, alpha=1, lam=16, delta=0.05, kappa=1/4, defaults
-# c1=1/200, c2=1/100.  Upper-regime ratios measured <= 1.33; incoherent
-# factor ratios measured <= 148.
-CLAIM_UPPER_RATIO_CAP = 4.0
-CLAIM_DECAY_FACTOR_CAP = 256.0
-
-# Per-coordinate coherent factor ratios at growth-claim samples land in
-# [1.32, 2.66]; the acceptance band [1/8, 8] leaves wide margin.
-CLAIM_COHERENT_BAND = 8.0

@@ -1,8 +1,8 @@
 """Atomic fractal measures and kernel-convolution experiments.
 
 Frostman-constant estimation for finitely supported measures, Dirichlet
-kernel L^1 growth and measure convolutions (plain and maximal variants),
-weighted maximal norms of the truncated flow, and log-log exponent fits.
+kernel L^1 growth and the FFT measure convolution, weighted maximal norms
+of the truncated flow, and log-log exponent fits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class AtomicMeasure:
     positions: np.ndarray
     masses: np.ndarray
     alpha: float
-    normalization: str = "probability"
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=float).reshape(-1, self.d) % TAU
@@ -47,10 +46,6 @@ class AtomicMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    def scaled(self, factor: float) -> "AtomicMeasure":
-        return AtomicMeasure(self.d, self.positions, self.masses * factor,
-                             self.alpha, "mass")
 
 
 @dataclass(frozen=True)
@@ -205,58 +200,34 @@ def dirichlet_abs_max_envelope(n: int, x: np.ndarray) -> np.ndarray:
     return np.maximum(env, plain)
 
 
-def _uniform_grid(m: int) -> np.ndarray:
-    return TAU * np.arange(m) / m
+def convolve_dirichlet_sup(mu: AtomicMeasure, n: int, x_grid: int) -> float:
+    """Max over the grid 2 pi i / m, i = 0..m-1 with m = x_grid, of the sum
+    over atoms of mass * |D_N(x - y)|, computed by a circular FFT.
 
-
-def convolve_dirichlet_sup(
-    mu: AtomicMeasure,
-    n: int,
-    x_grid: np.ndarray | int,
-    maximal: bool = False,
-) -> float:
-    """Max over the grid of sum over atoms of mass * |D_N(x - y)|.
-
-    With maximal set, the kernel is replaced by the pointwise upper
-    envelope of sup over M <= N of |D_M|.  One-dimensional only; when the
-    grid is uniform and every atom sits on it, the convolution is computed
-    by a circular FFT, otherwise by direct chunked evaluation.
-    The grid must resolve the kernel oscillation: spacing <= 1/(10 N).
+    One-dimensional only, and every atom must sit on the grid; otherwise
+    ValueError.  The grid must resolve the kernel oscillation: spacing
+    2 pi / m <= 1/(10 N).
     """
     if mu.d != 1:
         raise ValueError("grid convolution is implemented for d = 1")
-    grid = _uniform_grid(int(x_grid)) if isinstance(x_grid, (int, np.integer)) else np.asarray(x_grid, dtype=float)
-    if grid.size < 2:
+    m = int(x_grid)
+    if m < 2:
         raise ValueError("grid must contain at least two points")
-    ordered = np.sort(grid % TAU)
-    spacing = float(max(np.diff(ordered).max(), TAU - ordered[-1] + ordered[0]))
-    if spacing > 1.0 / (10.0 * n) + 1e-15:
+    if TAU / m > 1.0 / (10.0 * n):
         raise ValueError(
-            f"grid spacing {spacing:.3g} under-resolves the kernel scale 1/(10N)={1/(10*n):.3g}"
+            f"grid spacing {TAU / m:.3g} under-resolves the kernel scale 1/(10N)={1/(10*n):.3g}"
         )
-    kernel = dirichlet_abs_max_envelope if maximal else (lambda nn, xx: np.abs(dirichlet_kernel_1d(nn, xx)))
-
-    m = grid.size
-    uniform = np.allclose(grid, _uniform_grid(m), atol=1e-9 / m)
     pos = mu.positions[:, 0]
-    if uniform:
-        idx = np.rint(pos / TAU * m).astype(np.int64) % m
-        on_grid = np.max(np.abs(pos - TAU * idx / m)) < 1e-9 * TAU / m
-        if on_grid:
-            weights = np.zeros(m)
-            np.add.at(weights, idx, mu.masses)
-            kern = kernel(n, _uniform_grid(m))
-            conv = np.fft.ifft(np.fft.fft(weights) * np.fft.fft(kern)).real
-            return float(conv.max())
-    # direct fallback, chunked over the grid
-    best = 0.0
-    chunk = max(1, (1 << 22) // max(mu.n_atoms, 1))
-    for start in range(0, m, chunk):
-        g = grid[start : start + chunk]
-        diff = g[:, None] - pos[None, :]
-        vals = kernel(n, diff.ravel()).reshape(diff.shape)
-        best = max(best, float((vals * mu.masses[None, :]).sum(axis=1).max()))
-    return best
+    # an atom just below 2 pi rounds to point m, which is point 0
+    idx = np.rint(pos / TAU * m).astype(np.int64)
+    if not np.max(np.abs(pos - TAU * idx / m)) < 1e-9 * TAU / m:
+        raise ValueError(f"an atom lies off the {m}-point grid")
+    idx %= m
+    weights = np.zeros(m)
+    np.add.at(weights, idx, mu.masses)
+    kern = np.abs(dirichlet_kernel_1d(n, TAU * np.arange(m) / m))
+    conv = np.fft.ifft(np.fft.fft(weights) * np.fft.fft(kern)).real
+    return float(conv.max())
 
 
 def dirichlet_l1(n: int, maximal: bool = False, d: int = 1, num_points: int | None = None) -> float:
@@ -288,7 +259,7 @@ class TimeSamplingPlan:
     """Finite surrogate for the time supremum over (0, t_max).
 
     Combines reciprocal times 2 pi / q (where rational-time resonances
-    concentrate) with a uniform grid; both parts are recorded in reports.
+    concentrate) with a uniform grid on (0, t_max].
     """
 
     q_max: int = 64
@@ -299,9 +270,6 @@ class TimeSamplingPlan:
         out = [TAU / q for q in range(int(math.ceil(TAU / self.t_max)), self.q_max + 1)]
         out += [self.t_max * i / self.grid for i in range(1, self.grid + 1)]
         return out
-
-    def describe(self) -> str:
-        return f"reciprocal q<={self.q_max} + uniform {self.grid} on (0,{self.t_max}]"
 
 
 def _maximal_values_at_atoms(f: FourierData, mu: AtomicMeasure, times: Sequence[float]) -> np.ndarray:

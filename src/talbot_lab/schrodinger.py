@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class FourierData:
             return cls(d, np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=complex))
         return cls(d, np.array(keys, dtype=np.int64), np.array(vals, dtype=complex))
 
-    def coefficients(self) -> dict[tuple[int, ...], complex]:
-        return {tuple(int(v) for v in k): complex(c) for k, c in zip(self.ks, self.coeffs)}
-
     @property
     def nnz(self) -> int:
         return int(self.coeffs.size)
@@ -189,12 +186,6 @@ def dirichlet_kernel_1d(n: int, x: float | np.ndarray) -> float | np.ndarray:
             out[i] = 1.0 + 2.0 * np.cos(k * xa[i]).sum()
     np.clip(out, -(2 * n + 1), 2 * n + 1, out=out)
     return float(out[0]) if scalar else out
-
-
-def dirichlet_kernel_nd(n: int, x: Sequence[float]) -> float:
-    """Product of one-dimensional kernels over the coordinates."""
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    return float(np.prod(dirichlet_kernel_1d(n, xa)))
 
 
 def _phase_fraction_x(ks: np.ndarray, x: SamplePoint | Sequence[float]) -> np.ndarray:
@@ -270,14 +261,6 @@ def block_split(lam: int, j: int, q: int, n_hi: int | None = None) -> tuple[int,
     return a, b, l, r
 
 
-def block_factor_direct(
-    lam: int, j: int, t: RationalTime, p: int, eps: float, n_hi: int | None = None
-) -> complex:
-    """Reference single-coordinate factor by direct summation."""
-    a, b, _, _ = block_split(lam, j, t.q, n_hi)
-    return quad_block_sum(a, b, t.q, p, eps)
-
-
 def block_factor_fast(
     lam: int, j: int, t: RationalTime, p: int, eps: float, n_hi: int | None = None
 ) -> complex:
@@ -316,22 +299,6 @@ def evolve_rational_fast(block: DirichletBlock, t: RationalTime, x: SamplePoint)
     for p_i, eps_i in zip(x.p, x.eps):
         out *= block_factor_fast(block.lam, block.j, t, p_i, eps_i)
     return out
-
-
-def maximal_over_times(
-    f: FourierData,
-    n: int,
-    times: Iterable[RationalTime | float],
-    x: SamplePoint | Sequence[float],
-) -> float:
-    """Max over the supplied times of |S_N(t)f(x)|."""
-    best = None
-    for t in times:
-        v = abs(partial_sum_direct(f, n, t, x))
-        best = v if best is None else max(best, v)
-    if best is None:
-        raise ValueError("time set must be nonempty")
-    return best
 
 
 def sobolev_norm(f: FourierData, s: float) -> float:

@@ -101,6 +101,14 @@ class TestCliContract:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 9
 
+    def test_value_a_layer_rejects_exits_two_without_report(self, tmp_path, capsys):
+        # the schema takes one level, but the growth fit needs three
+        cfg = write_cfg(tmp_path, "j_list = 2\nsamples_per_j = 4\n")
+        out = tmp_path / "o"
+        assert main(["claims", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_failing_check_exits_one_with_report(self, tmp_path):
         cfg = write_cfg(tmp_path, "q_max = 60\nabel_instances = 50\nperturbed_q_max = 32\ntol = 1e-30\n")
         out = tmp_path / "o"

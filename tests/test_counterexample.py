@@ -8,7 +8,6 @@ from talbot_lab.counterexample import (
     CounterexampleParams,
     blowup_trajectory,
     claim_regime,
-    datum_block,
     full_datum_value,
     make_blowup_ladder,
     sample_points,
@@ -19,7 +18,13 @@ from talbot_lab.counterexample import (
     verify_claim_iii,
 )
 from talbot_lab.counterexample import _block_eval
-from talbot_lab.schrodinger import RationalTime, SamplePoint, block_split, partial_sum_direct
+from talbot_lab.schrodinger import (
+    DirichletBlock,
+    RationalTime,
+    SamplePoint,
+    block_split,
+    partial_sum_direct,
+)
 
 DESK = dict(d=1, alpha=1.0, lam=16, delta=0.05, kappa=0.25)
 
@@ -29,6 +34,11 @@ BLOWUP = dict(
     d=1, alpha=1.0, lam=256, delta=0.1, kappa=1 / 16,
     c1=Fraction(1, 8), c2=Fraction(1, 4),
 )
+
+
+def block_datum(p, j):
+    """The block datum f_j: (lam^j - lam^(j-1))^d coefficients of height p.amplitude(j)."""
+    return DirichletBlock(p.d, p.lam, j).to_fourier_data(p.amplitude(j))
 
 
 class TestParams:
@@ -59,25 +69,25 @@ class TestParams:
 class TestDatumBlock:
     def test_smallest_block_single_coefficient(self):
         p = CounterexampleParams(d=1, alpha=1.0, lam=2, delta=0.05, kappa=0.5)
-        f = datum_block(p, 1)
+        f = block_datum(p, 1)
         assert f.nnz == 1
         assert tuple(f.ks[0]) == (1,)
         assert abs(f.coeffs[0]) == pytest.approx(2.0 ** -(p.s_alpha + 0.5 - p.delta))
 
     def test_block_count_and_range(self):
         p = CounterexampleParams(**DESK)
-        f = datum_block(p, 2)
+        f = block_datum(p, 2)
         assert f.nnz == 240
         assert f.ks.min() == 16 and f.ks.max() == 255
 
     def test_count_formula_across_parameters(self):
         for d, lam, j in [(1, 4, 2), (2, 4, 2), (1, 8, 3), (2, 8, 2)]:
             p = CounterexampleParams(d=d, alpha=float(d), lam=lam, delta=0.01, kappa=1 / 8)
-            assert datum_block(p, j).nnz == (lam**j - lam ** (j - 1)) ** d
+            assert block_datum(p, j).nnz == (lam**j - lam ** (j - 1)) ** d
 
     def test_spectral_disjointness(self):
         p = CounterexampleParams(**DESK)
-        supports = [set(map(tuple, datum_block(p, j).ks)) for j in (1, 2, 3)]
+        supports = [set(map(tuple, block_datum(p, j).ks)) for j in (1, 2, 3)]
         assert supports[0] & supports[1] == set()
         assert supports[1] & supports[2] == set()
 
@@ -167,7 +177,7 @@ class TestClaimGrowth:
 
     def test_n_stability(self):
         p = CounterexampleParams(**DESK)
-        f = datum_block(p, 2)
+        f = block_datum(p, 2)
         t = RationalTime(16)
         x = SamplePoint((4,), 16, (2e-4,))
         assert partial_sum_direct(f, 16**2, t, x) == partial_sum_direct(f, 16**3, t, x)
@@ -255,7 +265,7 @@ class TestClaimAbove:
 
     def test_truncation_below_block_is_exactly_zero(self):
         p = CounterexampleParams(**DESK)
-        f = datum_block(p, 3)
+        f = block_datum(p, 3)
         value = partial_sum_direct(f, p.lam**2 - 1, RationalTime(16), SamplePoint((4,), 16, (1e-4,)))
         assert value == 0.0
 
@@ -317,7 +327,7 @@ class TestBlowup:
         p = CounterexampleParams(**DESK)
         s = 0.15
         for j in range(1, 6):
-            f = datum_block(p, j)
+            f = block_datum(p, j)
             ratio = sobolev_norm(f, s) / (16.0 ** (-j * (p.s_alpha - p.delta - s)))
             assert 0.25 <= ratio <= 4.0
 
@@ -328,6 +338,6 @@ class TestBlowup:
         n = p.lam**3
         total = full_datum_value(p, 3, t, x, n)
         direct = sum(
-            partial_sum_direct(datum_block(p, k), n, t, x) for k in (1, 2, 3)
+            partial_sum_direct(block_datum(p, k), n, t, x) for k in (1, 2, 3)
         )
         assert total == pytest.approx(direct, rel=1e-9)

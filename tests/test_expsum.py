@@ -9,14 +9,12 @@ import pytest
 from talbot_lab.expsum import (
     _CHUNK,
     MODULUS_LIMIT,
-    IntegerInterval,
     abel_bound_check,
     gauss_sum_magnitudes,
     gauss_sum_table,
     perturbed_gauss_sum_check,
     quadratic_sum,
     vdc_first_derivative_bound,
-    vdc_second_derivative_bound,
 )
 
 
@@ -128,16 +126,6 @@ class TestWeylSum:
         halves = quadratic_sum(3, 7, q, 1e-9, lo, mid - 1) + quadratic_sum(3, 7, q, 1e-9, mid, hi)
         assert whole == pytest.approx(halves, abs=1e-8)
 
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            IntegerInterval(3, 2)
-        with pytest.raises(ValueError):
-            IntegerInterval(-1, 2)
-
-    def test_length_is_endpoint_difference(self):
-        assert IntegerInterval(2, 7).length == 5
-        assert IntegerInterval(5, 5).length == 0
-
 
 class TestPerturbedGaussSum:
     def test_unperturbed_q4(self):
@@ -166,18 +154,6 @@ class TestPerturbedGaussSum:
 
 
 class TestVanDerCorputBounds:
-    def test_complete_period_shape(self):
-        q = 49
-        assert vdc_second_derivative_bound(
-            IntegerInterval(0, q), 1.0 / q, 1.0
-        ) == pytest.approx(2 * math.sqrt(q))
-
-    def test_zero_length(self):
-        assert vdc_second_derivative_bound(IntegerInterval(5, 5), 1.0, 1.0) == 1.0
-
-    def test_arithmetic(self):
-        assert vdc_second_derivative_bound(IntegerInterval(0, 100), 0.01, 2.0) == pytest.approx(30.0)
-
     def test_first_derivative_values(self):
         assert vdc_first_derivative_bound(1 / 8) == 8.0
         assert vdc_first_derivative_bound(0.5) == 2.0
@@ -189,15 +165,10 @@ class TestVanDerCorputBounds:
         with pytest.raises(ValueError):
             vdc_first_derivative_bound(0.7)
 
-    def test_second_derivative_domain(self):
-        with pytest.raises(ValueError):
-            vdc_second_derivative_bound(IntegerInterval(0, 5), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            vdc_second_derivative_bound(IntegerInterval(0, 5), 1.0, 0.5)
-
     def test_calibrated_ratio_over_random_family(self):
-        # quadratic phases with |f''| = 2/q; the bound holds with a single
-        # constant over the family, calibrated once and asserted <= 10
+        # quadratic phases with |f''| = 2/q against the second-derivative-test
+        # bound ratio |I| sqrt(M) + 1/sqrt(M) (ratio = 1, M = 2/q); it holds
+        # with a single constant over the family, calibrated once, <= 10
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(300):
@@ -207,9 +178,8 @@ class TestVanDerCorputBounds:
             eps = float(rng.uniform(-1, 1)) / (20 * q)
             left = int(rng.integers(0, q))
             length = int(rng.integers(1, q))
-            interval = IntegerInterval(left, left + length)
             value = abs(quadratic_sum(a2, a1, q, eps, left, left + length))
-            bound = vdc_second_derivative_bound(interval, 2.0 / q, 1.0)
+            bound = length * math.sqrt(2.0 / q) + 1.0 / math.sqrt(2.0 / q)
             worst = max(worst, value / bound)
         assert worst <= 10.0
 

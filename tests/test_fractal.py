@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -14,12 +13,10 @@ from talbot_lab.fractal import (
     build_nested_levels,
     cantor_lower_bound,
     covering_exponent,
-    dirichlet_approx,
     level_cube_count,
     level_cube_family,
     level_volume_lower_bound,
     idealized_plan,
-    membership_witnesses,
     separated_cubes,
 )
 
@@ -42,7 +39,6 @@ class TestLevelCubeFamily:
         fam = level_cube_family(desk_params(), 2)
         expected = (Fraction(1, 100) - Fraction(1, 200)) * Fraction(1, 16**2)
         assert all(c.side == expected for c in fam)
-        assert fam.cubes[0].side_radians == pytest.approx(2 * math.pi * float(expected))
 
     def test_two_sided_inequality_on_corners(self):
         params = desk_params()
@@ -87,59 +83,25 @@ class TestCoveringExponent:
             covering_exponent([(1, 10), (2, 100)], lam=4)
 
 
-class TestMembership:
-    def test_planted_witness(self):
-        tau, c1, c2 = 3.0, 0.005, 0.01
-        x = 7 / 40 + 0.0075 / 40**tau
-        hits = membership_witnesses([x], tau, c1, c2, 60)
-        assert ((7,), 40) in hits
-
-    def test_origin_has_no_witnesses(self):
-        assert membership_witnesses([0.0], 3.0, 0.005, 0.01, 80) == []
-
-    def test_multi_scale_planting(self):
-        tau, c1, c2 = 2.0, 0.1, 0.2
-        # plant approximations at two denominators; count recovered scales
-        x = 5 / 36 + 0.15 / 36**tau
-        hits = membership_witnesses([x], tau, c1, c2, 200)
-        qs = {q for _, q in hits}
-        assert 36 in qs
-        for (p,), q in hits:
-            assert 8 * p > q and 4 * p < q
-            assert c1 / q**tau - 1e-15 <= x - p / q <= c2 / q**tau + 1e-15
-
-    def test_requires_unit_box(self):
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            membership_witnesses([1.5], 2.0, 0.1, 0.2, 10)
+E0_2D = Cube((1, 1), 8, Fraction(0), Fraction(1, 8))
 
 
-class TestDirichletApprox:
-    def test_half(self):
-        p, q = dirichlet_approx([0.5], 10)
-        assert (p, q) == ((1,), 2)
-        assert abs(0.5 - p[0] / q) == 0.0
-
-    def test_pi_quarter_minimal_denominator(self):
-        # exhaustive oracle over q <= 10: admissible denominators are 5 and
-        # 9 (the continued-fraction convergents 4/5 and 7/9); minimal is 5
-        p, q = dirichlet_approx([math.pi / 4], 10)
-        assert (p, q) == ((4,), 5)
-        assert abs(math.pi / 4 - 4 / 5) <= 1 / (5 * 10)
-
-    def test_postcondition_exact_rational_audit(self):
-        x = Fraction(113, 355)
-        n = 40
-        p, q = dirichlet_approx([float(x)], n)
-        err = abs(Fraction(float(x)) - Fraction(p[0], q))
-        assert 1 <= q <= n
-        assert err <= Fraction(1, q * n) + Fraction(1, 10**14)
-
-    def test_two_dimensional(self):
-        x = [0.3333339, 0.7499996]
-        p, q = dirichlet_approx(x, 30)
-        root = 30 ** (1 / 2)
-        for xi, pi in zip(x, p):
-            assert abs(xi - pi / q) <= 1 / (q * root) + 1e-12
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: separated_cubes(E0_2D, 64, 2),
+        lambda: audit_separated_family(E0_2D, separated_cubes(E0, 64, 2), 2),
+        lambda: level_volume_lower_bound(
+            CounterexampleParams(d=2, alpha=2.0, lam=8, delta=0.05, kappa=1 / 4), 2
+        ),
+        lambda: build_nested_levels(2, 2, 64, 1),
+    ],
+    ids=["separated_cubes", "audit_separated_family", "level_volume_lower_bound",
+         "build_nested_levels"],
+)
+def test_two_dimensional_input_rejected(call):
+    with pytest.raises(ValueError, match="one-dimensional; got d = 2"):
+        call()
 
 
 class TestSeparatedCubes:
@@ -174,6 +136,11 @@ class TestSeparatedCubes:
         capped = separated_cubes(E0, 256, 2, beta=4, max_cubes=10)
         assert [(c.p, c.q) for c in capped] == [(c.p, c.q) for c in full.cubes[:10]]
         assert not capped.meta["maximal"]
+
+    @pytest.mark.parametrize("n", [0, -8])
+    def test_window_without_denominators_rejected(self, n):
+        with pytest.raises(ValueError, match="no q >= 1"):
+            separated_cubes(E0, n, 2, beta=4)
 
     def test_degenerate_window_ratio_rejected(self):
         with pytest.raises(ValueError, match="beta"):

@@ -75,7 +75,7 @@ class TestFrostman:
 
     def test_scales_linearly_with_mass(self):
         mu = cantor_measure(1, 1 / 3, 6)
-        doubled = mu.scaled(2.0)
+        doubled = AtomicMeasure(mu.d, mu.positions, 2.0 * mu.masses, mu.alpha)
         radii = [TAU * 3.0**-m for m in range(1, 7)]
         a = frostman_constant(mu, mu.alpha, radii)
         b = frostman_constant(doubled, mu.alpha, radii)
@@ -114,14 +114,6 @@ class TestConvolution:
         geo = float(np.exp(np.mean(np.log(vals))))
         assert max(vals) / geo <= 1.2 and geo / min(vals) <= 1.2
 
-    def test_maximal_dominates_plain(self):
-        mu = cantor_measure(1, 1 / 3, 8)
-        grid = 2 * 3**8
-        for n in (16, 64, 128):
-            plain = convolve_dirichlet_sup(mu, n, grid)
-            maximal = convolve_dirichlet_sup(mu, n, grid, maximal=True)
-            assert maximal >= plain
-
     def test_envelope_dominates_every_truncation(self):
         xs = np.linspace(1e-4, math.pi, 400)
         n = 40
@@ -133,6 +125,17 @@ class TestConvolution:
         mu = cantor_measure(1, 1 / 3, 4)
         with pytest.raises(ValueError, match="resolve"):
             convolve_dirichlet_sup(mu, 512, 128)
+
+    def test_atom_just_below_two_pi_sits_on_grid_point_zero(self):
+        mu = AtomicMeasure(1, np.array([[-1e-13]]), np.array([1.0]), 0.0)
+        n = 8
+        assert convolve_dirichlet_sup(mu, n, 1024) == pytest.approx(2 * n + 1, rel=1e-12)
+
+    def test_off_grid_atom_rejected(self):
+        # the level-4 Cantor atoms sit at odd multiples of pi / 81, off a 2^12 grid
+        mu = cantor_measure(1, 1 / 3, 4)
+        with pytest.raises(ValueError, match="off the 4096-point grid"):
+            convolve_dirichlet_sup(mu, 32, 1 << 12)
 
     def test_growth_exponent_short_sweep(self):
         mu = cantor_measure(1, 1 / 3, 10)

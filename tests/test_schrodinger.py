@@ -6,21 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from talbot_lab.expsum import MODULUS_LIMIT
+from talbot_lab.expsum import MODULUS_LIMIT, gauss_sum_magnitudes, gauss_sum_table
 from talbot_lab.schrodinger import (
     FREQ_LIMIT,
     DirichletBlock,
     FourierData,
     RationalTime,
     SamplePoint,
-    block_factor_direct,
     block_factor_fast,
     block_split,
     dirichlet_kernel_1d,
-    dirichlet_kernel_nd,
     evolve_rational_fast,
-    maximal_over_times,
     partial_sum_direct,
+    quad_block_sum,
     sobolev_norm,
 )
 
@@ -50,12 +48,6 @@ class TestDirichletKernel:
         x = 2e-9
         direct = 1.0 + 2.0 * np.cos(np.arange(1, 13) * x).sum()
         assert dirichlet_kernel_1d(12, x) == pytest.approx(direct, rel=1e-12)
-
-    def test_product_structure(self):
-        assert dirichlet_kernel_nd(4, [0.0, 0.0]) == 81.0
-        assert dirichlet_kernel_nd(1, [math.pi, 0.0]) == pytest.approx(-3.0, rel=1e-12)
-        x0 = TAU / 3  # d_1 zero: 1 + 2cos(2pi/3) = 0
-        assert dirichlet_kernel_nd(1, [x0, 0.3]) == pytest.approx(0.0, abs=1e-12)
 
 
 def _random_data(rng, d, bandwidth, count):
@@ -194,7 +186,7 @@ class TestFastEvolution:
         a, b, l, r = block_split(2, 2, 8)
         assert r <= l
         fast = block_factor_fast(2, 2, t, 2, 1e-3)
-        direct = block_factor_direct(2, 2, t, 2, 1e-3)
+        direct = quad_block_sum(a, b, 8, 2, 1e-3)
         assert fast == pytest.approx(direct, rel=1e-12)
 
     def test_reference_example(self):
@@ -225,7 +217,8 @@ class TestFastEvolution:
         t = RationalTime(q)
         for n_hi in (lam**2, lam**2 + 7, 2000, lam**3 - 1):
             fast = block_factor_fast(lam, j, t, 10, 2e-4, n_hi)
-            direct = block_factor_direct(lam, j, t, 10, 2e-4, n_hi)
+            a, b, _, _ = block_split(lam, j, q, n_hi)
+            direct = quad_block_sum(a, b, q, 10, 2e-4)
             assert abs(fast - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_anchor_mismatch_rejected(self):
@@ -244,31 +237,6 @@ class TestFastEvolution:
         geom = np.exp(2j * np.pi * ((q * eps * (l + m)) % 1.0)).sum()
         assert lam**j * eps <= 1e-2
         assert abs(geom) >= 0.9 * (r - l)
-
-
-class TestMaximalOverTimes:
-    def test_single_time(self):
-        f = FourierData.from_dict(1, {2: 1.0, 3: 0.5})
-        t = RationalTime(5)
-        expected = abs(partial_sum_direct(f, 4, t, [1.0]))
-        assert maximal_over_times(f, 4, [t], [1.0]) == expected
-
-    def test_single_mode_is_unimodular(self):
-        f = FourierData.from_dict(1, {4: 1.0})
-        times = [0.1, 0.2, RationalTime(3)]
-        assert maximal_over_times(f, 5, times, [0.7]) == pytest.approx(1.0, rel=1e-12)
-
-    def test_monotone_under_refinement(self):
-        rng = np.random.default_rng(41)
-        f = _random_data(rng, 1, 6, 8)
-        t1 = [0.1, 0.5]
-        t2 = t1 + [0.3, 0.9, RationalTime(4)]
-        assert maximal_over_times(f, 6, t1, [2.0]) <= maximal_over_times(f, 6, t2, [2.0])
-
-    def test_empty_times_rejected(self):
-        f = FourierData.from_dict(1, {0: 1.0})
-        with pytest.raises(ValueError, match="nonempty"):
-            maximal_over_times(f, 3, [], [0.0])
 
 
 class TestSobolevNorm:
@@ -348,3 +316,22 @@ class TestInt64Contract:
             partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), x)
         # truncation below the limit keeps the evaluation legal
         assert partial_sum_direct(top, FREQ_LIMIT - 1, RationalTime(3), x) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FourierData(1, np.array([[FREQ_LIMIT + 1]]), np.array([1.0])),
+        lambda: quad_block_sum(0, FREQ_LIMIT + 1, 8, 0, 0.0),
+        lambda: RationalTime(0),
+        lambda: RationalTime(MODULUS_LIMIT + 1),
+        lambda: gauss_sum_table(MODULUS_LIMIT + 1, 1),
+        lambda: gauss_sum_magnitudes(MODULUS_LIMIT + 1, 1),
+    ],
+    ids=["frequency", "block_range", "time_zero", "time_modulus", "gauss_table",
+         "gauss_magnitudes"],
+)
+def test_input_past_a_limit_rejected(call):
+    # every guard raises before any array of the limit's size is built
+    with pytest.raises(ValueError):
+        call()
