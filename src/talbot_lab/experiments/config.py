@@ -204,8 +204,14 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
             raise ConfigError(f"{name} must be positive, got {value}")
     if cfg.get("seed") is not None and int(cfg["seed"]) < 0:
         raise ConfigError("seed must be nonnegative")
-    if experiment == "gauss" and int(cfg["q_max"]) < 4:
-        raise ConfigError("q_max must be at least 4")
+    if experiment == "gauss":
+        if int(cfg["q_max"]) < 4:
+            raise ConfigError("q_max must be at least 4")
+        q_min = int(cfg["perturbed_q_min"])
+        if q_min < 4 or q_min % 4:
+            raise ConfigError(
+                f"perturbed_q_min must be a multiple of 4 and at least 4, got {q_min}"
+            )
     if experiment in ("evolve", "claims"):
         if not 0 < float(cfg["kappa"]) < 1:
             raise ConfigError("kappa must lie in (0, 1)")

@@ -14,9 +14,9 @@ def _worst_error_at_time(args) -> tuple[int, int, float]:
     block = DirichletBlock(1, params.lam, j)
     n = params.lam**j
     worst = 0.0
-    for x in sample_points(params, j, t, count, seed):
+    xs = sample_points(params, j, t, count, seed)
+    for x, direct in zip(xs, partial_sum_direct(data, n, t, xs).tolist()):
         fast = evolve_rational_fast(block, t, x)
-        direct = partial_sum_direct(data, n, t, x)
         err = abs(fast - direct) / max(1.0, abs(direct))
         worst = max(worst, err)
     return j, t.q, worst

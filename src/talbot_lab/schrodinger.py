@@ -188,14 +188,34 @@ def dirichlet_kernel_1d(n: int, x: float | np.ndarray) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _phase_fraction_x(ks: np.ndarray, x: SamplePoint | Sequence[float]) -> np.ndarray:
-    """k.x as a fraction of a full turn (cycles), exactly reduced when anchored."""
+def _dot_into(cols: np.ndarray, v: Sequence, out: np.ndarray) -> None:
+    """out = cols @ v, one multiply-add per coordinate (a one-column matmul is slow)."""
+    np.multiply(cols[:, 0], v[0], out=out)
+    for i in range(1, len(v)):
+        out += cols[:, i] * v[i]
+
+
+def _phase_fraction_x(
+    ks: np.ndarray,
+    kf: np.ndarray,
+    x: SamplePoint | Sequence[float],
+    dot: np.ndarray,
+    frac: np.ndarray,
+    term: np.ndarray,
+) -> None:
+    """Write k.x as a fraction of a full turn (cycles) into frac, exactly reduced when anchored.
+
+    kf is ks as floats; dot (int64) and term (float64) are work buffers.
+    """
     if isinstance(x, SamplePoint):
-        p = np.asarray(x.p, dtype=np.int64)
-        dot = ks @ p
-        frac = (dot % x.q) / x.q
-        return frac + ks @ np.asarray(x.eps, dtype=float)
-    return (ks @ np.asarray(x, dtype=float)) / TAU
+        _dot_into(ks, x.p, dot)
+        np.remainder(dot, x.q, out=dot)
+        np.true_divide(dot, x.q, out=frac)
+        _dot_into(kf, x.eps, term)
+        np.add(frac, term, out=frac)
+    else:
+        _dot_into(kf, x, frac)
+        np.true_divide(frac, TAU, out=frac)
 
 
 def _phase_fraction_t(ksq: np.ndarray, t: RationalTime | float) -> np.ndarray:
@@ -209,33 +229,58 @@ def partial_sum_direct(
     f: FourierData,
     n: int,
     t: RationalTime | float,
-    x: SamplePoint | Sequence[float],
-) -> complex:
-    """Evaluate S_N(t)f(x) = sum over |k_l| <= N of fhat(k) e^{i k.x - i |k|^2 t}.
+    xs: Sequence[SamplePoint | Sequence[float]],
+) -> np.ndarray:
+    """Evaluate S_N(t)f(x) = sum over |k_l| <= N of fhat(k) e^{i k.x - i |k|^2 t} at each x in xs.
+
+    One time, many points: returns a complex array with one entry per point
+    of xs, each a SamplePoint or a sequence of d float coordinates.  The
+    truncation, |k|^2 and the time phase are computed once per call, and
+    every point is evaluated into the same four work buffers, which are
+    locals of the call.  At d = 1 each entry equals a per-point evaluation
+    with a fresh array per step bit for bit; at d >= 2 k.x is summed one
+    coordinate at a time, so its float part may differ from a matrix
+    product in the last bit.
 
     Phases are reduced modulo one full turn; the reduction is exact in
     integer arithmetic when t is a RationalTime and x a SamplePoint.  For
     floating-point times the reduction happens in double precision, which
     degrades once N^2 t approaches 2^53.  The int64 phases |k|^2 <= d N^2
-    and |k.p| < d N q (N the truncated bandwidth) must stay below 2^63;
-    a ValueError is raised otherwise.
+    and |k.p| < d N q (N the truncated bandwidth, q the largest anchor
+    modulus in xs) must stay below 2^63; a ValueError is raised otherwise.
     """
     bandwidth = int(min(n, f.bandwidth))
-    anchor_q = int(x.q) if isinstance(x, SamplePoint) else 1
+    anchor_q = max((int(x.q) for x in xs if isinstance(x, SamplePoint)), default=1)
     if f.d * bandwidth * max(bandwidth, anchor_q) >= 2**63:
         raise ValueError(
             f"d={f.d}, N={bandwidth}, q={anchor_q}: d N^2 or d N q reaches 2^63, "
             "so the exact int64 phases would wrap"
         )
+    out = np.zeros(len(xs), dtype=complex)
     ks, coeffs = f.ks, f.coeffs
     if f.bandwidth > n:
         keep = (np.abs(ks) <= n).all(axis=1)
         ks, coeffs = ks[keep], coeffs[keep]
-    if ks.shape[0] == 0:
-        return 0.0 + 0.0j
-    ksq = (ks * ks).sum(axis=1)
-    frac = _phase_fraction_x(ks, x) - _phase_fraction_t(ksq, t)
-    return complex((coeffs * np.exp(2j * math.pi * frac)).sum())
+    nnz = ks.shape[0]
+    if nnz == 0:
+        return out
+    tphase = _phase_fraction_t((ks * ks).sum(axis=1), t)
+    kf = ks.astype(float)
+    dot = np.empty(nnz, dtype=np.int64)
+    frac = np.empty(nnz)
+    term = np.empty(nnz)
+    wave = np.empty(nnz, dtype=complex)
+    for i, x in enumerate(xs):
+        d = x.d if isinstance(x, SamplePoint) else len(x)
+        if d != f.d:
+            raise ValueError(f"dimension mismatch: point d={d}, data d={f.d}")
+        _phase_fraction_x(ks, kf, x, dot, frac, term)
+        np.subtract(frac, tphase, out=frac)
+        np.multiply(2j * math.pi, frac, out=wave)
+        np.exp(wave, out=wave)
+        np.multiply(coeffs, wave, out=wave)
+        out[i] = wave.sum()
+    return out
 
 
 def quad_block_sum(a: int, b: int, q: int, p: int, eps: float) -> complex:

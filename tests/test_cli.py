@@ -109,6 +109,16 @@ class TestCliContract:
         assert not (out / "report.json").exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("q_min", [0, 6])
+    def test_perturbed_q_min_off_the_multiples_of_four_exits_two(self, tmp_path, capsys, q_min):
+        cfg = write_cfg(
+            tmp_path, f"q_max = 60\nabel_instances = 50\nperturbed_q_min = {q_min}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["gauss", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_failing_check_exits_one_with_report(self, tmp_path):
         cfg = write_cfg(tmp_path, "q_max = 60\nabel_instances = 50\nperturbed_q_max = 32\ntol = 1e-30\n")
         out = tmp_path / "o"
@@ -117,11 +127,17 @@ class TestCliContract:
         assert report["all_passed"] is False
 
     def test_evolve_with_jobs(self, tmp_path):
-        cfg = write_cfg(tmp_path, "j_max = 2\nsamples_per_q = 4\n")
-        out = tmp_path / "o"
-        assert main(["evolve", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
-        report = json.loads((out / "report.json").read_text())
+        # j_max = 3 gives enough times that two workers evaluate the oracle at once
+        cfg = write_cfg(tmp_path, "j_max = 3\nsamples_per_q = 4\n")
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out1), "--jobs", "1"]) == 0
+        assert main(["evolve", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
+        report = json.loads((out2 / "report.json").read_text())
         assert report["checks"][0]["passed"] is True
+        csvs = sorted(p.name for p in out1.glob("sweep_*.csv"))
+        assert csvs and csvs == sorted(p.name for p in out2.glob("sweep_*.csv"))
+        for name in ["report.json", *csvs]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 class TestReportPlumbing:

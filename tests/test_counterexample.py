@@ -180,7 +180,7 @@ class TestClaimGrowth:
         f = block_datum(p, 2)
         t = RationalTime(16)
         x = SamplePoint((4,), 16, (2e-4,))
-        assert partial_sum_direct(f, 16**2, t, x) == partial_sum_direct(f, 16**3, t, x)
+        assert partial_sum_direct(f, 16**2, t, [x])[0] == partial_sum_direct(f, 16**3, t, [x])[0]
 
 
 class TestClaimBelow:
@@ -266,8 +266,9 @@ class TestClaimAbove:
     def test_truncation_below_block_is_exactly_zero(self):
         p = CounterexampleParams(**DESK)
         f = block_datum(p, 3)
-        value = partial_sum_direct(f, p.lam**2 - 1, RationalTime(16), SamplePoint((4,), 16, (1e-4,)))
-        assert value == 0.0
+        x = SamplePoint((4,), 16, (1e-4,))
+        value = partial_sum_direct(f, p.lam**2 - 1, RationalTime(16), [x])
+        assert value[0] == 0.0
 
     def test_offsets_below_window_rejected(self):
         p = CounterexampleParams(**DESK)
@@ -338,6 +339,6 @@ class TestBlowup:
         n = p.lam**3
         total = full_datum_value(p, 3, t, x, n)
         direct = sum(
-            partial_sum_direct(block_datum(p, k), n, t, x) for k in (1, 2, 3)
+            partial_sum_direct(block_datum(p, k), n, t, [x])[0] for k in (1, 2, 3)
         )
         assert total == pytest.approx(direct, rel=1e-9)

@@ -258,12 +258,8 @@ class TestCarleson:
         ratio = carleson_l2_ratio(f, mu, 0.4, mu.alpha, [n], t, eps=0.05, radii=radii)
         from talbot_lab.schrodinger import partial_sum_direct
 
-        weighted = math.sqrt(
-            sum(
-                m * abs(partial_sum_direct(f, n, t, [x[0]])) ** 2
-                for x, m in zip(mu.positions, mu.masses)
-            )
-        )
+        values = partial_sum_direct(f, n, t, mu.positions)
+        weighted = math.sqrt(float((mu.masses * np.abs(values) ** 2).sum()))
         denom = (
             math.sqrt(frostman_constant(mu, mu.alpha, radii).value)
             * n ** ((1 - mu.alpha) / 2 + 0.05)

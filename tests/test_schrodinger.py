@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talbot_lab.counterexample import CounterexampleParams, sample_points, time_set
 from talbot_lab.expsum import MODULUS_LIMIT, gauss_sum_magnitudes, gauss_sum_table
 from talbot_lab.schrodinger import (
     FREQ_LIMIT,
@@ -98,18 +99,18 @@ class TestPartialSumDirect:
     def test_constant_datum(self):
         f = FourierData.from_dict(1, {0: 1.0})
         for t in (0.0, 0.3, RationalTime(7)):
-            assert partial_sum_direct(f, 5, t, [1.234]) == pytest.approx(1.0, rel=1e-12)
+            assert partial_sum_direct(f, 5, t, [[1.234]])[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_single_mode(self):
         k0 = 3
         f = FourierData.from_dict(1, {k0: 1.0})
         t, x = 0.21, 1.7
         expected = cmath.exp(1j * (k0 * x - k0 * k0 * t))
-        assert partial_sum_direct(f, 5, t, [x]) == pytest.approx(expected, rel=1e-12)
+        assert partial_sum_direct(f, 5, t, [[x]])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_truncation_below_support_is_zero(self):
         f = FourierData.from_dict(1, {7: 1.0})
-        assert partial_sum_direct(f, 5, 0.1, [0.3]) == 0.0
+        assert partial_sum_direct(f, 5, 0.1, [[0.3]])[0] == 0.0
 
     def test_time_zero_matches_kernel_convolution(self):
         # band-limited quadrature oracle: trapezoid is exact for trig
@@ -126,7 +127,7 @@ class TestPartialSumDirect:
         )
         kernel = dirichlet_kernel_1d(n, x - ys)
         conv = (kernel * fvals).mean()
-        assert partial_sum_direct(f, n, 0.0, [x]) == pytest.approx(conv, rel=1e-10)
+        assert partial_sum_direct(f, n, 0.0, [[x]])[0] == pytest.approx(conv, rel=1e-10)
 
     def test_conjugate_symmetric_data_is_real_at_t0(self):
         rng = np.random.default_rng(11)
@@ -135,9 +136,8 @@ class TestPartialSumDirect:
         coeffs.update(half)
         coeffs.update({-k: c.conjugate() for k, c in half.items()})
         f = FourierData.from_dict(1, coeffs)
-        for x in (0.1, 2.2, 5.5):
-            value = partial_sum_direct(f, 6, 0.0, [x])
-            assert abs(value.imag) <= 1e-10
+        values = partial_sum_direct(f, 6, 0.0, [[0.1], [2.2], [5.5]])
+        assert np.all(np.abs(values.imag) <= 1e-10)
 
     def test_plancherel_on_dft_grid_1d(self):
         rng = np.random.default_rng(23)
@@ -145,8 +145,8 @@ class TestPartialSumDirect:
         f = _random_data(rng, 1, n, 9)
         t = RationalTime(7)
         m = 2 * n + 1
-        grid = [TAU * i / m for i in range(m)]
-        mean_sq = np.mean([abs(partial_sum_direct(f, n, t, [x])) ** 2 for x in grid])
+        grid = [[TAU * i / m] for i in range(m)]
+        mean_sq = np.mean(np.abs(partial_sum_direct(f, n, t, grid)) ** 2)
         assert mean_sq == pytest.approx(float((np.abs(f.coeffs) ** 2).sum()), rel=1e-6)
 
     def test_plancherel_on_dft_grid_2d(self):
@@ -155,11 +155,8 @@ class TestPartialSumDirect:
         f = _random_data(rng, 2, n, 10)
         t = RationalTime(5)
         m = 2 * n + 1
-        total = 0.0
-        for i in range(m):
-            for j in range(m):
-                x = [TAU * i / m, TAU * j / m]
-                total += abs(partial_sum_direct(f, n, t, x)) ** 2
+        grid = [[TAU * i / m, TAU * j / m] for i in range(m) for j in range(m)]
+        total = (np.abs(partial_sum_direct(f, n, t, grid)) ** 2).sum()
         assert total / m**2 == pytest.approx(float((np.abs(f.coeffs) ** 2).sum()), rel=1e-6)
 
     def test_triangle_inequality_bound(self):
@@ -167,16 +164,123 @@ class TestPartialSumDirect:
         f = _random_data(rng, 1, 12, 15)
         bound = f.l1()
         for t in (0.0, 0.11, RationalTime(9)):
-            for x in (0.0, 1.0, 4.4):
-                assert abs(partial_sum_direct(f, 12, t, [x])) <= bound + 1e-12
+            values = partial_sum_direct(f, 12, t, [[0.0], [1.0], [4.4]])
+            assert np.all(np.abs(values) <= bound + 1e-12)
 
     def test_exact_reduction_matches_float_path(self):
         f = FourierData.from_dict(1, {k: 1.0 for k in range(3, 40)})
         t = RationalTime(12)
         x = SamplePoint((5,), 12, (1e-3,))
-        exact = partial_sum_direct(f, 64, t, x)
-        floaty = partial_sum_direct(f, 64, t.t, x.x)
+        exact = partial_sum_direct(f, 64, t, [x])[0]
+        floaty = partial_sum_direct(f, 64, t.t, [x.x])[0]
         assert exact == pytest.approx(floaty, rel=1e-9)
+
+
+def _reference_direct(f, n, t, x):
+    """S_N(t)f(x) at one point: a matrix product and a fresh array for each step."""
+    ks, coeffs = f.ks, f.coeffs
+    if f.bandwidth > n:
+        keep = (np.abs(ks) <= n).all(axis=1)
+        ks, coeffs = ks[keep], coeffs[keep]
+    if ks.shape[0] == 0:
+        return 0.0 + 0.0j
+    ksq = (ks * ks).sum(axis=1)
+    if isinstance(x, SamplePoint):
+        frac_x = ((ks @ np.asarray(x.p, dtype=np.int64)) % x.q) / x.q
+        frac_x = frac_x + ks @ np.asarray(x.eps, dtype=float)
+    else:
+        frac_x = (ks @ np.asarray(x, dtype=float)) / TAU
+    if isinstance(t, RationalTime):
+        frac_t = (ksq % t.q) / t.q
+    else:
+        frac_t = ksq * (float(t) / TAU)
+    return complex((coeffs * np.exp(2j * math.pi * (frac_x - frac_t))).sum())
+
+
+def _reference_values(f, n, t, xs):
+    return [_reference_direct(f, n, t, x) for x in xs]
+
+
+class TestBatchedDirect:
+    """One call per time equals one reference evaluation per point."""
+
+    def test_block_window_bit_for_bit(self):
+        params = CounterexampleParams(d=1, alpha=1.0, lam=16, delta=0.05, kappa=0.25)
+        j = 3
+        f = DirichletBlock(1, params.lam, j).to_fourier_data()
+        times = time_set(params, j)
+        assert len(times) > 1
+        for t in times:
+            xs = sample_points(params, j, t, 8, seed=t.q)
+            values = partial_sum_direct(f, params.lam**j, t, xs)
+            assert values.dtype == complex and values.shape == (8,)
+            assert values.tolist() == _reference_values(f, params.lam**j, t, xs)
+
+    def test_anchors_off_the_time_modulus_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        f = _random_data(rng, 1, 300, 200)
+        t = RationalTime(12)
+        xs = [SamplePoint((5,), 12, (1e-3,)), SamplePoint((3,), 7, (-2e-4,)),
+              SamplePoint((999,), 1000, (0.0,)), SamplePoint((1,), 3, (5e-5,)),
+              SamplePoint((40,), 96, (1e-6,))]
+        assert {x.q for x in xs} != {t.q}
+        values = partial_sum_direct(f, 300, t, xs)
+        assert values.tolist() == _reference_values(f, 300, t, xs)
+
+    def test_float_time_and_positions_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        f = _random_data(rng, 1, 500, 300)
+        xs = [[float(v)] for v in rng.uniform(0, TAU, 12)] + [np.array([2.5])]
+        for t in (0.0, 0.37, RationalTime(20).t):
+            values = partial_sum_direct(f, 500, t, xs)
+            assert values.tolist() == _reference_values(f, 500, t, xs)
+
+    def test_truncation_below_bandwidth_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        f = _random_data(rng, 1, 64, 80)
+        xs = [SamplePoint((int(p),), 32, (1e-4,)) for p in range(0, 32, 3)]
+        for n in (0, 5, 31):
+            assert f.bandwidth > n
+            values = partial_sum_direct(f, n, RationalTime(32), xs)
+            assert values.tolist() == _reference_values(f, n, RationalTime(32), xs)
+
+    def test_two_dimensions_within_rounding(self):
+        # k.x summed one coordinate at a time may round differently from a matmul
+        rng = np.random.default_rng(53)
+        f = _random_data(rng, 2, 200, 400)
+        xs = [SamplePoint((int(a), int(b)), 24, (float(e1), float(e2)))
+              for a, b, e1, e2 in zip(rng.integers(0, 24, 6), rng.integers(0, 24, 6),
+                                      rng.uniform(-1e-3, 1e-3, 6), rng.uniform(-1e-3, 1e-3, 6))]
+        xs += [list(rng.uniform(0, TAU, 2)) for _ in range(6)]
+        for t in (RationalTime(24), 0.29):
+            values = partial_sum_direct(f, 200, t, xs)
+            expected = np.array(_reference_values(f, 200, t, xs))
+            assert np.all(np.abs(values - expected) <= 1e-12 * f.l1())
+
+    def test_empty_support_gives_zeros(self):
+        xs = [SamplePoint((1,), 8, (0.0,)), [0.5]]
+        empty = FourierData.from_dict(1, {})
+        assert partial_sum_direct(empty, 10, RationalTime(8), xs).tolist() == [0j, 0j]
+        above = FourierData.from_dict(1, {7: 1.0})
+        assert partial_sum_direct(above, 5, RationalTime(8), xs).tolist() == [0j, 0j]
+
+    def test_no_points_gives_an_empty_array(self):
+        f = FourierData.from_dict(1, {3: 1.0})
+        values = partial_sum_direct(f, 5, RationalTime(8), [])
+        assert values.dtype == complex and values.shape == (0,)
+
+    def test_dimension_mismatch_rejected(self):
+        f = FourierData.from_dict(1, {3: 1.0})
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            partial_sum_direct(f, 5, 0.1, [[0.1], [0.2, 0.3]])
+
+    def test_guard_checks_the_largest_anchor(self):
+        top = FourierData(4, np.array([[FREQ_LIMIT] * 4]), np.array([1.0]))
+        xs = [SamplePoint((1,) * 4, 5, (0.0,) * 4), SamplePoint((2,) * 4, 9, (0.0,) * 4),
+              SamplePoint((1,) * 4, MODULUS_LIMIT, (0.0,) * 4)]
+        assert partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), xs[:-1]).shape == (2,)
+        with pytest.raises(ValueError, match="q=2147483648: d N\\^2 or d N q reaches 2\\^63"):
+            partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), xs)
 
 
 class TestFastEvolution:
@@ -194,7 +298,7 @@ class TestFastEvolution:
         t = RationalTime(16)
         x = SamplePoint((8,), 16, (0.003,))
         fast = evolve_rational_fast(block, t, x)
-        direct = partial_sum_direct(block.to_fourier_data(), 16**2, t, x)
+        direct = partial_sum_direct(block.to_fourier_data(), 16**2, t, [x])[0]
         assert abs(fast - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_random_sweep_matches_direct(self):
@@ -209,7 +313,7 @@ class TestFastEvolution:
             t = RationalTime(q)
             x = SamplePoint((p,), q, (eps,))
             fast = evolve_rational_fast(block, t, x)
-            direct = partial_sum_direct(block.to_fourier_data(), lam**j, t, x)
+            direct = partial_sum_direct(block.to_fourier_data(), lam**j, t, [x])[0]
             assert abs(fast - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_partial_block_truncations(self):
@@ -293,16 +397,16 @@ class TestInt64Contract:
         shifted = SamplePoint(tuple(v + q * m for v in p), q, eps)
         assert shifted.p == p
         t = RationalTime(t_q)
-        assert partial_sum_direct(f, FREQ_LIMIT, t, shifted) == partial_sum_direct(
-            f, FREQ_LIMIT, t, SamplePoint(p, q, eps)
-        )
+        assert partial_sum_direct(f, FREQ_LIMIT, t, [shifted])[0] == partial_sum_direct(
+            f, FREQ_LIMIT, t, [SamplePoint(p, q, eps)]
+        )[0]
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(anchored_inputs())
     def test_agrees_with_python_int_oracle_at_the_limits(self, case):
         d, ks, coeffs, t_q, p, q, eps = case
         f = FourierData(d, np.array(ks), np.array(coeffs))
-        value = partial_sum_direct(f, FREQ_LIMIT, RationalTime(t_q), SamplePoint(p, q, eps))
+        value = partial_sum_direct(f, FREQ_LIMIT, RationalTime(t_q), [SamplePoint(p, q, eps)])[0]
         expected = _python_int_sum(ks, coeffs, t_q, p, q, eps)
         assert abs(value - expected) <= 1e-9 * len(ks)
 
@@ -313,9 +417,9 @@ class TestInt64Contract:
         top = FourierData(4, np.array([[FREQ_LIMIT] * 4]), np.array([1.0]))
         x = SamplePoint((1,) * 4, MODULUS_LIMIT, (0.0,) * 4)
         with pytest.raises(ValueError, match="2\\^63"):
-            partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), x)
+            partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), [x])
         # truncation below the limit keeps the evaluation legal
-        assert partial_sum_direct(top, FREQ_LIMIT - 1, RationalTime(3), x) == 0
+        assert partial_sum_direct(top, FREQ_LIMIT - 1, RationalTime(3), [x])[0] == 0
 
 
 @pytest.mark.parametrize(
