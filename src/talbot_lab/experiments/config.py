@@ -212,17 +212,37 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
             raise ConfigError(
                 f"perturbed_q_min must be a multiple of 4 and at least 4, got {q_min}"
             )
+        if int(cfg["perturbed_q_max"]) < q_min:
+            raise ConfigError(
+                f"perturbed_q_max must be at least perturbed_q_min = {q_min},"
+                f" got {cfg['perturbed_q_max']}"
+            )
     if experiment in ("evolve", "claims"):
         if not 0 < float(cfg["kappa"]) < 1:
             raise ConfigError("kappa must lie in (0, 1)")
         if not 0 < Fraction(cfg["c1"]) < Fraction(cfg["c2"]) <= 1:
             raise ConfigError("need 0 < c1 < c2 <= 1")
+        if experiment == "evolve":
+            for name in ("j_max", "samples_per_q"):
+                if int(cfg[name]) < 1:
+                    raise ConfigError(f"{name} must be at least 1, got {cfg[name]}")
         lam = int(cfg["lam"])
         top = int(cfg["j_max"]) if experiment == "evolve" else max(cfg["j_list"]) + 2
         if lam**top > 2**30:
             raise ConfigError(
                 f"lam^{top} exceeds the 2^30 frequency limit; lower j_max/j_list or lam"
             )
+    if experiment == "maximal":
+        for sweep in ("conv", "l1", "lp", "sweep"):
+            lo, hi = int(cfg[f"{sweep}_exp_min"]), int(cfg[f"{sweep}_exp_max"])
+            if not 1 <= lo <= hi:
+                raise ConfigError(
+                    f"need 1 <= {sweep}_exp_min <= {sweep}_exp_max, got {lo} and {hi}"
+                )
+        if int(cfg["conv_exp_max"]) - int(cfg["conv_exp_min"]) < 2:
+            raise ConfigError("the convolution exponent fit needs at least 3 bandwidths")
+        if int(cfg["plan_grid"]) < 1:
+            raise ConfigError(f"plan_grid must be at least 1, got {cfg['plan_grid']}")
     if experiment == "dimension":
         for case in str(cfg["cov_cases"]).split(";"):
             parts = case.split(":")

@@ -17,6 +17,11 @@ from .schrodinger import TAU, FourierData, RationalTime, dirichlet_kernel_1d, so
 
 _ATOM_CAP = 1 << 22
 
+# Complex entries in one atom block's exponential in the dense maximal
+# evaluators: 2^16 entries are 1 MiB, so a block stays in a 2 MiB per-core
+# L2 cache while every time (or truncation) reuses it.
+_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -184,39 +189,48 @@ def frostman_constant(
     return FrostmanEstimate(best, radii, best_arg)
 
 
-def dirichlet_abs_max_envelope(n: int, x: np.ndarray) -> np.ndarray:
+def dirichlet_abs_max_envelope(n: int, x: np.ndarray, plain: np.ndarray) -> np.ndarray:
     """Tight upper envelope of sup over M <= N of |d_M(x)|.
 
     Uses min(2N+1, 1/|sin(x/2)|), which dominates every |d_M| and matches
-    the true supremum up to a bounded factor; combined with |d_N| itself so
-    the maximal variant dominates the plain kernel pointwise.
+    the true supremum up to a bounded factor; combined with plain = |d_N(x)|,
+    which the caller already holds, so the maximal variant dominates the
+    plain kernel pointwise.
     """
     s = np.abs(np.sin(np.asarray(x, dtype=float) / 2.0))
     cap = float(2 * n + 1)
     with np.errstate(divide="ignore"):
         env = np.where(s > 1.0 / cap, 1.0 / np.maximum(s, 1e-300), cap)
     env = np.minimum(env, cap)
-    plain = np.abs(dirichlet_kernel_1d(n, x))
     return np.maximum(env, plain)
 
 
-def convolve_dirichlet_sup(mu: AtomicMeasure, n: int, x_grid: int) -> float:
-    """Max over the grid 2 pi i / m, i = 0..m-1 with m = x_grid, of the sum
-    over atoms of mass * |D_N(x - y)|, computed by a circular FFT.
+def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) -> list[float]:
+    """For each N in ns, the max over the grid 2 pi i / m, i = 0..m-1 with
+    m = x_grid, of the sum over atoms of mass * |D_N(x - y)|, computed by a
+    circular FFT.
 
     One-dimensional only, and every atom must sit on the grid; otherwise
-    ValueError.  The grid must resolve the kernel oscillation: spacing
-    2 pi / m <= 1/(10 N).
+    ValueError.  The grid must resolve the kernel oscillation of every N:
+    spacing 2 pi / m <= 1/(10 N).  All of this is checked before any FFT,
+    so a bad N anywhere in ns returns nothing.  The weight spectrum and the
+    grid are built once and shared by every N.
     """
+    ns = [int(n) for n in ns]
+    if not ns:
+        raise ValueError("need at least one bandwidth")
     if mu.d != 1:
         raise ValueError("grid convolution is implemented for d = 1")
     m = int(x_grid)
     if m < 2:
         raise ValueError("grid must contain at least two points")
-    if TAU / m > 1.0 / (10.0 * n):
-        raise ValueError(
-            f"grid spacing {TAU / m:.3g} under-resolves the kernel scale 1/(10N)={1/(10*n):.3g}"
-        )
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"bandwidth must be >= 1, got {n}")
+        if TAU / m > 1.0 / (10.0 * n):
+            raise ValueError(
+                f"grid spacing {TAU / m:.3g} under-resolves the kernel scale 1/(10N)={1/(10*n):.3g}"
+            )
     pos = mu.positions[:, 0]
     # an atom just below 2 pi rounds to point m, which is point 0
     idx = np.rint(pos / TAU * m).astype(np.int64)
@@ -225,33 +239,39 @@ def convolve_dirichlet_sup(mu: AtomicMeasure, n: int, x_grid: int) -> float:
     idx %= m
     weights = np.zeros(m)
     np.add.at(weights, idx, mu.masses)
-    kern = np.abs(dirichlet_kernel_1d(n, TAU * np.arange(m) / m))
-    conv = np.fft.ifft(np.fft.fft(weights) * np.fft.fft(kern)).real
-    return float(conv.max())
+    spectrum = np.fft.fft(weights)
+    x = TAU * np.arange(m) / m
+    out = []
+    for n in ns:
+        kern = np.abs(dirichlet_kernel_1d(n, x))
+        out.append(float(np.fft.ifft(spectrum * np.fft.fft(kern)).real.max()))
+    return out
 
 
-def dirichlet_l1(n: int, maximal: bool = False, d: int = 1, num_points: int | None = None) -> float:
-    """Quadrature of the torus integral of |D_N| (or its maximal envelope).
+def dirichlet_l1(n: int, d: int = 1, num_points: int | None = None) -> tuple[float, float]:
+    """Quadratures of the torus integrals of |D_N| and of its maximal
+    envelope, as (plain, maximal).
 
     Composite Simpson on a uniform grid that oversamples the kernel
-    oscillation by a factor ~20; both variants share the same grid, so the
-    maximal value dominates the plain one exactly.  The d-dimensional value
-    is the 1-d integral raised to the d-th power.  Accuracy is limited by
-    the kernel's |.| kinks: against an 8x refined grid the default stays
-    within 2e-4 relative across N <= 2^16 (documented error control);
-    raise num_points where more is needed.
+    oscillation by a factor ~20; both share the same grid and the same
+    |D_N| values, so the maximal value dominates the plain one exactly.
+    The d-dimensional values are the 1-d integrals raised to the d-th
+    power.  Accuracy is limited by the kernel's |.| kinks: against an 8x
+    refined grid the default stays within 2e-4 relative across N <= 2^16
+    (documented error control); raise num_points where more is needed.
     """
     if n < 1:
         raise ValueError(f"bandwidth must be >= 1, got {n}")
     m = num_points if num_points is not None else max(40 * n, 2000)
     m += m % 2  # Simpson needs an even interval count
     x = TAU * np.arange(m + 1) / m
-    f = dirichlet_abs_max_envelope(n, x) if maximal else np.abs(dirichlet_kernel_1d(n, x))
+    plain = np.abs(dirichlet_kernel_1d(n, x))
+    maxi = dirichlet_abs_max_envelope(n, x, plain)
     w = np.ones(m + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    val = float((w * f).sum() * (TAU / m) / 3.0)
-    return val**d
+    plain_l1, max_l1 = (float((w * f).sum() * (TAU / m) / 3.0) ** d for f in (plain, maxi))
+    return plain_l1, max_l1
 
 
 @dataclass(frozen=True)
@@ -272,18 +292,29 @@ class TimeSamplingPlan:
         return out
 
 
+def _block_rows(nk: int) -> int:
+    """Atoms per block for an exponential with nk columns (at least one)."""
+    return max(1, _BLOCK_ENTRIES // max(nk, 1))
+
+
 def _maximal_values_at_atoms(f: FourierData, mu: AtomicMeasure, times: Sequence[float]) -> np.ndarray:
-    """max over times of |S_N(t)f| at every atom, N = bandwidth of f."""
+    """max over times of |S_N(t)f| at every atom, N = bandwidth of f.
+
+    The time-phased coefficient vectors are built once; the atoms go in
+    blocks of _block_rows, and each block's exponential meets every time.
+    A row's GEMV result does not depend on the block's row count.
+    """
     ks, coeffs = f.ks, f.coeffs
     ksq = (ks * ks).sum(axis=1).astype(float)
+    kf = ks.T.astype(float)
+    phased = [coeffs * np.exp(-1j * ksq * t) for t in times]
     best = np.zeros(mu.n_atoms)
-    chunk = max(1, (1 << 23) // max(ks.shape[0], 1))
-    for start in range(0, mu.n_atoms, chunk):
-        pos = mu.positions[start : start + chunk]
-        ex = np.exp(1j * (pos @ ks.T.astype(float)))  # (chunk, nk) once
-        for t in times:
-            vals = np.abs(ex @ (coeffs * np.exp(-1j * ksq * t)))
-            np.maximum(best[start : start + chunk], vals, out=best[start : start + chunk])
+    rows = _block_rows(ks.shape[0])
+    for start in range(0, mu.n_atoms, rows):
+        ex = np.exp(1j * (mu.positions[start : start + rows] @ kf))
+        out = best[start : start + rows]
+        for v in phased:
+            np.maximum(out, np.abs(ex @ v), out=out)
     return best
 
 
@@ -348,7 +379,8 @@ def carleson_l2_ratio(
     Returns ||max over M in the set, M <= N of |S_M(t)f| ||_{L^2(d mu)}
     divided by sqrt(c_alpha) * N^((d-alpha)/2 + eps) * ||f||_2 at a fixed
     sampled time.  Rejects alpha <= d - 2s, where the weighted problem is
-    ill posed.
+    ill posed.  The atoms go in blocks of _block_rows; each block's
+    full-band exponential serves every truncation.
     """
     d = f.d
     if not 0 < s <= d / 2:
@@ -361,17 +393,21 @@ def carleson_l2_ratio(
     truncs = sorted({int(m) for m in n_trunc_set if int(m) <= n})
     if not truncs:
         raise ValueError("no truncation levels at or below the bandwidth")
+    ks, coeffs = f.ks, f.coeffs
+    keeps = [keep for keep in ((np.abs(ks) <= m).all(axis=1) for m in truncs) if keep.any()]
+    kept_coeffs = [coeffs[keep] for keep in keeps]
+    kf = ks.T.astype(float)
+    ksq = (ks * ks).sum(axis=1).astype(float)
+    tt = t.t if isinstance(t, RationalTime) else float(t)
     best = np.zeros(mu.n_atoms)
-    for m in truncs:
-        ks, coeffs = f.ks, f.coeffs
-        keep = (np.abs(ks) <= m).all(axis=1)
-        ks, coeffs = ks[keep], coeffs[keep]
-        if ks.shape[0] == 0:
-            continue
-        ksq = (ks * ks).sum(axis=1).astype(float)
-        tt = t.t if isinstance(t, RationalTime) else float(t)
-        vals = np.abs(np.exp(1j * (mu.positions @ ks.T.astype(float) - ksq[None, :] * tt)) @ coeffs)
-        np.maximum(best, vals, out=best)
+    rows = _block_rows(ks.shape[0])
+    for start in range(0, mu.n_atoms, rows):
+        ex = np.exp(1j * (mu.positions[start : start + rows] @ kf - ksq[None, :] * tt))
+        out = best[start : start + rows]
+        for keep, c in zip(keeps, kept_coeffs):
+            # compress, not ex[:, keep]: the mask index returns an F-ordered copy, and
+            # BLAS then runs the transposed GEMV, which moves the low bits
+            np.maximum(out, np.abs(np.compress(keep, ex, axis=1) @ c), out=out)
     num = float(np.sqrt((mu.masses * best**2).sum()))
     den = (
         math.sqrt(frostman_constant(mu, alpha, radii).value)

@@ -119,6 +119,29 @@ class TestCliContract:
         assert not (out / "report.json").exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [
+            ("maximal", "l1_exp_min = 0\n"),
+            ("maximal", "conv_exp_min = 0\nconv_exp_max = 4\n"),
+            ("maximal", "lp_exp_min = 6\nlp_exp_max = 5\n"),
+            ("maximal", "sweep_exp_min = 7\nsweep_exp_max = 6\n"),
+            ("maximal", "conv_exp_min = 6\nconv_exp_max = 7\n"),
+            ("maximal", "plan_grid = 0\n"),
+            ("evolve", "samples_per_q = 0\n"),
+            ("evolve", "j_max = 0\n"),
+            ("gauss", "q_max = 60\nabel_instances = 50\nperturbed_q_min = 64\nperturbed_q_max = 32\n"),
+        ],
+    )
+    def test_empty_or_degenerate_sweep_exits_two_without_report(
+        self, tmp_path, capsys, experiment, text
+    ):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_failing_check_exits_one_with_report(self, tmp_path):
         cfg = write_cfg(tmp_path, "q_max = 60\nabel_instances = 50\nperturbed_q_max = 32\ntol = 1e-30\n")
         out = tmp_path / "o"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from talbot_lab.measures import (
+    DEFAULT_FROSTMAN_RADII,
     AtomicMeasure,
     TimeSamplingPlan,
     cantor_measure,
@@ -93,15 +94,15 @@ class TestConvolution:
     def test_point_mass_attains_kernel_peak(self):
         mu = AtomicMeasure(1, np.array([[0.0]]), np.array([1.0]), 0.0)
         n = 32
-        assert convolve_dirichlet_sup(mu, n, 64 * n) == pytest.approx(2 * n + 1, rel=1e-12)
+        assert convolve_dirichlet_sup(mu, [n], 64 * n)[0] == pytest.approx(2 * n + 1, rel=1e-12)
 
     def test_uniform_matches_kernel_integral(self):
         # for the uniform measure the convolution is constant in x and
         # equals the normalized kernel integral; quadrature is the oracle
         n = 64
         mu = uniform_measure(1 << 12)
-        value = convolve_dirichlet_sup(mu, n, 1 << 12)
-        oracle = dirichlet_l1(n) / TAU
+        [value] = convolve_dirichlet_sup(mu, [n], 1 << 12)
+        oracle = dirichlet_l1(n)[0] / TAU
         assert value == pytest.approx(oracle, rel=0.02)
 
     def test_uniform_log_growth_band(self):
@@ -110,61 +111,63 @@ class TestConvolution:
         for e in range(8, 15):
             n = 2**e
             m = 1 << max(int(math.ceil(math.log2(63 * n))), 16)
-            vals.append(convolve_dirichlet_sup(mu, n, m) / math.log(n))
+            vals.append(convolve_dirichlet_sup(mu, [n], m)[0] / math.log(n))
         geo = float(np.exp(np.mean(np.log(vals))))
         assert max(vals) / geo <= 1.2 and geo / min(vals) <= 1.2
 
     def test_envelope_dominates_every_truncation(self):
         xs = np.linspace(1e-4, math.pi, 400)
         n = 40
-        env = dirichlet_abs_max_envelope(n, xs)
+        env = dirichlet_abs_max_envelope(n, xs, np.abs(dirichlet_kernel_1d(n, xs)))
         for m in (1, 5, 17, 40):
             assert np.all(env >= np.abs(dirichlet_kernel_1d(m, xs)) - 1e-9)
 
     def test_under_resolved_grid_rejected(self):
         mu = cantor_measure(1, 1 / 3, 4)
         with pytest.raises(ValueError, match="resolve"):
-            convolve_dirichlet_sup(mu, 512, 128)
+            convolve_dirichlet_sup(mu, [512], 128)
 
     def test_atom_just_below_two_pi_sits_on_grid_point_zero(self):
         mu = AtomicMeasure(1, np.array([[-1e-13]]), np.array([1.0]), 0.0)
         n = 8
-        assert convolve_dirichlet_sup(mu, n, 1024) == pytest.approx(2 * n + 1, rel=1e-12)
+        assert convolve_dirichlet_sup(mu, [n], 1024)[0] == pytest.approx(2 * n + 1, rel=1e-12)
 
     def test_off_grid_atom_rejected(self):
         # the level-4 Cantor atoms sit at odd multiples of pi / 81, off a 2^12 grid
         mu = cantor_measure(1, 1 / 3, 4)
         with pytest.raises(ValueError, match="off the 4096-point grid"):
-            convolve_dirichlet_sup(mu, 32, 1 << 12)
+            convolve_dirichlet_sup(mu, [32], 1 << 12)
 
     def test_growth_exponent_short_sweep(self):
         mu = cantor_measure(1, 1 / 3, 10)
         grid = 2 * 3**10
-        pts = [(float(2**e), convolve_dirichlet_sup(mu, 2**e, grid)) for e in range(6, 11)]
+        ns = [2**e for e in range(6, 11)]
+        pts = [(float(n), v) for n, v in zip(ns, convolve_dirichlet_sup(mu, ns, grid))]
         fit = exponent_fit(pts)
         assert fit.slope == pytest.approx(1 - math.log(2) / math.log(3), abs=0.15)
 
 
 class TestKernelIntegral:
     def test_bandwidth_one_analytic(self):
-        assert dirichlet_l1(1) == pytest.approx(2 * math.pi / 3 + 4 * math.sqrt(3), rel=1e-6)
+        assert dirichlet_l1(1)[0] == pytest.approx(2 * math.pi / 3 + 4 * math.sqrt(3), rel=1e-6)
 
     def test_product_power(self):
-        base = dirichlet_l1(5)
-        assert dirichlet_l1(5, d=2) == pytest.approx(base**2, rel=1e-12)
+        base = dirichlet_l1(5)[0]
+        assert dirichlet_l1(5, d=2)[0] == pytest.approx(base**2, rel=1e-12)
 
     def test_maximal_dominates(self):
         for n in (1, 4, 64, 512):
-            assert dirichlet_l1(n, maximal=True) >= dirichlet_l1(n)
+            plain, maxi = dirichlet_l1(n)
+            assert maxi >= plain
 
     def test_quadrature_is_converged(self):
         for n in (3, 37, 256):
-            coarse = dirichlet_l1(n)
-            fine = dirichlet_l1(n, num_points=max(320 * n, 32000))
+            coarse = dirichlet_l1(n)[0]
+            fine = dirichlet_l1(n, num_points=max(320 * n, 32000))[0]
             assert coarse == pytest.approx(fine, rel=2e-4 * 1.5)
 
     def test_log_band(self):
-        vals = [dirichlet_l1(2**e) / (e * math.log(2)) for e in range(4, 13)]
+        vals = [dirichlet_l1(2**e)[0] / (e * math.log(2)) for e in range(4, 13)]
         assert max(vals) / min(vals) <= 2.0
 
 
@@ -313,3 +316,152 @@ class TestExponentFit:
             exponent_fit([(2, 4.0), (4, 16.0)])
         with pytest.raises(ValueError):
             exponent_fit([(2, 4.0), (4, -1.0), (8, 64.0)])
+
+
+# Test-local copies of the per-call formulas that the shared kernels replaced:
+# every value must come out with the same bits.
+
+
+def _convolve_reference(mu, n, m):
+    pos = mu.positions[:, 0]
+    idx = np.rint(pos / TAU * m).astype(np.int64) % m
+    weights = np.zeros(m)
+    np.add.at(weights, idx, mu.masses)
+    kern = np.abs(dirichlet_kernel_1d(n, TAU * np.arange(m) / m))
+    return float(np.fft.ifft(np.fft.fft(weights) * np.fft.fft(kern)).real.max())
+
+
+def _dirichlet_l1_reference(n, maximal, num_points=None):
+    m = num_points if num_points is not None else max(40 * n, 2000)
+    m += m % 2
+    x = TAU * np.arange(m + 1) / m
+    f = np.abs(dirichlet_kernel_1d(n, x))
+    if maximal:
+        s = np.abs(np.sin(x / 2.0))
+        cap = float(2 * n + 1)
+        with np.errstate(divide="ignore"):
+            env = np.where(s > 1.0 / cap, 1.0 / np.maximum(s, 1e-300), cap)
+        f = np.maximum(np.minimum(env, cap), f)
+    w = np.ones(m + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return float((w * f).sum() * (TAU / m) / 3.0)
+
+
+def _maximal_values_reference(f, mu, times):
+    ks, coeffs = f.ks, f.coeffs
+    ksq = (ks * ks).sum(axis=1).astype(float)
+    best = np.zeros(mu.n_atoms)
+    chunk = max(1, (1 << 23) // max(ks.shape[0], 1))
+    for start in range(0, mu.n_atoms, chunk):
+        ex = np.exp(1j * (mu.positions[start : start + chunk] @ ks.T.astype(float)))
+        for t in times:
+            vals = np.abs(ex @ (coeffs * np.exp(-1j * ksq * t)))
+            np.maximum(best[start : start + chunk], vals, out=best[start : start + chunk])
+    return best
+
+
+def _carleson_reference(f, mu, s, alpha, n_trunc_set, t, eps=0.05):
+    d = f.d
+    n = f.bandwidth
+    truncs = sorted({int(m) for m in n_trunc_set if int(m) <= n})
+    best = np.zeros(mu.n_atoms)
+    for m in truncs:
+        keep = (np.abs(f.ks) <= m).all(axis=1)
+        ks, coeffs = f.ks[keep], f.coeffs[keep]
+        if ks.shape[0] == 0:
+            continue
+        ksq = (ks * ks).sum(axis=1).astype(float)
+        vals = np.abs(np.exp(1j * (mu.positions @ ks.T.astype(float) - ksq[None, :] * t.t)) @ coeffs)
+        np.maximum(best, vals, out=best)
+    num = float(np.sqrt((mu.masses * best**2).sum()))
+    den = (
+        math.sqrt(frostman_constant(mu, alpha, DEFAULT_FROSTMAN_RADII).value)
+        * n ** ((d - alpha) / 2.0 + eps)
+        * f.l2()
+    )
+    return num / den
+
+
+def _random_datum(rng, d, bandwidth, nnz):
+    grid = np.stack(np.meshgrid(*[np.arange(-bandwidth, bandwidth + 1)] * d, indexing="ij"), -1)
+    lattice = grid.reshape(-1, d)
+    ks = lattice[rng.choice(lattice.shape[0], size=nnz, replace=False)]
+    coeffs = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    return FourierData(d, ks, coeffs)
+
+
+class TestSharedKernelsKeepEveryBit:
+    @pytest.mark.parametrize("nnz", [1, 33, 1025])
+    def test_blocked_maximal_values(self, nnz):
+        from talbot_lab.measures import _block_rows, _maximal_values_at_atoms
+
+        rng = np.random.default_rng(nnz)
+        rows = _block_rows(nnz)
+        n_atoms = 2 * rows + 7  # two full blocks and a ragged one
+        mu = AtomicMeasure(1, rng.uniform(0, TAU, n_atoms), np.full(n_atoms, 1.0 / n_atoms), 0.5)
+        f = _random_datum(rng, 1, 600, nnz)
+        times = TimeSamplingPlan(q_max=16, grid=8).times()
+        got = _maximal_values_at_atoms(f, mu, times)
+        assert np.array_equal(got, _maximal_values_reference(f, mu, times))
+
+    def test_carleson_shuffled_frequencies(self):
+        rng = np.random.default_rng(5)
+        mu = cantor_measure(1, 1 / 3, 10)
+        f = dirichlet_datum(64)
+        order = rng.permutation(f.nnz)
+        f = FourierData(1, f.ks[order], f.coeffs[order] * (1 + 0.5j * rng.standard_normal(f.nnz)))
+        truncs = [2**i for i in range(1, 7)]
+        got = carleson_l2_ratio(f, mu, 0.3, mu.alpha, truncs, RationalTime(8))
+        assert got == _carleson_reference(f, mu, 0.3, mu.alpha, truncs, RationalTime(8))
+
+    def test_carleson_smallest_level_keeps_nothing(self):
+        ks = np.array([k for k in range(-40, 41) if abs(k) >= 3]).reshape(-1, 1)
+        f = FourierData(1, ks, np.ones(ks.shape[0], dtype=complex))
+        mu = cantor_measure(1, 1 / 3, 9)
+        truncs = [1, 2, 8, 40]
+        got = carleson_l2_ratio(f, mu, 0.3, mu.alpha, truncs, RationalTime(4))
+        assert got == _carleson_reference(f, mu, 0.3, mu.alpha, truncs, RationalTime(4))
+
+    def test_carleson_two_dimensional(self):
+        # 81 frequencies and 1024 atoms: more than one atom block
+        rng = np.random.default_rng(7)
+        mu = cantor_measure(2, 1 / 3, 5)
+        f = _random_datum(rng, 2, 4, 81)
+        truncs = [1, 2, 4]
+        got = carleson_l2_ratio(f, mu, 0.5, mu.alpha, truncs, RationalTime(8))
+        assert got == _carleson_reference(f, mu, 0.5, mu.alpha, truncs, RationalTime(8))
+
+    def test_convolution_list_matches_per_n(self):
+        mu = cantor_measure(1, 1 / 3, 8)
+        grid = 2 * 3**8
+        ns = [64, 32, 64, 128]
+        got = convolve_dirichlet_sup(mu, ns, grid)
+        assert got == [_convolve_reference(mu, n, grid) for n in ns]
+
+    @pytest.mark.parametrize("n, num_points", [(1, None), (4, None), (64, None), (512, None), (37, 3001)])
+    def test_dirichlet_l1_pair(self, n, num_points):
+        assert dirichlet_l1(n, num_points=num_points) == (
+            _dirichlet_l1_reference(n, False, num_points),
+            _dirichlet_l1_reference(n, True, num_points),
+        )
+
+
+class TestConvolutionValidatesFirst:
+    def test_last_bandwidth_under_resolving_raises_before_any_fft(self, monkeypatch):
+        ffts = []
+        real_fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: ffts.append(1) or real_fft(*a, **k))
+        mu = cantor_measure(1, 1 / 3, 6)
+        grid = 2 * 3**6  # resolves N = 4 and 8, not 512
+        with pytest.raises(ValueError, match="resolve"):
+            convolve_dirichlet_sup(mu, [4, 8, 512], grid)
+        assert ffts == []
+        assert len(convolve_dirichlet_sup(mu, [4, 8], grid)) == 2
+
+    def test_empty_bandwidth_list_rejected(self):
+        mu = cantor_measure(1, 1 / 3, 4)
+        with pytest.raises(ValueError, match="at least one bandwidth"):
+            convolve_dirichlet_sup(mu, [], 2 * 3**4)
+        with pytest.raises(ValueError, match="bandwidth must be >= 1"):
+            convolve_dirichlet_sup(mu, [2, 0], 2 * 3**4)
