@@ -125,12 +125,13 @@ def covering_exponent(counts: Sequence[tuple[int, int]], lam: int) -> tuple[floa
     return fit.slope, fit.residual
 
 
-def _to_fraction_power(q: int, tau) -> Fraction:
-    """1/q^tau as an exact Fraction; tau must be an integer (2 and 2.0 both are)."""
+def _tau_exponent(tau) -> int:
+    """tau as the integer exponent t of the exact radius 1/q^t; tau must be
+    an integer (2 and 2.0 both are)."""
     exponent = Fraction(tau)
     if exponent.denominator != 1:
         raise ValueError(f"tau = {tau!r} is not an integer; 1/q^tau has no exact Fraction")
-    return Fraction(1, q ** exponent.numerator)
+    return exponent.numerator
 
 
 def _scan_kind(lo: Fraction, hi: Fraction, q_hi: int) -> str:
@@ -351,7 +352,8 @@ def separated_cubes(
 ) -> CubeFamily:
     """Greedy separated family of balls B(p/q, 1/q^tau) inside the interval c.
 
-    One-dimensional only: a cube with d >= 2 raises ValueError.  Anchors
+    One-dimensional only: a cube with d >= 2 raises ValueError, and so
+    does a non-integer tau, before any scan.  Anchors
     have q in [n/beta, n], sit at distance > (beta/n)^2 from the complement
     of c, and are pairwise further than 3 (beta/n)^2 apart; the cubes
     themselves are then separated by at least n^-2.  Greedy order is
@@ -383,6 +385,7 @@ def separated_cubes(
     meta["store"] ("dense" or "sparse") record the path that ran.
     """
     _require_1d(c.d)
+    t = _tau_exponent(tau)
     beta = Fraction(beta)
     if beta <= 1:
         raise ValueError("beta must exceed 1")
@@ -402,7 +405,7 @@ def separated_cubes(
     accepted, path = _pack_1d(lo_b, hi_b, gap, q_lo, q_hi, max_cubes)
     cubes = []
     for p, q in accepted:
-        r = _to_fraction_power(q, tau)
+        r = Fraction(1, q**t)
         cubes.append(Cube(p, q, -r, r))
     return CubeFamily(
         level=0,
@@ -483,24 +486,33 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
 
 
 def audit_separated_maximal(c: Cube, n: int, tau, beta, family: CubeFamily) -> None:
-    """Rescan every admissible anchor; each must clash with an accepted one.
-    Only meaningful for families built without max_cubes."""
+    """Rescan every admissible anchor; each must clash with an accepted one
+    (an accepted anchor clashes with itself).  Only meaningful for families
+    built without max_cubes; raises ValueError for d >= 2.
+
+    Accepted anchors are filed under the packer's exact slot
+    floor((p/q - lo_b) / gap).  An anchor within gap of a candidate sits in
+    the candidate's slot or one beside it, so the audit is linear in the
+    candidates.
+    """
+    _require_1d(c.d)
     margin: Fraction = family.meta["margin"]
     gap: Fraction = family.meta["anchor_gap"]
-    accepted = {(cube.p, cube.q) for cube in family}
-    d = c.d
     q_lo = int(math.ceil(n / float(beta) - 1e-9))
-    lo_b = [c.lo_corner(i) + margin for i in range(d)]
-    hi_b = [c.hi_corner(i) - margin for i in range(d)]
-    if d != 1:
-        raise NotImplementedError("maximality audit implemented for d = 1")
-    for q, p0, p1 in _candidate_scan_1d(lo_b[0], hi_b[0], q_lo, n):
+    lo_b = c.lo_corner(0) + margin
+    hi_b = c.hi_corner(0) - margin
+    a, b, g, h = lo_b.numerator, lo_b.denominator, gap.numerator, gap.denominator
+    store: dict[int, list[tuple[int, int]]] = {}
+    for cube in family:
+        p, q = cube.p[0], cube.q
+        store.setdefault((p * b - a * q) * h // (q * b * g), []).append((p, q))
+    for q, p0, p1 in _candidate_scan_1d(lo_b, hi_b, q_lo, n):
         for p in range(p0, p1 + 1):
-            if ((p,), q) in accepted:
-                continue
+            s = (p * b - a * q) * h // (q * b * g)
             clash = any(
-                abs(p * cq - cp[0] * q) * gap.denominator <= gap.numerator * q * cq
-                for cp, cq in accepted
+                abs(p * q2 - p2 * q) * h <= g * q * q2
+                for key in (s - 1, s, s + 1)
+                for p2, q2 in store.get(key, ())
             )
             if not clash:
                 raise AssertionError(f"family is not maximal: {p}/{q} could be added")
@@ -563,9 +575,12 @@ def build_nested_levels(
     eps_(k-1)); both are realized by the greedy runs.  Expansion to the next
     level proceeds under `retain` children per parent, spread across the
     parent, so the stored families stay small while the per-parent counts
-    are certified wherever the construction actually descends.
+    are certified wherever the construction actually descends.  Twins are
+    ordered and their gaps measured in integers (_twin_order); only the
+    retained ones become Cubes.
     """
     _require_1d(d)
+    t = _tau_exponent(tau)
     if growth is None:
         growth = default_growth_rule
     if e0 is None:
@@ -592,18 +607,15 @@ def build_nested_levels(
                     f"children; the growth condition on n_k is violated (m_k >= 2 fails)"
                 )
             m_k = len(fam) if m_k is None else min(m_k, len(fam))
-            twins = [
-                Cube(b.p, b.q, c1 * _to_fraction_power(b.q, tau),
-                     c2 * _to_fraction_power(b.q, tau))
-                for b in fam
-            ]
-            twins.sort(key=lambda cube: cube.lo_corner(0))
-            found_gap = _min_gap(twins)
+            order, found_gap = _twin_order([(b.p[0], b.q) for b in fam], t, c1, c2)
             gap_k = found_gap if gap_k is None else min(gap_k, found_gap)
-            if len(twins) > retain:
-                idx = np.linspace(0, len(twins) - 1, retain).round().astype(int)
-                twins = [twins[i] for i in sorted(set(int(v) for v in idx))]
-            level_cubes.extend(twins)
+            if len(order) > retain:
+                idx = np.linspace(0, len(order) - 1, retain).round().astype(int)
+                order = [order[i] for i in sorted(set(int(v) for v in idx))]
+            for i in order:
+                child = fam.cubes[i]
+                q_t = child.q**t
+                level_cubes.append(Cube(child.p, child.q, c1 / q_t, c2 / q_t))
         guaranteed = float(n_k) ** -2.0
         e_k = min(gap_k, eps[-1] * (1 - 1e-12)) if eps else gap_k
         families.append(
@@ -623,24 +635,66 @@ def build_nested_levels(
     return families, plan
 
 
-def _min_gap(cubes: Sequence[Cube]) -> float:
-    """Smallest gap between neighbouring 1-D cubes, given sorted by lo corner."""
-    if len(cubes) < 2:
-        raise ValueError("need at least two cubes for a separation")
-    return float(min(b.lo_corner(0) - a.hi_corner(0) for a, b in zip(cubes, cubes[1:])))
+def _twin_order(
+    anchors: Sequence[tuple[int, int]], t: int, c1: Fraction, c2: Fraction
+) -> tuple[list[int], float]:
+    """Indices of the 1-D twins p/q + [c1/q^t, c2/q^t] of at least two
+    anchors (p, q), stably sorted by lo corner, and the smallest gap
+    between neighbours in that order (negative if two overlap).
+
+    Both corners of a twin share the denominator D = b q^(t+1), with b the
+    common denominator of c1 and c2: they are (p b q^t + a q)/D for c = a/b.
+    The sort key floor(lo 2^s), with 2^s >= D_max^2, is strictly monotone
+    on distinct corners and ties equal ones, so the order is the stable
+    sort by the exact rational.  The minimum gap is picked by
+    cross-multiplication and rounded once by int/int true division, which
+    is correctly rounded, as float() of the exact Fraction is.
+    """
+    b = math.lcm(c1.denominator, c2.denominator)
+    a1, a2 = c1.numerator * (b // c1.denominator), c2.numerator * (b // c2.denominator)
+    los, his, dens = [], [], []
+    for p, q in anchors:
+        bq_t = b * q**t
+        los.append(p * bq_t + a1 * q)
+        his.append(p * bq_t + a2 * q)
+        dens.append(bq_t * q)
+    shift = 2 * max(dens).bit_length()
+    order = sorted(range(len(anchors)), key=lambda i: (los[i] << shift) // dens[i])
+    # gap lo_j - hi_i over D_i D_j, for each neighbour pair i, j
+    best_num, best_den = None, 1
+    for i, j in zip(order, order[1:]):
+        num, den = los[j] * dens[i] - his[i] * dens[j], dens[i] * dens[j]
+        if best_num is None or num * best_den < best_num * den:
+            best_num, best_den = num, den
+    return order, best_num / best_den
+
+
+def _integer_corners(cube: Cube) -> list[tuple[int, int, int, int]]:
+    """Per coordinate, the corners p_i/q + lo and p_i/q + hi of the cube as
+    integer pairs (lo_num, lo_den, hi_num, hi_den), denominators > 0."""
+    lo_n, lo_d, hi_n, hi_d = (
+        cube.lo.numerator, cube.lo.denominator, cube.hi.numerator, cube.hi.denominator
+    )
+    q = cube.q
+    return [(p * lo_d + lo_n * q, q * lo_d, p * hi_d + hi_n * q, q * hi_d) for p in cube.p]
 
 
 def audit_nesting(parents: CubeFamily, children: CubeFamily) -> None:
-    """Every child cube must sit inside exactly one parent cube."""
+    """Every child cube must sit inside exactly one parent cube.
+
+    Corners are integer pairs, computed once per cube, and each
+    containment test is two cross-multiplications per coordinate.
+    """
+    boxes = [_integer_corners(parent) for parent in parents]
     for child in children:
-        owners = 0
-        for parent in parents:
-            inside = all(
-                parent.lo_corner(i) <= child.lo_corner(i)
-                and child.hi_corner(i) <= parent.hi_corner(i)
-                for i in range(child.d)
+        inner = _integer_corners(child)
+        owners = sum(
+            all(
+                plo * clo_d <= clo * plo_d and chi * phi_d <= phi * chi_d
+                for (plo, plo_d, phi, phi_d), (clo, clo_d, chi, chi_d) in zip(box, inner)
             )
-            owners += inside
+            for box in boxes
+        )
         if owners != 1:
             raise AssertionError(
                 f"child {child.p}/{child.q} contained in {owners} parents"
@@ -677,8 +731,9 @@ def idealized_plan(d: int, lam: int, tau: float, levels: int) -> CantorPlan:
 def level_volume_lower_bound(params: CounterexampleParams, j: int, cap: int = 1 << 20) -> float:
     """Lower bound for the Lebesgue measure of the level-j cube family at alpha = d = 1.
 
-    Counts pairwise-disjoint intervals by exact interval arithmetic and
-    multiplies by the exact interval length (cycle units).
+    Counts pairwise-disjoint intervals, deciding each by integer
+    cross-multiplication, and multiplies by the exact interval length
+    (cycle units).
     """
     _require_1d(params.d)
     if abs(params.alpha - params.d) > 1e-12:
@@ -686,11 +741,17 @@ def level_volume_lower_bound(params: CounterexampleParams, j: int, cap: int = 1 
     fam = level_cube_family(params, j, cap=cap)
     if len(fam) == 0:
         raise ValueError(f"level-{j} family is empty")
-    order = sorted(fam.cubes, key=lambda c: (c.hi_corner(0), c.lo_corner(0)))
-    count = 0
-    frontier = None
-    for cube in order:
-        if frontier is None or cube.lo_corner(0) > frontier:
+    # every cube shares lo and hi: sort the anchors, exactly, by the integer
+    # key floor(p 2^s / q) with 2^s >= q_max^2
+    side = fam.cubes[0].side
+    anchors = [(cube.p[0], cube.q) for cube in fam]
+    shift = 2 * max(q for _, q in anchors).bit_length()
+    anchors.sort(key=lambda a: (a[0] << shift) // a[1])
+    count = 1
+    p_a, q_a = anchors[0]
+    for p_b, q_b in anchors[1:]:
+        # the cube at p_b/q_b starts past the frontier p_a/q_a + hi
+        if (p_b * q_a - p_a * q_b) * side.denominator > side.numerator * q_a * q_b:
             count += 1
-            frontier = cube.hi_corner(0)
-    return count * float(fam.cubes[0].side)
+            p_a, q_a = p_b, q_b
+    return count * float(side)

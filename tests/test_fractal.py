@@ -7,6 +7,7 @@ from talbot_lab.counterexample import CounterexampleParams
 from talbot_lab.fractal import (
     CantorPlan,
     Cube,
+    CubeFamily,
     audit_nesting,
     audit_separated_family,
     audit_separated_maximal,
@@ -95,9 +96,10 @@ E0_2D = Cube((1, 1), 8, Fraction(0), Fraction(1, 8))
             CounterexampleParams(d=2, alpha=2.0, lam=8, delta=0.05, kappa=1 / 4), 2
         ),
         lambda: build_nested_levels(2, 2, 64, 1),
+        lambda: audit_separated_maximal(E0_2D, 64, 2, 4, separated_cubes(E0, 64, 2)),
     ],
     ids=["separated_cubes", "audit_separated_family", "level_volume_lower_bound",
-         "build_nested_levels"],
+         "build_nested_levels", "audit_separated_maximal"],
 )
 def test_two_dimensional_input_rejected(call):
     with pytest.raises(ValueError, match="one-dimensional; got d = 2"):
@@ -184,6 +186,43 @@ class TestNestedConstruction:
         with pytest.raises(ValueError, match="m_k >= 2"):
             build_nested_levels(1, 2, 24, 1)
 
+    def test_default_separations_pinned(self):
+        _, plan = build_nested_levels(1, 2, 256, 3)
+        assert plan.eps == (0.0008157953404673416, 2.760860563123455e-10, 3.4523128658663148e-18)
+
+
+class TestAuditNesting:
+    PARENTS = CubeFamily(1, [
+        Cube((1,), 4, Fraction(0), Fraction(1, 8)),
+        Cube((3,), 8, Fraction(0), Fraction(1, 4)),
+    ])
+
+    def test_child_in_one_parent_passes(self):
+        inside = Cube((2,), 8, Fraction(1, 64), Fraction(1, 32))
+        # cubes are closed: a child equal to its parent [3/8, 5/8] is inside it
+        equal = Cube((6,), 16, Fraction(0), Fraction(1, 4))
+        audit_nesting(self.PARENTS, CubeFamily(2, [inside, equal]))
+
+    @pytest.mark.parametrize(
+        "child",
+        [
+            Cube((1,), 8, Fraction(0), Fraction(1, 64)),  # below both parents
+            Cube((3,), 8, Fraction(1, 8), Fraction(1, 4) + Fraction(1, 1 << 40)),
+            Cube((3,), 8, -Fraction(1, 1 << 40), Fraction(1, 8)),
+        ],
+        ids=["outside", "past_hi_corner", "before_lo_corner"],
+    )
+    def test_child_outside_every_parent_raises(self, child):
+        with pytest.raises(AssertionError, match="contained in 0 parents"):
+            audit_nesting(self.PARENTS, CubeFamily(2, [child]))
+
+    def test_child_in_two_overlapping_parents_raises(self):
+        # the child [3/8, 7/16] lies in [3/8, 5/8] and in the added [5/16, 1/2]
+        parents = CubeFamily(1, self.PARENTS.cubes + [Cube((5,), 16, Fraction(0), Fraction(3, 16))])
+        child = Cube((3,), 8, Fraction(0), Fraction(1, 16))
+        with pytest.raises(AssertionError, match="contained in 2 parents"):
+            audit_nesting(parents, CubeFamily(2, [child]))
+
 
 class TestCantorLowerBound:
     def test_idealized_full_dimension_plan(self):
@@ -228,6 +267,12 @@ class TestVolumeLowerBound:
         for a, b in zip((3, 4), (4, 5)):
             ratio = values[b] / values[a]
             assert 0.25 <= ratio <= 4.0
+
+    def test_values_pinned(self):
+        params = desk_params(kappa=Fraction(1, 64))
+        assert [level_volume_lower_bound(params, j) for j in (3, 4, 5)] == [
+            5.0048828125000004e-05, 4.8141479492187504e-05, 4.756450653076172e-05
+        ]
 
     def test_rejects_fractional_dimension(self):
         params = CounterexampleParams(d=1, alpha=0.5, lam=625, delta=0.01, kappa=1 / 5)

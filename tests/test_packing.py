@@ -242,6 +242,88 @@ def test_maximality_audit_on_narrow_parent(monkeypatch):
         audit_separated_maximal(parent, n, 2, 4, dropped)
 
 
+def test_maximality_audit_of_uncapped_level_one_parent():
+    # n = 2^15 inside the level-1 parent at 4/17: 279 accepted anchors, each
+    # candidate checked against the three slots around it, not all 279
+    families, _ = build_nested_levels(1, 2, 64, 1)
+    parent, n = families[0].cubes[3], 1 << 15
+    fam = separated_cubes(parent, n, 2)
+    assert len(fam) == 279 and fam.meta["maximal"]
+    audit_separated_maximal(parent, n, 2, 4, fam)
+    dropped = CubeFamily(fam.level, fam.cubes[:-1], dict(fam.meta))
+    with pytest.raises(AssertionError, match="not maximal"):
+        audit_separated_maximal(parent, n, 2, 4, dropped)
+
+
+def _oracle_is_maximal(c, n, beta, family):
+    """Every admissible anchor clashes with some accepted one, each candidate
+    checked against every accepted anchor."""
+    margin, gap = family.meta["margin"], family.meta["anchor_gap"]
+    q_lo = int(math.ceil(n / float(beta) - 1e-9))
+    accepted = [(cb.p[0], cb.q) for cb in family]
+    return all(
+        any(abs(p * q2 - p2 * q) * gap.denominator <= gap.numerator * q * q2 for p2, q2 in accepted)
+        for p, q in _oracle_scan_1d(c.lo_corner(0) + margin, c.hi_corner(0) - margin, q_lo, n)
+    )
+
+
+@PROPERTY
+@given(
+    q=st.integers(1, 64),
+    p_frac=st.fractions(0, 1),
+    n=st.integers(12, 1 << 9),
+    spread=st.integers(3, 1 << 9),
+    beta=st.sampled_from(BETAS),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_maximality_audit_matches_quadratic_oracle(q, p_frac, n, spread, beta, rnd):
+    parent = Cube((int(p_frac * q),), q, Fraction(0), (beta / n) ** 2 * spread)
+    if 2 * (beta / n) ** 2 > parent.side:
+        return
+    fam = separated_cubes(parent, n, 2, beta=beta)
+    kept = [cb for cb in fam if rnd.random() < 0.9]
+    thinned = CubeFamily(fam.level, kept, dict(fam.meta))
+    if _oracle_is_maximal(parent, n, beta, thinned):
+        audit_separated_maximal(parent, n, 2, beta, thinned)
+    else:
+        with pytest.raises(AssertionError, match="not maximal"):
+            audit_separated_maximal(parent, n, 2, beta, thinned)
+
+
+def _oracle_twin_order(anchors, t, c1, c2):
+    """The stable sort of the twins p/q + [c1/q^t, c2/q^t] by Fraction lo
+    corner, as indices, and float() of the smallest neighbour gap."""
+    twins = [Cube((p,), q, c1 / q**t, c2 / q**t) for p, q in anchors]
+    order = sorted(range(len(twins)), key=lambda i: twins[i].lo_corner(0))
+    gap = min(twins[j].lo_corner(0) - twins[i].hi_corner(0) for i, j in zip(order, order[1:]))
+    return order, float(gap)
+
+
+anchor_st = st.one_of(st.integers(1, 64), st.integers(1 << 30, 1 << 40)).flatmap(
+    lambda q: st.tuples(st.integers(0, q), st.just(q))
+)
+
+
+@PROPERTY
+@given(
+    base=st.lists(anchor_st, min_size=1, max_size=24),
+    scales=st.lists(st.integers(1, 4), max_size=24),
+    t=st.integers(0, 4),
+    c1=st.fractions(Fraction(1, 1000), 1, max_denominator=1000),
+    width=st.fractions(Fraction(1, 1000), 1, max_denominator=1000),
+    data=st.data(),
+)
+def test_twin_order_and_gap_match_fraction_oracle(base, scales, t, c1, width, data):
+    # unreduced multiples k p/k q beside their anchor (2/8 next to 1/4), and
+    # exact repeats (k = 1) whose ties only a stable sort orders; at t = 0
+    # the twins of 1/4 and 2/8 tie too
+    anchors = data.draw(st.permutations(base + [(k * p, k * q) for (p, q), k in zip(base, scales)]))
+    if len(anchors) < 2:
+        anchors = anchors + anchors
+    c2 = c1 + width
+    assert fractal._twin_order(anchors, t, c1, c2) == _oracle_twin_order(anchors, t, c1, c2)
+
+
 def test_meta_records_code_path():
     wide = separated_cubes(E0, 1 << 10, 2)
     assert (wide.meta["scan"], wide.meta["store"]) == ("chunked", "dense")
@@ -317,6 +399,11 @@ class TestIntegerAudit:
 def test_non_integer_tau_rejected():
     with pytest.raises(ValueError, match="tau"):
         separated_cubes(E0, 64, 2.5)
+    # no anchor p >= 0 lies in [-1/2, -1/4]: tau is checked before the scan
+    empty = Cube((0,), 1, Fraction(-1, 2), Fraction(-1, 4))
+    assert len(separated_cubes(empty, 64, 2)) == 0
+    with pytest.raises(ValueError, match="tau"):
+        separated_cubes(empty, 64, 2.5)
     with pytest.raises(ValueError, match="tau"):
         build_nested_levels(1, Fraction(5, 2), 64, 1)
 
