@@ -156,7 +156,6 @@ class ClaimReport:
     ratio_min: float = field(init=False)
     ratio_max: float = field(init=False)
     ratio_geomean: float = field(init=False)
-    fit: ExponentFit | None = None
 
     def __post_init__(self) -> None:
         if not self.rows:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from .counterexample import CounterexampleParams, anchor_range
 from .measures import exponent_fit
 
-_SCAN_CHUNK = 1 << 20
 # largest dense slot store of the 1-D packing: two int64 arrays of 32 MiB
 _DENSE_SLOTS = 1 << 22
 
@@ -134,26 +133,52 @@ def _tau_exponent(tau) -> int:
     return exponent.numerator
 
 
-def _scan_kind(lo: Fraction, hi: Fraction, q_hi: int) -> str:
-    """Candidate source of _candidate_scan_1d: "lattice" when at most one
-    anchor fits per denominator, (hi - max(lo, 0)) q_hi < 1, else "chunked"."""
-    return "lattice" if (hi - max(lo, 0)) * q_hi < 1 else "chunked"
+def _packing_window(
+    c: Cube, n: int, beta
+) -> tuple[Fraction, Fraction, Fraction, Fraction, int]:
+    """(lo_b, hi_b, margin, gap, q_lo) of the packing of the 1-D cube c at
+    denominator n, exactly: margin = (beta/n)^2, gap = 3 margin, the window
+    [lo_b, hi_b] = [lo corner + margin, hi corner - margin] and
+    q_lo = ceil(n/beta), so the denominators are q_lo..n.
+
+    Raises ValueError unless beta > 1, the denominators include some q >= 1,
+    the margin fits inside c, and lo_b >= 0: a window reaching below 0 would
+    need anchors p < 0, and nothing is wrapped around the torus.
+    """
+    beta = Fraction(beta)
+    if beta <= 1:
+        raise ValueError("beta must exceed 1")
+    q_lo = -(-n * beta.denominator // beta.numerator)
+    if n < max(q_lo, 1):
+        raise ValueError(f"denominator window [{n}/{beta}, {n}] holds no q >= 1")
+    margin = (beta / n) ** 2
+    lo_b = c.lo_corner(0) + margin
+    hi_b = c.hi_corner(0) - margin
+    if lo_b > hi_b:
+        raise ValueError("margin exceeds the cube; n is too small for the window")
+    if lo_b < 0:
+        raise ValueError(
+            f"window starts below 0 (lo corner + margin = {lo_b}); anchors p/q < 0 "
+            "are not packed, and nothing wraps around the torus"
+        )
+    return lo_b, hi_b, margin, 3 * margin, q_lo
 
 
 def _candidate_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
     """Iterator of (q, p0, p1) for every q in [q_lo, q_hi] whose exact anchor
-    range p0..p1 (p0 = max(ceil(q lo), 0), p1 = floor(q hi)) is nonempty, by q.
+    range p0..p1 (p0 = ceil(q lo), p1 = floor(q hi)) is nonempty, by q; the
+    window needs 0 <= lo <= hi.
 
-    Anchors are clamped to p >= 0, so a window that straddles 0 yields only
-    its part in [0, hi]; nothing wraps around the torus.  Two exact sources
-    give the same triples in the same order, and _scan_kind picks one from
-    the window: the Stern-Brocot lattice walk for windows narrower than
-    1/q_hi, whose cost follows the anchors found, and the chunked float
-    prefilter for wider ones, whose cost follows the denominators scanned.
+    With w = hi - lo and q* = ceil(1/w), a denominator q < q* has q w < 1
+    and holds at most one anchor, so the Stern-Brocot lattice walk finds
+    those at a cost that follows the anchors found.  A q >= q* has q w >= 1
+    and always holds one, so its range is yielded directly.
     """
-    if _scan_kind(lo, hi, q_hi) == "lattice":
-        return _lattice_scan_1d(lo, hi, q_lo, q_hi)
-    return _chunked_scan_1d(lo, hi, q_lo, q_hi)
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    w = hi - lo
+    split = min(-(-w.denominator // w.numerator), q_hi + 1) if w else q_hi + 1
+    direct = ((q, -(-q * ln // ld), q * hn // hd) for q in range(max(q_lo, split), q_hi + 1))
+    return chain(_lattice_scan_1d(lo, hi, q_lo, split - 1), direct)
 
 
 def _stern_brocot_bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
@@ -179,7 +204,7 @@ def _stern_brocot_bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int, in
 
 
 def _lattice_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
-    """_candidate_scan_1d for windows with (hi - max(lo, 0)) q_hi < 1.
+    """_candidate_scan_1d for windows with 0 <= lo and (hi - lo) q_hi < 1.
 
     With the Stern-Brocot bracket a/b <= lo <= hi < c/d of the window, the
     map (m, n) -> (q, p) = m (b, a) + n (d, c) has determinant 1, so every
@@ -192,9 +217,6 @@ def _lattice_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
     the denominators passed.  A q holds at most one anchor here, so every
     triple has p0 = p1.
     """
-    lo = max(lo, Fraction(0))
-    if hi < lo:
-        return
     a, b, c, d = _stern_brocot_bracket(lo, hi)
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     # A, B over ld and C, D over hd, all >= 0; B, D > 0
@@ -232,31 +254,9 @@ def _lattice_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
         width *= 2
 
 
-def _chunked_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
-    """_candidate_scan_1d by a chunked vectorized float prefilter, which
-    skips the denominators whose window holds no integer, so large
-    denominator windows stream without materializing empty ranges; the
-    range itself is computed exactly."""
-    lo_f, hi_f = float(lo), float(hi)
-    for start in range(q_lo, q_hi + 1, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, q_hi + 1)
-        qs = np.arange(start, stop, dtype=np.float64)
-        # slack must cover the rounding of q*bound at large q; the ranges are
-        # exact below, so only misses matter here
-        slack = 1e-9 + np.abs(qs) * (abs(lo_f) + abs(hi_f)) * 1e-12
-        p_lo = np.ceil(qs * lo_f - slack)
-        p_hi = np.floor(qs * hi_f + slack)
-        for i in np.nonzero(p_hi >= p_lo)[0]:
-            q = start + int(i)
-            p0 = max(-((-lo.numerator * q) // lo.denominator), 0)
-            p1 = hi.numerator * q // hi.denominator
-            if p0 <= p1:
-                yield q, p0, p1
-
-
 def _pack_1d(
     lo: Fraction, hi: Fraction, gap: Fraction, q_lo: int, q_hi: int, max_cubes: int | None
-) -> tuple[list[tuple[tuple[int, ...], int]], dict[str, str]]:
+) -> tuple[list[tuple[tuple[int, ...], int]], str]:
     """Greedy (q, p)-lexicographic anchors p/q in [lo, hi], pairwise > gap apart.
 
     Accepted anchors sit in a slot store keyed by the exact integer slot
@@ -269,10 +269,8 @@ def _pack_1d(
     which is the greedy only when anchors of one q cannot clash: they are
     >= 1/q >= 1/q_hi apart (Farey spacing), so this needs g q_hi < h.
 
-    Candidates come from _candidate_scan_1d, which keeps p >= 0: the lattice
-    walk when (hi - max(lo, 0)) q_hi < 1, else the chunked float scan.
-    Returns the accepted anchors and the path that ran, {"scan": "lattice"
-    or "chunked", "store": "dense" or "sparse"}.
+    Candidates come from _candidate_scan_1d, so 0 <= lo.  Returns the
+    accepted anchors and the store that ran, "dense" or "sparse".
     """
     a, b = lo.numerator, lo.denominator
     g, h = gap.numerator, gap.denominator
@@ -280,16 +278,11 @@ def _pack_1d(
     n_slots = math.floor((hi - lo) / gap) + 1
     p_max = hi.numerator * q_hi // hi.denominator
     # every int64 product of the dense path below is at most one of these
-    # (0 <= p <= p_max, q <= q_hi, p b - a q >= 0)
-    magnitude = max(
-        (p_max * b + abs(a) * q_hi) * h, q_hi * b * g, p_max * q_hi * h, g * q_hi * q_hi
-    )
-    path = {"scan": _scan_kind(lo, hi, q_hi)}
+    # (0 <= a, 0 <= p <= p_max, q <= q_hi, p b - a q >= 0)
+    magnitude = max((p_max * b + a * q_hi) * h, q_hi * b * g, p_max * q_hi * h, g * q_hi * q_hi)
     if g * q_hi < h and magnitude < 2**63 and n_slots <= _DENSE_SLOTS:
-        path["store"] = "dense"
-        return _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes), path
-    path["store"] = "sparse"
-    return _pack_1d_sparse(a, b, g, h, ranges, max_cubes), path
+        return _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes), "dense"
+    return _pack_1d_sparse(a, b, g, h, ranges, max_cubes), "sparse"
 
 
 def _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes):
@@ -353,7 +346,8 @@ def separated_cubes(
     """Greedy separated family of balls B(p/q, 1/q^tau) inside the interval c.
 
     One-dimensional only: a cube with d >= 2 raises ValueError, and so
-    does a non-integer tau, before any scan.  Anchors
+    does a non-integer tau, before any scan, and a cube whose shrunk window
+    [lo + (beta/n)^2, hi - (beta/n)^2] starts below 0.  Anchors
     have q in [n/beta, n], sit at distance > (beta/n)^2 from the complement
     of c, and are pairwise further than 3 (beta/n)^2 apart; the cubes
     themselves are then separated by at least n^-2.  Greedy order is
@@ -373,36 +367,20 @@ def separated_cubes(
     Python integers with a dict store.  The result is the same list, in the
     same order, as the anchor-by-anchor greedy.
 
-    Only anchors with p >= 0 are candidates: a cube straddling 0 is packed
-    in its part [0, hi] alone, and nothing wraps around the torus.  The
-    candidates come from one of two exact sources, picked by the width w of
-    the shrunk window [max(lo, 0), hi].  When w n < 1, at most one anchor
-    fits per denominator, as in the narrow parents of nested levels >= 2;
-    a walk of the Stern-Brocot lattice cone over the window then finds them
-    at a cost that follows the anchors found, not the n - n/beta
-    denominators.  Wider windows stream every denominator through a chunked
-    float prefilter.  meta["scan"] ("lattice" or "chunked") and
-    meta["store"] ("dense" or "sparse") record the path that ran.
+    The candidates come from one exact source, chosen per denominator: a q
+    that holds at most one anchor of the window of width w (q w < 1, as in
+    the narrow parents of nested levels >= 2) is found by a walk of the
+    Stern-Brocot lattice cone, at a cost that follows the anchors found,
+    not the n - n/beta denominators; every larger q holds an anchor and
+    gives its range directly.  meta["store"] ("dense" or "sparse") records
+    the store that ran.
     """
     _require_1d(c.d)
     t = _tau_exponent(tau)
-    beta = Fraction(beta)
-    if beta <= 1:
-        raise ValueError("beta must exceed 1")
     if max_cubes is not None and max_cubes < 1:
         raise ValueError(f"max_cubes = {max_cubes} must be at least 1")
-    q_lo = int(math.ceil(n / float(beta) - 1e-9))
-    q_hi = n
-    if q_hi < max(q_lo, 1):
-        raise ValueError(f"denominator window [{n}/{beta}, {n}] holds no q >= 1")
-    margin = (beta / n) ** 2
-    gap = 3 * margin
-    lo_b = c.lo_corner(0) + margin
-    hi_b = c.hi_corner(0) - margin
-    if lo_b > hi_b:
-        raise ValueError("margin exceeds the cube; n is too small for the window")
-
-    accepted, path = _pack_1d(lo_b, hi_b, gap, q_lo, q_hi, max_cubes)
+    lo_b, hi_b, margin, gap, q_lo = _packing_window(c, n, beta)
+    accepted, store = _pack_1d(lo_b, hi_b, gap, q_lo, n, max_cubes)
     cubes = []
     for p, q in accepted:
         r = Fraction(1, q**t)
@@ -412,14 +390,14 @@ def separated_cubes(
         cubes=cubes,
         meta={
             "n": n,
-            "beta": float(beta),
+            "beta": Fraction(beta),
             "tau": float(tau),
             "margin": margin,
             "anchor_gap": gap,
             "cube_separation": float(n) ** -2.0,
             "count": len(cubes),
             "maximal": max_cubes is None,
-            **path,
+            "store": store,
         },
     )
 
@@ -488,7 +466,8 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
 def audit_separated_maximal(c: Cube, n: int, tau, beta, family: CubeFamily) -> None:
     """Rescan every admissible anchor; each must clash with an accepted one
     (an accepted anchor clashes with itself).  Only meaningful for families
-    built without max_cubes; raises ValueError for d >= 2.
+    built without max_cubes; raises ValueError for d >= 2 and for the
+    windows separated_cubes rejects.
 
     Accepted anchors are filed under the packer's exact slot
     floor((p/q - lo_b) / gap).  An anchor within gap of a candidate sits in
@@ -496,11 +475,7 @@ def audit_separated_maximal(c: Cube, n: int, tau, beta, family: CubeFamily) -> N
     candidates.
     """
     _require_1d(c.d)
-    margin: Fraction = family.meta["margin"]
-    gap: Fraction = family.meta["anchor_gap"]
-    q_lo = int(math.ceil(n / float(beta) - 1e-9))
-    lo_b = c.lo_corner(0) + margin
-    hi_b = c.hi_corner(0) - margin
+    lo_b, hi_b, _, gap, q_lo = _packing_window(c, n, beta)
     a, b, g, h = lo_b.numerator, lo_b.denominator, gap.numerator, gap.denominator
     store: dict[int, list[tuple[int, int]]] = {}
     for cube in family:

@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from talbot_lab import fractal
@@ -46,12 +46,17 @@ def _oracle_scan_1d(lo, hi, q_lo, q_hi):
                     yield p, q
 
 
+def _exact_q_lo(n, beta):
+    """ceil(n / beta), exactly."""
+    return math.ceil(Fraction(n) / Fraction(beta))
+
+
 def oracle_separated_1d(c, n, beta=4, max_cubes=None):
     """Reference greedy: every candidate, in (q, p) order, checked one at a
     time against the accepted anchors in its float bucket and the two
     neighbouring buckets."""
     beta = Fraction(beta)
-    q_lo = int(math.ceil(n / float(beta) - 1e-9))
+    q_lo = _exact_q_lo(n, beta)
     margin = (beta / n) ** 2
     gap = 3 * margin
     gap_f = float(gap)
@@ -74,9 +79,13 @@ def oracle_separated_1d(c, n, beta=4, max_cubes=None):
 
 
 def _assert_matches_oracle(parent, n, beta, max_cubes):
-    width = parent.side
-    if 2 * (beta / n) ** 2 > width:
+    margin = (beta / n) ** 2
+    if 2 * margin > parent.side:
         with pytest.raises(ValueError, match="margin"):
+            separated_cubes(parent, n, 2, beta=beta, max_cubes=max_cubes)
+        return
+    if parent.lo_corner(0) + margin < 0:
+        with pytest.raises(ValueError, match="below 0"):
             separated_cubes(parent, n, 2, beta=beta, max_cubes=max_cubes)
         return
     fam = separated_cubes(parent, n, 2, beta=beta, max_cubes=max_cubes)
@@ -166,7 +175,7 @@ def _lattice_pairs(lo, hi, q_lo, q_hi, limit=None):
 )
 def test_lattice_scan_matches_oracle_on_narrow_windows(den, rnd, k, u, data):
     # a uniform numerator: drawn integers cluster at 0
-    x = Fraction(rnd.randint(-den // 4, 5 * den // 4), den)
+    x = Fraction(rnd.randint(0, 5 * den // 4), den)
     # the center's q_hi/den unreduced multiples all fit, so q_hi stays below
     # 2^10 den: at most 2^11 of them
     e = data.draw(st.sampled_from(range(min(24, 10 + x.denominator.bit_length()) + 1)))
@@ -174,8 +183,9 @@ def test_lattice_scan_matches_oracle_on_narrow_windows(den, rnd, k, u, data):
     q_lo = data.draw(st.integers(1, q_hi))
     # width w < 1/q_hi, and w q_hi^2 / 2 <= 2^11 candidates around a generic center
     w = Fraction(k, 1 << 20) / q_hi * min(1, Fraction(1 << 12, q_hi))
-    lo = x - u * w
-    assert fractal._scan_kind(lo, lo + w, q_hi) == "lattice"
+    # the walk needs lo >= 0; windows near 0 then start at 0 exactly
+    lo = max(x - u * w, Fraction(0))
+    assert w * q_hi < 1
     assert _lattice_pairs(lo, lo + w, q_lo, q_hi) == list(_oracle_scan_1d(lo, lo + w, q_lo, q_hi))
 
 
@@ -190,14 +200,15 @@ def test_lattice_scan_matches_oracle_on_narrow_windows(den, rnd, k, u, data):
         (Fraction(1, 3) - Fraction(1, 1 << 30), Fraction(1, 3)),
         (Fraction(1, 3) - Fraction(1, 1 << 30), Fraction(1, 3) + Fraction(1, 1 << 30)),
         (Fraction(1, 2) + Fraction(1, 1 << 30), Fraction(1, 2) + Fraction(1, 1 << 29)),
-        (Fraction(-1, 1 << 20), Fraction(1, 1 << 20)),  # straddles 0: p >= 0 clamp
-        (Fraction(-1, 3) - Fraction(1, 1 << 30), Fraction(-1, 3)),  # hi < 0: empty
+        # width just below 1/q_hi: the widest window the walk gets
+        (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1 << 14) - Fraction(1, 1 << 60)),
+        (Fraction(1), Fraction(1) + Fraction(1, 1 << 30)),  # lo = 1/1, the root mediant
         (Fraction(7, 5), Fraction(7, 5) + Fraction(1, 1 << 30)),  # above 1: right bracket 1/0
     ],
 )
 @pytest.mark.parametrize("q_lo, q_hi", [(1, 1 << 14), (1000, 4321)])
 def test_lattice_scan_matches_oracle_on_edge_windows(lo, hi, q_lo, q_hi):
-    assert fractal._scan_kind(lo, hi, q_hi) == "lattice"
+    assert (hi - lo) * q_hi < 1
     assert _lattice_pairs(lo, hi, q_lo, q_hi) == list(_oracle_scan_1d(lo, hi, q_lo, q_hi))
 
 
@@ -220,22 +231,74 @@ def test_lattice_scan_prefix_matches_oracle_on_nested_windows(n, p_frac, density
     margin = Fraction(4, n) ** 2
     lo = Fraction(p, q) + Fraction(1, 200 * q * q) + margin
     hi = Fraction(p, q) + Fraction(1, 100 * q * q) - margin
-    assert fractal._scan_kind(lo, hi, n) == "lattice"
+    assert (hi - lo) * n < 1
     expected = list(islice(_oracle_scan_1d(lo, hi, q_lo, n), 200))
     assert _lattice_pairs(lo, hi, q_lo, n, 200) == expected
 
 
-def test_maximality_audit_on_narrow_parent(monkeypatch):
+@PROPERTY
+@given(
+    q_lo=st.one_of(st.integers(1, 1 << 7), st.integers(1 << 40, 1 << 42)),
+    span=st.integers(0, 1 << 7),
+    split=st.integers(-(1 << 7), 1 << 8),
+    u=st.fractions(0, Fraction(63, 64), max_denominator=64),
+    x=st.fractions(0, 2, max_denominator=64),
+    v=st.fractions(0, 1, max_denominator=64),
+    zero_width=st.booleans(),
+)
+# q* = 2 and w = 1/2: [1/3, 5/6] holds no anchor with q = 1 = q* - 1
+@example(q_lo=1, span=4, split=1, u=Fraction(0), x=Fraction(1, 3), v=Fraction(0), zero_width=False)
+def test_candidate_scan_matches_oracle(q_lo, span, split, u, x, v, zero_width):
+    # q* = ceil(1/w) = s falls below q_lo, inside [q_lo, q_hi], or past q_hi
+    q_hi = q_lo + span
+    s = max(q_lo + split, 1)
+    if zero_width:
+        w = Fraction(0)
+    elif s == 1:
+        w = 1 + u  # w >= 1: every q holds an anchor
+    else:
+        w = Fraction(1, s) + u * (Fraction(1, s - 1) - Fraction(1, s))
+        assert math.ceil(1 / w) == s
+    # the scan needs lo >= 0; windows near 0 then start at 0 exactly
+    lo = max(x - v * w, Fraction(0))
+    triples = list(fractal._candidate_scan_1d(lo, lo + w, q_lo, q_hi))
+    assert all(p0 <= p1 for _, p0, p1 in triples)
+    got = [(p, q) for q, p0, p1 in triples for p in range(p0, p1 + 1)]
+    assert got == list(_oracle_scan_1d(lo, lo + w, q_lo, q_hi))
+
+
+@pytest.mark.parametrize(
+    "parent, n",
+    [
+        (Cube((0,), 1, Fraction(-1, 8), Fraction(1, 8)), 64),  # straddles 0
+        (Cube((0,), 1, Fraction(-1, 1 << 20), Fraction(1, 1 << 20)), 1 << 14),  # narrow
+        (Cube((0,), 1, Fraction(-1, 2), Fraction(-1, 4)), 64),  # entirely below 0
+    ],
+)
+def test_window_below_zero_rejected(parent, n):
+    # no anchor is packed on one side of 0 alone, nor wrapped around the torus
+    with pytest.raises(ValueError, match="below 0"):
+        separated_cubes(parent, n, 2)
+    with pytest.raises(ValueError, match="below 0"):
+        audit_separated_maximal(parent, n, 2, 4, CubeFamily(0, [], {}))
+
+
+def test_denominator_window_is_exact():
+    # n / beta = 16 + 10^-13: a float ceil with a 1e-9 slack admits q = 16
+    beta = Fraction(64 * 10**13, 16 * 10**13 + 1)
+    parent = Cube((0,), 1, Fraction(0), Fraction(1))
+    fam = separated_cubes(parent, 64, 2, beta=beta)
+    assert min(cb.q for cb in fam) == 17
+    _assert_matches_oracle(parent, 64, beta, None)
+    audit_separated_maximal(parent, 64, 2, beta, fam)
+
+
+def test_maximality_audit_on_narrow_parent():
     families, _ = build_nested_levels(1, 2, 64, 1)
     parent, n = families[0].cubes[1], 1 << 14
     assert parent.side < Fraction(1, n)
     fam = separated_cubes(parent, n, 2)
-    assert fam.meta["scan"] == "lattice" and len(fam) > 2
-
-    def chunked_scan(*args):
-        raise AssertionError("the chunked scan ran on a narrow window")
-
-    monkeypatch.setattr(fractal, "_chunked_scan_1d", chunked_scan)
+    assert len(fam) > 2
     audit_separated_maximal(parent, n, 2, 4, fam)
     dropped = CubeFamily(fam.level, fam.cubes[:1] + fam.cubes[2:], dict(fam.meta))
     with pytest.raises(AssertionError, match="not maximal"):
@@ -259,7 +322,7 @@ def _oracle_is_maximal(c, n, beta, family):
     """Every admissible anchor clashes with some accepted one, each candidate
     checked against every accepted anchor."""
     margin, gap = family.meta["margin"], family.meta["anchor_gap"]
-    q_lo = int(math.ceil(n / float(beta) - 1e-9))
+    q_lo = _exact_q_lo(n, beta)
     accepted = [(cb.p[0], cb.q) for cb in family]
     return all(
         any(abs(p * q2 - p2 * q) * gap.denominator <= gap.numerator * q * q2 for p2, q2 in accepted)
@@ -326,10 +389,10 @@ def test_twin_order_and_gap_match_fraction_oracle(base, scales, t, c1, width, da
 
 def test_meta_records_code_path():
     wide = separated_cubes(E0, 1 << 10, 2)
-    assert (wide.meta["scan"], wide.meta["store"]) == ("chunked", "dense")
+    assert wide.meta["store"] == "dense"
     families, plan = build_nested_levels(1, 2, 256, 2, retain=1)
     narrow = separated_cubes(families[1].cubes[0], plan.n[1] * 4096, 2, max_cubes=64)
-    assert (narrow.meta["scan"], narrow.meta["store"]) == ("lattice", "sparse")
+    assert narrow.meta["store"] == "sparse"
 
 
 class TestIntegerAudit:
@@ -399,11 +462,12 @@ class TestIntegerAudit:
 def test_non_integer_tau_rejected():
     with pytest.raises(ValueError, match="tau"):
         separated_cubes(E0, 64, 2.5)
-    # no anchor p >= 0 lies in [-1/2, -1/4]: tau is checked before the scan
-    empty = Cube((0,), 1, Fraction(-1, 2), Fraction(-1, 4))
-    assert len(separated_cubes(empty, 64, 2)) == 0
+    # tau is checked before the window: [-1/2, -1/4] is rejected only after it
+    negative = Cube((0,), 1, Fraction(-1, 2), Fraction(-1, 4))
+    with pytest.raises(ValueError, match="below 0"):
+        separated_cubes(negative, 64, 2)
     with pytest.raises(ValueError, match="tau"):
-        separated_cubes(empty, 64, 2.5)
+        separated_cubes(negative, 64, 2.5)
     with pytest.raises(ValueError, match="tau"):
         build_nested_levels(1, Fraction(5, 2), 64, 1)
 
