@@ -44,6 +44,20 @@ def _level_samples(params, j, total, seed):
     return out[:total]
 
 
+def _require_claim2_regimes(params: CounterexampleParams, j_list) -> None:
+    """Raise ValueError unless some pair k < j of j_list falls in the upper
+    regime and some in the first-derivative regime: a claim (ii) check over
+    no pair would pass on zero samples."""
+    regimes = {claim_regime(params, j, k) for j in j_list for k in range(1, j)}
+    for regime in ("upper", "first_derivative"):
+        if regime not in regimes:
+            raise ValueError(
+                f"no pair k < j of j_list = {list(j_list)} falls in the {regime} regime "
+                f"at alpha = {params.alpha}, delta = {params.delta}; its claim (ii) check "
+                "would pass on zero samples"
+            )
+
+
 def run(cfg: dict, jobs: int = 1) -> RunReport:
     report = RunReport("claims", {})
     params = _params(cfg)
@@ -51,6 +65,7 @@ def run(cfg: dict, jobs: int = 1) -> RunReport:
     seed = int(cfg["seed"])
     j_list = tuple(cfg["j_list"])
     band = float(cfg["factor_band"])
+    _require_claim2_regimes(params, j_list)
 
     # claim (i): coherent growth at the sample level
     inside = 0

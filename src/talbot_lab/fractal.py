@@ -2,10 +2,16 @@
 
 Enumeration of the level-j anchored cube families, covering-exponent
 regression, greedy separated-cube packings with their exact audits, nested
-Cantor-type constructions, and the mass-distribution dimension bound.  The
-packings, their audits, the nested builds and the volume bound are
-one-dimensional and reject d >= 2; cubes, level families and Cantor plans
-stay d-general.
+Cantor-type constructions, and the mass-distribution dimension bound.
+
+A CubeFamily is one-dimensional and holds no cubes: its members are exact
+integer anchors (p, q) and one exact offset rule shared by all of them,
+member = p/q + [lo/q^t, hi/q^t].  The packings use (-1, 1, tau), the nested
+twins (c1, c2, tau), the level-j families (c1 lam^-j, c2 lam^-j, 0).  The
+audits read corners as integers straight from anchors and rule; a Cube is
+built only when a caller iterates or indexes a family.  The level families,
+packings, their audits, the nested builds and the volume bound reject
+d >= 2; cubes, level counts and Cantor plans stay d-general.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,17 +71,42 @@ class Cube:
 
 @dataclass
 class CubeFamily:
-    """Finite cube family at one generation level, with provenance."""
+    """Finite 1-D cube family at one generation level, with provenance.
+
+    Member i is the cube p[i]/q[i] + [lo/q[i]^t, hi/q[i]^t]: exact integer
+    anchors, unreduced ones allowed, and one exact offset rule (lo, hi, t)
+    with lo < hi and t >= 0.  Indexing or iterating builds the member as a
+    Cube((p,), q, lo/q^t, hi/q^t); nothing else does.
+    """
 
     level: int
-    cubes: list[Cube]
+    p: list[int]
+    q: list[int]
+    lo: Fraction
+    hi: Fraction
+    t: int
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.lo, self.hi = Fraction(self.lo), Fraction(self.hi)
+        if len(self.p) != len(self.q):
+            raise ValueError(f"{len(self.p)} numerators for {len(self.q)} denominators")
+        if self.q and min(self.q) < 1:
+            raise ValueError("anchor denominator must be positive")
+        if not self.lo < self.hi:
+            raise ValueError("cube family needs lo < hi")
+        if self.t < 0:
+            raise ValueError(f"offset exponent t = {self.t} must be nonnegative")
+
     def __len__(self) -> int:
-        return len(self.cubes)
+        return len(self.q)
+
+    def __getitem__(self, i: int) -> Cube:
+        q_t = self.q[i] ** self.t
+        return Cube((self.p[i],), self.q[i], self.lo / q_t, self.hi / q_t)
 
     def __iter__(self):
-        return iter(self.cubes)
+        return (self[i] for i in range(len(self)))
 
 
 def _require_1d(d: int) -> None:
@@ -83,31 +114,38 @@ def _require_1d(d: int) -> None:
         raise ValueError(f"the exact packings and audits are one-dimensional; got d = {d}")
 
 
+def _anchor_count(q: int) -> int:
+    """len(anchor_range(q)) for any q >= 1: the even integers in [q/4, q/2]
+    number floor(q/4) - ceil(q/8) + 1 (q // 8 + 1 when 4 divides q)."""
+    return q // 4 + (-q) // 8 + 1
+
+
 def level_cube_count(params: CounterexampleParams, j: int) -> int:
     """Exact cube count of the level-j cube family, without materializing it."""
-    return sum(len(anchor_range(q)) ** params.d for q in params.q_window(j))
+    return sum(_anchor_count(q) ** params.d for q in params.q_window(j))
 
 
 def level_cube_family(
     params: CounterexampleParams, j: int, cap: int = 1 << 20
 ) -> CubeFamily:
-    """Enumerate every cube p/q + [c1 lam^-j, c2 lam^-j]^d of level j.
+    """Every cube p/q + [c1 lam^-j, c2 lam^-j] of level j, as the anchors
+    (p, q) with q in params.q_window(j) and p in anchor_range(q), in that
+    order, under the offset rule (c1 lam^-j, c2 lam^-j, t = 0).
 
-    Anchors have q in params.q_window(j) and every p_i in anchor_range(q);
-    offsets are exact rationals, so corner inequalities can be audited in
-    exact arithmetic.
+    One-dimensional only: d >= 2 raises ValueError.
     """
+    _require_1d(params.d)
     count = level_cube_count(params, j)
     if count > cap:
         raise ValueError(f"level-{j} family holds {count} cubes, above the cap {cap}")
     scale = Fraction(1, params.lam**j)
-    off_lo, off_hi = params.c1 * scale, params.c2 * scale
-    cubes = [
-        Cube(p, q, off_lo, off_hi)
-        for q in params.q_window(j)
-        for p in product(anchor_range(q), repeat=params.d)
-    ]
-    return CubeFamily(level=j, cubes=cubes)
+    ps: list[int] = []
+    qs: list[int] = []
+    for q in params.q_window(j):
+        anchors = anchor_range(q)
+        ps.extend(anchors)
+        qs.extend([q] * len(anchors))
+    return CubeFamily(j, ps, qs, params.c1 * scale, params.c2 * scale, 0)
 
 
 def covering_exponent(counts: Sequence[tuple[int, int]], lam: int) -> tuple[float, float]:
@@ -126,10 +164,12 @@ def covering_exponent(counts: Sequence[tuple[int, int]], lam: int) -> tuple[floa
 
 def _tau_exponent(tau) -> int:
     """tau as the integer exponent t of the exact radius 1/q^t; tau must be
-    an integer (2 and 2.0 both are)."""
+    a nonnegative integer (2 and 2.0 both are)."""
     exponent = Fraction(tau)
-    if exponent.denominator != 1:
-        raise ValueError(f"tau = {tau!r} is not an integer; 1/q^tau has no exact Fraction")
+    if exponent.denominator != 1 or exponent < 0:
+        raise ValueError(
+            f"tau = {tau!r} is not a nonnegative integer; 1/q^tau has no exact integer form"
+        )
     return exponent.numerator
 
 
@@ -256,7 +296,7 @@ def _lattice_scan_1d(lo: Fraction, hi: Fraction, q_lo: int, q_hi: int):
 
 def _pack_1d(
     lo: Fraction, hi: Fraction, gap: Fraction, q_lo: int, q_hi: int, max_cubes: int | None
-) -> tuple[list[tuple[tuple[int, ...], int]], str]:
+) -> tuple[list[int], list[int], str]:
     """Greedy (q, p)-lexicographic anchors p/q in [lo, hi], pairwise > gap apart.
 
     Accepted anchors sit in a slot store keyed by the exact integer slot
@@ -270,7 +310,8 @@ def _pack_1d(
     >= 1/q >= 1/q_hi apart (Farey spacing), so this needs g q_hi < h.
 
     Candidates come from _candidate_scan_1d, so 0 <= lo.  Returns the
-    accepted anchors and the store that ran, "dense" or "sparse".
+    accepted numerators, their denominators, and the store that ran,
+    "dense" or "sparse".
     """
     a, b = lo.numerator, lo.denominator
     g, h = gap.numerator, gap.denominator
@@ -281,8 +322,8 @@ def _pack_1d(
     # (0 <= a, 0 <= p <= p_max, q <= q_hi, p b - a q >= 0)
     magnitude = max((p_max * b + a * q_hi) * h, q_hi * b * g, p_max * q_hi * h, g * q_hi * q_hi)
     if g * q_hi < h and magnitude < 2**63 and n_slots <= _DENSE_SLOTS:
-        return _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes), "dense"
-    return _pack_1d_sparse(a, b, g, h, ranges, max_cubes), "sparse"
+        return (*_pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes), "dense")
+    return (*_pack_1d_sparse(a, b, g, h, ranges, max_cubes), "sparse")
 
 
 def _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes):
@@ -292,7 +333,8 @@ def _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes):
     slot_p = np.zeros(n_slots + 2, dtype=np.int64)
     slot_q = np.zeros(n_slots + 2, dtype=np.int64)
     near = np.arange(3)
-    accepted: list[tuple[tuple[int, ...], int]] = []
+    accepted_p: list[int] = []
+    accepted_q: list[int] = []
     for q, p0, p1 in ranges:
         ps = np.arange(p0, p1 + 1, dtype=np.int64)
         slots = (ps * b - a * q) * h // (q * b * g)
@@ -301,14 +343,15 @@ def _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes):
         clash = ((q2 > 0) & (np.abs(ps[:, None] * q2 - p2 * q) * h <= g * q * q2)).any(axis=1)
         ps, slots = ps[~clash], slots[~clash]
         if max_cubes is not None:
-            room = max_cubes - len(accepted)
+            room = max_cubes - len(accepted_q)
             ps, slots = ps[:room], slots[:room]
         slot_p[slots + 1] = ps
         slot_q[slots + 1] = q
-        accepted.extend(((p,), q) for p in ps.tolist())
-        if max_cubes is not None and len(accepted) >= max_cubes:
+        accepted_p.extend(ps.tolist())
+        accepted_q.extend([q] * len(ps))
+        if max_cubes is not None and len(accepted_q) >= max_cubes:
             break
-    return accepted
+    return accepted_p, accepted_q
 
 
 def _pack_1d_sparse(a, b, g, h, ranges, max_cubes):
@@ -319,7 +362,8 @@ def _pack_1d_sparse(a, b, g, h, ranges, max_cubes):
     whose anchors of one q can clash (n <= 3 beta^2).
     """
     store: dict[int, tuple[int, int]] = {}
-    accepted: list[tuple[tuple[int, ...], int]] = []
+    accepted_p: list[int] = []
+    accepted_q: list[int] = []
     for q, p0, p1 in ranges:
         den = q * b * g
         for p in range(p0, p1 + 1):
@@ -330,10 +374,11 @@ def _pack_1d_sparse(a, b, g, h, ranges, max_cubes):
                     break
             else:
                 store[s] = (p, q)
-                accepted.append(((p,), q))
-                if max_cubes is not None and len(accepted) >= max_cubes:
-                    return accepted
-    return accepted
+                accepted_p.append(p)
+                accepted_q.append(q)
+                if max_cubes is not None and len(accepted_q) >= max_cubes:
+                    return accepted_p, accepted_q
+    return accepted_p, accepted_q
 
 
 def separated_cubes(
@@ -373,21 +418,17 @@ def separated_cubes(
     Stern-Brocot lattice cone, at a cost that follows the anchors found,
     not the n - n/beta denominators; every larger q holds an anchor and
     gives its range directly.  meta["store"] ("dense" or "sparse") records
-    the store that ran.
+    the store that ran.  The family holds the accepted anchors under the
+    offset rule (-1, 1, t): member p/q + [-1/q^t, 1/q^t], with t = tau.
     """
     _require_1d(c.d)
     t = _tau_exponent(tau)
     if max_cubes is not None and max_cubes < 1:
         raise ValueError(f"max_cubes = {max_cubes} must be at least 1")
     lo_b, hi_b, margin, gap, q_lo = _packing_window(c, n, beta)
-    accepted, store = _pack_1d(lo_b, hi_b, gap, q_lo, n, max_cubes)
-    cubes = []
-    for p, q in accepted:
-        r = Fraction(1, q**t)
-        cubes.append(Cube(p, q, -r, r))
+    ps, qs, store = _pack_1d(lo_b, hi_b, gap, q_lo, n, max_cubes)
     return CubeFamily(
-        level=0,
-        cubes=cubes,
+        0, ps, qs, Fraction(-1), Fraction(1), t,
         meta={
             "n": n,
             "beta": Fraction(beta),
@@ -395,7 +436,7 @@ def separated_cubes(
             "margin": margin,
             "anchor_gap": gap,
             "cube_separation": float(n) ** -2.0,
-            "count": len(cubes),
+            "count": len(qs),
             "maximal": max_cubes is None,
             "store": store,
         },
@@ -403,63 +444,67 @@ def separated_cubes(
 
 
 def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
-    """Exact structural audit of a separated_cubes family: containment with
-    margin, pairwise anchor gap, and cube separation at least n^-2; raises
-    AssertionError on any violation, and ValueError for d >= 2.
+    """Exact structural audit of a separated_cubes family: radius exponent
+    t = tau, containment with margin, pairwise anchor gap, and cube
+    separation at least n^-2; raises AssertionError on any violation, and
+    ValueError for d >= 2 or a tau that is not a nonnegative integer.
 
+    Corners come from the anchors and the family's offset rule
+    (_integer_corners), so the audit holds for any rule, not only balls.
     Adjacent anchors in sorted order witness the minimum, so the audit is
     linear.  Every comparison is an integer cross-multiplication, on numpy
     object arrays of Python ints, since nested denominators overflow int64.
     """
     _require_1d(c.d)
-    cubes = family.cubes
-    if not cubes:
+    t = _tau_exponent(tau)
+    if family.t != t:
+        raise AssertionError(f"family radius exponent t = {family.t} is not tau = {tau}")
+    if not family:
         return
     margin: Fraction = family.meta["margin"]
     gap: Fraction = family.meta["anchor_gap"]
     sep = Fraction(1, family.meta["n"] ** 2)
-    p, q, lo_n, lo_d, hi_n, hi_d = (
-        np.array(column, dtype=object)
-        for column in zip(*[
-            (cb.p[0], cb.q, cb.lo.numerator, cb.lo.denominator, cb.hi.numerator, cb.hi.denominator)
-            for cb in cubes
-        ])
-    )
+    p, q = np.array(family.p, dtype=object), np.array(family.q, dtype=object)
+    lo, hi, den = _integer_corners(family)
     lo_b, hi_b = c.lo_corner(0) + margin, c.hi_corner(0) - margin
     c_lo, c_hi = c.lo_corner(0), c.hi_corner(0)
-    # lo_b <= p/q <= hi_b, and c_lo <= p/q + lo, p/q + hi <= c_hi (q, denominators > 0)
+    # lo_b <= p/q <= hi_b, and c_lo <= lo/den, hi/den <= c_hi (q, den > 0)
     bad_margin = (p * lo_b.denominator < lo_b.numerator * q) | (
         p * hi_b.denominator > hi_b.numerator * q
     )
-    bad_leave = ((p * lo_d + lo_n * q) * c_lo.denominator < c_lo.numerator * q * lo_d) | (
-        (p * hi_d + hi_n * q) * c_hi.denominator > c_hi.numerator * q * hi_d
+    bad_leave = (lo * c_lo.denominator < c_lo.numerator * den) | (
+        hi * c_hi.denominator > c_hi.numerator * den
     )
     bad = np.flatnonzero(bad_margin | bad_leave)
     if bad.size:
-        cube = cubes[bad[0]]
-        if bad_margin[bad[0]]:
-            raise AssertionError(f"anchor {cube.p}/{cube.q} violates the margin")
-        raise AssertionError(f"cube at {cube.p}/{cube.q} leaves the parent")
+        i = bad[0]
+        if bad_margin[i]:
+            raise AssertionError(f"anchor {p[i]}/{q[i]} violates the margin")
+        raise AssertionError(f"cube at {p[i]}/{q[i]} leaves the parent")
 
     def adjacent_gaps(order):
         a, b = order[:-1], order[1:]
         diff = p[b] * q[a] - p[a] * q[b]  # (anchor_b - anchor_a) q_a q_b
-        return a, b, diff, diff * gap.denominator > gap.numerator * q[a] * q[b]
+        return a, b, diff * gap.denominator > gap.numerator * q[a] * q[b]
 
     # a float sort, certified exactly: gaps > gap > 0 prove the order strict
-    order = np.argsort([cb.p[0] / cb.q for cb in cubes], kind="stable")
-    a, b, diff, apart = adjacent_gaps(order)
+    order = np.argsort([pi / qi for pi, qi in zip(family.p, family.q)], kind="stable")
+    a, b, apart = adjacent_gaps(order)
     if not apart.all():
-        order = np.array(sorted(range(len(cubes)), key=lambda i: Fraction(p[i], q[i])))
-        a, b, diff, apart = adjacent_gaps(order)
+        # exact order: floor(p 2^s / q), with 2^s >= q_max^2, is strictly
+        # monotone on distinct anchors and ties equal ones
+        shift = 2 * max(family.q).bit_length()
+        keys = [(pi << shift) // qi for pi, qi in zip(family.p, family.q)]
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
+        a, b, apart = adjacent_gaps(order)
         if not apart.all():
             i = int(np.flatnonzero(~apart)[0])
-            ca, cb = cubes[a[i]], cubes[b[i]]
-            raise AssertionError(f"anchors {ca.p}/{ca.q} and {cb.p}/{cb.q} too close")
-    # diff/(q_a q_b) - hi_a - hi_b >= sep, times q_a q_b hi_da hi_db sep_d > 0
-    qq = q[a] * q[b]
-    lhs = (diff * hi_d[a] * hi_d[b] - qq * (hi_n[a] * hi_d[b] + hi_n[b] * hi_d[a])) * sep.denominator
-    if not (lhs >= sep.numerator * qq * hi_d[a] * hi_d[b]).all():
+            raise AssertionError(
+                f"anchors {p[a[i]]}/{q[a[i]]} and {p[b[i]]}/{q[b[i]]} too close"
+            )
+    # lo_b/den_b - hi_a/den_a >= sep, times den_a den_b sep_d > 0
+    lhs = (lo[b] * den[a] - hi[a] * den[b]) * sep.denominator
+    if not (lhs >= sep.numerator * den[a] * den[b]).all():
         raise AssertionError("cube separation below the guarantee")
 
 
@@ -478,8 +523,7 @@ def audit_separated_maximal(c: Cube, n: int, tau, beta, family: CubeFamily) -> N
     lo_b, hi_b, _, gap, q_lo = _packing_window(c, n, beta)
     a, b, g, h = lo_b.numerator, lo_b.denominator, gap.numerator, gap.denominator
     store: dict[int, list[tuple[int, int]]] = {}
-    for cube in family:
-        p, q = cube.p[0], cube.q
+    for p, q in zip(family.p, family.q):
         store.setdefault((p * b - a * q) * h // (q * b * g), []).append((p, q))
     for q, p0, p1 in _candidate_scan_1d(lo_b, hi_b, q_lo, n):
         for p in range(p0, p1 + 1):
@@ -550,9 +594,10 @@ def build_nested_levels(
     eps_(k-1)); both are realized by the greedy runs.  Expansion to the next
     level proceeds under `retain` children per parent, spread across the
     parent, so the stored families stay small while the per-parent counts
-    are certified wherever the construction actually descends.  Twins are
-    ordered and their gaps measured in integers (_twin_order); only the
-    retained ones become Cubes.
+    are certified wherever the construction actually descends.  Level k is
+    the family of retained anchors under the offset rule (c1, c2, tau).
+    Twins are ordered and their gaps measured in integers (_twin_order);
+    only the retained parents of the next level become Cubes.
     """
     _require_1d(d)
     t = _tau_exponent(tau)
@@ -563,7 +608,7 @@ def build_nested_levels(
     c1, c2 = Fraction(c1), Fraction(c2)
     if not 0 < c1 < c2 <= 1:
         raise ValueError("need 0 < c1 < c2 <= 1")
-    parents = [e0]
+    parents: Sequence[Cube] | CubeFamily = [e0]
     families: list[CubeFamily] = []
     ns: list[int] = []
     ms: list[int] = []
@@ -571,7 +616,8 @@ def build_nested_levels(
     n_prev = n1
     for k in range(1, levels + 1):
         n_k = n1 if k == 1 else growth(n_prev, k)
-        level_cubes: list[Cube] = []
+        ps: list[int] = []
+        qs: list[int] = []
         m_k = None
         gap_k = None
         for parent in parents:
@@ -582,59 +628,60 @@ def build_nested_levels(
                     f"children; the growth condition on n_k is violated (m_k >= 2 fails)"
                 )
             m_k = len(fam) if m_k is None else min(m_k, len(fam))
-            order, found_gap = _twin_order([(b.p[0], b.q) for b in fam], t, c1, c2)
+            order, found_gap = _twin_order(CubeFamily(k, fam.p, fam.q, c1, c2, t))
             gap_k = found_gap if gap_k is None else min(gap_k, found_gap)
             if len(order) > retain:
                 idx = np.linspace(0, len(order) - 1, retain).round().astype(int)
                 order = [order[i] for i in sorted(set(int(v) for v in idx))]
-            for i in order:
-                child = fam.cubes[i]
-                q_t = child.q**t
-                level_cubes.append(Cube(child.p, child.q, c1 / q_t, c2 / q_t))
+            ps.extend(fam.p[i] for i in order)
+            qs.extend(fam.q[i] for i in order)
         guaranteed = float(n_k) ** -2.0
         e_k = min(gap_k, eps[-1] * (1 - 1e-12)) if eps else gap_k
-        families.append(
-            CubeFamily(
-                level=k,
-                cubes=level_cubes,
-                meta={"n": n_k, "m": m_k, "eps_realized": gap_k,
-                      "eps_guaranteed": guaranteed, "retained": len(level_cubes)},
-            )
+        parents = CubeFamily(
+            k, ps, qs, c1, c2, t,
+            meta={"n": n_k, "m": m_k, "eps_realized": gap_k,
+                  "eps_guaranteed": guaranteed, "retained": len(qs)},
         )
+        families.append(parents)
         ns.append(n_k)
         ms.append(int(m_k))
         eps.append(e_k)
-        parents = level_cubes
         n_prev = n_k
     plan = CantorPlan(d, float(tau), levels, tuple(ns), tuple(ms), tuple(eps))
     return families, plan
 
 
-def _twin_order(
-    anchors: Sequence[tuple[int, int]], t: int, c1: Fraction, c2: Fraction
-) -> tuple[list[int], float]:
-    """Indices of the 1-D twins p/q + [c1/q^t, c2/q^t] of at least two
-    anchors (p, q), stably sorted by lo corner, and the smallest gap
-    between neighbours in that order (negative if two overlap).
+def _integer_corners(family: CubeFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, den): the corners p/q + lo/q^t and p/q + hi/q^t of every
+    member as lo[i]/den[i] and hi[i]/den[i], numpy object arrays of Python
+    ints, straight from anchors and rule.
 
-    Both corners of a twin share the denominator D = b q^(t+1), with b the
-    common denominator of c1 and c2: they are (p b q^t + a q)/D for c = a/b.
-    The sort key floor(lo 2^s), with 2^s >= D_max^2, is strictly monotone
-    on distinct corners and ties equal ones, so the order is the stable
-    sort by the exact rational.  The minimum gap is picked by
+    With the rule's offsets over their common denominator b, lo = a1/b and
+    hi = a2/b, both corners share den = b q^(t+1) > 0: they are
+    (p b q^t + a1 q)/den and (p b q^t + a2 q)/den.
+    """
+    b = math.lcm(family.lo.denominator, family.hi.denominator)
+    a1 = family.lo.numerator * (b // family.lo.denominator)
+    a2 = family.hi.numerator * (b // family.hi.denominator)
+    p, q = np.array(family.p, dtype=object), np.array(family.q, dtype=object)
+    bq_t = b * q**family.t
+    return p * bq_t + a1 * q, p * bq_t + a2 * q, bq_t * q
+
+
+def _twin_order(family: CubeFamily) -> tuple[list[int], float]:
+    """Indices of the members of a family of at least two, stably sorted by
+    lo corner, and the smallest gap between neighbours in that order
+    (negative if two overlap).
+
+    The sort key floor(lo 2^s / den), with 2^s >= den_max^2, is strictly
+    monotone on distinct corners and ties equal ones, so the order is the
+    stable sort by the exact rational.  The minimum gap is picked by
     cross-multiplication and rounded once by int/int true division, which
     is correctly rounded, as float() of the exact Fraction is.
     """
-    b = math.lcm(c1.denominator, c2.denominator)
-    a1, a2 = c1.numerator * (b // c1.denominator), c2.numerator * (b // c2.denominator)
-    los, his, dens = [], [], []
-    for p, q in anchors:
-        bq_t = b * q**t
-        los.append(p * bq_t + a1 * q)
-        his.append(p * bq_t + a2 * q)
-        dens.append(bq_t * q)
+    los, his, dens = (column.tolist() for column in _integer_corners(family))
     shift = 2 * max(dens).bit_length()
-    order = sorted(range(len(anchors)), key=lambda i: (los[i] << shift) // dens[i])
+    order = sorted(range(len(dens)), key=lambda i: (los[i] << shift) // dens[i])
     # gap lo_j - hi_i over D_i D_j, for each neighbour pair i, j
     best_num, best_den = None, 1
     for i, j in zip(order, order[1:]):
@@ -644,35 +691,23 @@ def _twin_order(
     return order, best_num / best_den
 
 
-def _integer_corners(cube: Cube) -> list[tuple[int, int, int, int]]:
-    """Per coordinate, the corners p_i/q + lo and p_i/q + hi of the cube as
-    integer pairs (lo_num, lo_den, hi_num, hi_den), denominators > 0."""
-    lo_n, lo_d, hi_n, hi_d = (
-        cube.lo.numerator, cube.lo.denominator, cube.hi.numerator, cube.hi.denominator
-    )
-    q = cube.q
-    return [(p * lo_d + lo_n * q, q * lo_d, p * hi_d + hi_n * q, q * hi_d) for p in cube.p]
-
-
 def audit_nesting(parents: CubeFamily, children: CubeFamily) -> None:
     """Every child cube must sit inside exactly one parent cube.
 
-    Corners are integer pairs, computed once per cube, and each
-    containment test is two cross-multiplications per coordinate.
+    Corners are integer pairs computed from anchors and rule
+    (_integer_corners), and each containment test is two
+    cross-multiplications.
     """
-    boxes = [_integer_corners(parent) for parent in parents]
-    for child in children:
-        inner = _integer_corners(child)
+    plo, phi, pden = (column.tolist() for column in _integer_corners(parents))
+    clo, chi, cden = (column.tolist() for column in _integer_corners(children))
+    for i in range(len(children)):
         owners = sum(
-            all(
-                plo * clo_d <= clo * plo_d and chi * phi_d <= phi * chi_d
-                for (plo, plo_d, phi, phi_d), (clo, clo_d, chi, chi_d) in zip(box, inner)
-            )
-            for box in boxes
+            plo[k] * cden[i] <= clo[i] * pden[k] and chi[i] * pden[k] <= phi[k] * cden[i]
+            for k in range(len(parents))
         )
         if owners != 1:
             raise AssertionError(
-                f"child {child.p}/{child.q} contained in {owners} parents"
+                f"child {children.p[i]}/{children.q[i]} contained in {owners} parents"
             )
 
 
@@ -706,27 +741,19 @@ def idealized_plan(d: int, lam: int, tau: float, levels: int) -> CantorPlan:
 def level_volume_lower_bound(params: CounterexampleParams, j: int, cap: int = 1 << 20) -> float:
     """Lower bound for the Lebesgue measure of the level-j cube family at alpha = d = 1.
 
-    Counts pairwise-disjoint intervals, deciding each by integer
-    cross-multiplication, and multiplies by the exact interval length
-    (cycle units).
+    The number of distinct anchors p/q times the exact side (c2 - c1)
+    lam^-j (cycle units).  Anchors are even p over q = 0 (mod 4), so
+    p_b q_a - p_a q_b is a multiple of 8: distinct anchors differ by at
+    least 8/(q_a q_b) >= 8 lam^-j, as q <= lam^(j/tau) = lam^(j/2), while the
+    side is at most lam^-j.  Cubes at distinct anchors are therefore
+    pairwise disjoint, and only repeated anchors (p/q and its unreduced
+    multiples) overlap; they are counted once, by reduced (p, q).
     """
     _require_1d(params.d)
     if abs(params.alpha - params.d) > 1e-12:
         raise ValueError("volume lower bound applies to the case alpha = d only")
     fam = level_cube_family(params, j, cap=cap)
-    if len(fam) == 0:
+    if not fam:
         raise ValueError(f"level-{j} family is empty")
-    # every cube shares lo and hi: sort the anchors, exactly, by the integer
-    # key floor(p 2^s / q) with 2^s >= q_max^2
-    side = fam.cubes[0].side
-    anchors = [(cube.p[0], cube.q) for cube in fam]
-    shift = 2 * max(q for _, q in anchors).bit_length()
-    anchors.sort(key=lambda a: (a[0] << shift) // a[1])
-    count = 1
-    p_a, q_a = anchors[0]
-    for p_b, q_b in anchors[1:]:
-        # the cube at p_b/q_b starts past the frontier p_a/q_a + hi
-        if (p_b * q_a - p_a * q_b) * side.denominator > side.numerator * q_a * q_b:
-            count += 1
-            p_a, q_a = p_b, q_b
-    return count * float(side)
+    distinct = {(p // g, q // g) for p, q in zip(fam.p, fam.q) for g in (math.gcd(p, q),)}
+    return len(distinct) * float(fam.hi - fam.lo)

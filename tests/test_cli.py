@@ -102,8 +102,8 @@ class TestCliContract:
         assert report["config"]["seed"] == 9
 
     def test_value_a_layer_rejects_exits_two_without_report(self, tmp_path, capsys):
-        # the schema takes one level, but the growth fit needs three
-        cfg = write_cfg(tmp_path, "j_list = 2\nsamples_per_j = 4\n")
+        # the schema takes two levels, but the growth fit needs three
+        cfg = write_cfg(tmp_path, "j_list = 3,4\nsamples_per_j = 4\n")
         out = tmp_path / "o"
         assert main(["claims", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
@@ -131,6 +131,10 @@ class TestCliContract:
             ("evolve", "samples_per_q = 0\n"),
             ("evolve", "j_max = 0\n"),
             ("gauss", "q_max = 60\nabel_instances = 50\nperturbed_q_min = 64\nperturbed_q_max = 32\n"),
+            # no pair k < j in the first-derivative regime: claim (ii) would pass on none
+            ("claims", "alpha = 0.5\n"),
+            # j_list = 2 leaves the one pair (2, 1) in the second-derivative band
+            ("claims", "j_list = 2\n"),
         ],
     )
     def test_empty_or_degenerate_sweep_exits_two_without_report(

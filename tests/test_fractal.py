@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from talbot_lab.counterexample import CounterexampleParams
+from talbot_lab import fractal
+from talbot_lab.counterexample import CounterexampleParams, anchor_range
 from talbot_lab.fractal import (
     CantorPlan,
     Cube,
@@ -55,6 +56,10 @@ class TestLevelCubeFamily:
         for j in (2, 3, 4):
             assert level_cube_count(params, j) == len(level_cube_family(params, j))
 
+    def test_anchor_count_matches_anchor_range(self):
+        # the closed form holds for every q >= 1, not only q = 0 (mod 4)
+        assert all(fractal._anchor_count(q) == len(anchor_range(q)) for q in range(1, 10**4 + 1))
+
     def test_cap_rejects_large_families(self):
         with pytest.raises(ValueError, match="cap"):
             level_cube_family(desk_params(), 6, cap=1000)
@@ -97,9 +102,12 @@ E0_2D = Cube((1, 1), 8, Fraction(0), Fraction(1, 8))
         ),
         lambda: build_nested_levels(2, 2, 64, 1),
         lambda: audit_separated_maximal(E0_2D, 64, 2, 4, separated_cubes(E0, 64, 2)),
+        lambda: level_cube_family(
+            CounterexampleParams(d=2, alpha=2.0, lam=8, delta=0.05, kappa=1 / 4), 2
+        ),
     ],
     ids=["separated_cubes", "audit_separated_family", "level_volume_lower_bound",
-         "build_nested_levels", "audit_separated_maximal"],
+         "build_nested_levels", "audit_separated_maximal", "level_cube_family"],
 )
 def test_two_dimensional_input_rejected(call):
     with pytest.raises(ValueError, match="one-dimensional; got d = 2"):
@@ -115,7 +123,7 @@ class TestSeparatedCubes:
     def test_exact_gap_audit(self):
         fam = separated_cubes(E0, 128, 2, beta=4)
         gap = Fraction(1, 128**2)
-        ordered = sorted(fam.cubes, key=lambda c: c.anchor(0))
+        ordered = sorted(fam, key=lambda c: c.anchor(0))
         for a, b in zip(ordered, ordered[1:]):
             assert (b.anchor(0) - b.hi) - (a.anchor(0) + a.hi) >= gap
 
@@ -136,7 +144,7 @@ class TestSeparatedCubes:
     def test_early_stop_prefix(self):
         full = separated_cubes(E0, 256, 2, beta=4)
         capped = separated_cubes(E0, 256, 2, beta=4, max_cubes=10)
-        assert [(c.p, c.q) for c in capped] == [(c.p, c.q) for c in full.cubes[:10]]
+        assert [(c.p, c.q) for c in capped] == [(c.p, c.q) for c in list(full)[:10]]
         assert not capped.meta["maximal"]
 
     @pytest.mark.parametrize("n", [0, -8])
@@ -191,37 +199,45 @@ class TestNestedConstruction:
         assert plan.eps == (0.0008157953404673416, 2.760860563123455e-10, 3.4523128658663148e-18)
 
 
+def one_child(p, q, lo, hi):
+    """A one-member level-2 family p/q + [lo, hi] (offset exponent 0)."""
+    return CubeFamily(2, [p], [q], lo, hi, 0)
+
+
 class TestAuditNesting:
-    PARENTS = CubeFamily(1, [
-        Cube((1,), 4, Fraction(0), Fraction(1, 8)),
-        Cube((3,), 8, Fraction(0), Fraction(1, 4)),
-    ])
+    # the rule (0, 1/2, t = 1): [1/4, 3/8] and [3/8, 7/16]
+    PARENTS = CubeFamily(1, [1, 3], [4, 8], Fraction(0), Fraction(1, 2), 1)
+
+    def test_parent_corners(self):
+        assert [(c.lo_corner(0), c.hi_corner(0)) for c in self.PARENTS] == [
+            (Fraction(1, 4), Fraction(3, 8)), (Fraction(3, 8), Fraction(7, 16))
+        ]
 
     def test_child_in_one_parent_passes(self):
-        inside = Cube((2,), 8, Fraction(1, 64), Fraction(1, 32))
-        # cubes are closed: a child equal to its parent [3/8, 5/8] is inside it
-        equal = Cube((6,), 16, Fraction(0), Fraction(1, 4))
-        audit_nesting(self.PARENTS, CubeFamily(2, [inside, equal]))
+        # the rule (0, 16, t = 2) at q = 16: [5/16, 3/8] inside [1/4, 3/8], and,
+        # cubes being closed, the unreduced 6/16 gives [3/8, 7/16], equal to
+        # its parent
+        children = CubeFamily(2, [5, 6], [16, 16], Fraction(0), Fraction(16), 2)
+        audit_nesting(self.PARENTS, children)
 
     @pytest.mark.parametrize(
         "child",
         [
-            Cube((1,), 8, Fraction(0), Fraction(1, 64)),  # below both parents
-            Cube((3,), 8, Fraction(1, 8), Fraction(1, 4) + Fraction(1, 1 << 40)),
-            Cube((3,), 8, -Fraction(1, 1 << 40), Fraction(1, 8)),
+            one_child(1, 8, Fraction(0), Fraction(1, 64)),  # below both parents
+            one_child(3, 8, Fraction(1, 32), Fraction(1, 16) + Fraction(1, 1 << 40)),
+            one_child(3, 8, -Fraction(1, 1 << 40), Fraction(1, 32)),
         ],
         ids=["outside", "past_hi_corner", "before_lo_corner"],
     )
     def test_child_outside_every_parent_raises(self, child):
         with pytest.raises(AssertionError, match="contained in 0 parents"):
-            audit_nesting(self.PARENTS, CubeFamily(2, [child]))
+            audit_nesting(self.PARENTS, child)
 
     def test_child_in_two_overlapping_parents_raises(self):
-        # the child [3/8, 7/16] lies in [3/8, 5/8] and in the added [5/16, 1/2]
-        parents = CubeFamily(1, self.PARENTS.cubes + [Cube((5,), 16, Fraction(0), Fraction(3, 16))])
-        child = Cube((3,), 8, Fraction(0), Fraction(1, 16))
+        # the child [3/8, 13/32] lies in [3/8, 7/16] and in the added [1/3, 1/2]
+        parents = CubeFamily(1, [1, 3, 1], [4, 8, 3], Fraction(0), Fraction(1, 2), 1)
         with pytest.raises(AssertionError, match="contained in 2 parents"):
-            audit_nesting(parents, CubeFamily(2, [child]))
+            audit_nesting(parents, one_child(3, 8, Fraction(0), Fraction(1, 32)))
 
 
 class TestCantorLowerBound:
@@ -258,6 +274,24 @@ class TestCantorLowerBound:
             cantor_lower_bound(plan)
 
 
+def _oracle_volume_sweep(params, j):
+    """Count the pairwise-disjoint intervals p/q + [c1 lam^-j, c2 lam^-j] of
+    level j by a sweep over the anchors in exact order, times the side."""
+    side = (params.c2 - params.c1) * Fraction(1, params.lam**j)
+    anchors = sorted(
+        ((p, q) for q in params.q_window(j) for p in anchor_range(q)),
+        key=lambda a: Fraction(*a),
+    )
+    count = 1
+    p_a, q_a = anchors[0]
+    for p_b, q_b in anchors[1:]:
+        # the interval at p_b/q_b starts past the frontier p_a/q_a + side
+        if Fraction(p_b, q_b) - Fraction(p_a, q_a) > side:
+            count += 1
+            p_a, q_a = p_b, q_b
+    return count * float(side)
+
+
 class TestVolumeLowerBound:
     def test_strictly_positive_and_stable(self):
         params = desk_params(kappa=Fraction(1, 64))
@@ -273,6 +307,12 @@ class TestVolumeLowerBound:
         assert [level_volume_lower_bound(params, j) for j in (3, 4, 5)] == [
             5.0048828125000004e-05, 4.8141479492187504e-05, 4.756450653076172e-05
         ]
+
+    @pytest.mark.parametrize("kappa", [0.25, Fraction(1, 64)], ids=["desk", "kappa_1_64"])
+    @pytest.mark.parametrize("j", [2, 3, 4, 5])
+    def test_matches_disjoint_interval_sweep(self, kappa, j):
+        params = desk_params(kappa=kappa)
+        assert level_volume_lower_bound(params, j) == _oracle_volume_sweep(params, j)
 
     def test_rejects_fractional_dimension(self):
         params = CounterexampleParams(d=1, alpha=0.5, lam=625, delta=0.01, kappa=1 / 5)

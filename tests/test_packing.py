@@ -2,6 +2,7 @@
 integer audit against hand-made violations."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -154,7 +155,7 @@ def test_oversized_slot_store_matches_greedy_oracle():
 
 def test_nested_levels_match_greedy_oracle():
     families, plan = build_nested_levels(1, 2, 64, 2, retain=2)
-    for parents, n in zip(([E0], families[0].cubes), plan.n):
+    for parents, n in zip(([E0], families[0]), plan.n):
         for parent in parents:
             _assert_matches_oracle(parent, n, Fraction(4), 64)
 
@@ -280,7 +281,7 @@ def test_window_below_zero_rejected(parent, n):
     with pytest.raises(ValueError, match="below 0"):
         separated_cubes(parent, n, 2)
     with pytest.raises(ValueError, match="below 0"):
-        audit_separated_maximal(parent, n, 2, 4, CubeFamily(0, [], {}))
+        audit_separated_maximal(parent, n, 2, 4, CubeFamily(0, [], [], -1, 1, 2))
 
 
 def test_denominator_window_is_exact():
@@ -288,19 +289,19 @@ def test_denominator_window_is_exact():
     beta = Fraction(64 * 10**13, 16 * 10**13 + 1)
     parent = Cube((0,), 1, Fraction(0), Fraction(1))
     fam = separated_cubes(parent, 64, 2, beta=beta)
-    assert min(cb.q for cb in fam) == 17
+    assert min(fam.q) == 17
     _assert_matches_oracle(parent, 64, beta, None)
     audit_separated_maximal(parent, 64, 2, beta, fam)
 
 
 def test_maximality_audit_on_narrow_parent():
     families, _ = build_nested_levels(1, 2, 64, 1)
-    parent, n = families[0].cubes[1], 1 << 14
+    parent, n = families[0][1], 1 << 14
     assert parent.side < Fraction(1, n)
     fam = separated_cubes(parent, n, 2)
     assert len(fam) > 2
     audit_separated_maximal(parent, n, 2, 4, fam)
-    dropped = CubeFamily(fam.level, fam.cubes[:1] + fam.cubes[2:], dict(fam.meta))
+    dropped = replace(fam, p=fam.p[:1] + fam.p[2:], q=fam.q[:1] + fam.q[2:])
     with pytest.raises(AssertionError, match="not maximal"):
         audit_separated_maximal(parent, n, 2, 4, dropped)
 
@@ -309,11 +310,11 @@ def test_maximality_audit_of_uncapped_level_one_parent():
     # n = 2^15 inside the level-1 parent at 4/17: 279 accepted anchors, each
     # candidate checked against the three slots around it, not all 279
     families, _ = build_nested_levels(1, 2, 64, 1)
-    parent, n = families[0].cubes[3], 1 << 15
+    parent, n = families[0][3], 1 << 15
     fam = separated_cubes(parent, n, 2)
     assert len(fam) == 279 and fam.meta["maximal"]
     audit_separated_maximal(parent, n, 2, 4, fam)
-    dropped = CubeFamily(fam.level, fam.cubes[:-1], dict(fam.meta))
+    dropped = replace(fam, p=fam.p[:-1], q=fam.q[:-1])
     with pytest.raises(AssertionError, match="not maximal"):
         audit_separated_maximal(parent, n, 2, 4, dropped)
 
@@ -323,7 +324,7 @@ def _oracle_is_maximal(c, n, beta, family):
     checked against every accepted anchor."""
     margin, gap = family.meta["margin"], family.meta["anchor_gap"]
     q_lo = _exact_q_lo(n, beta)
-    accepted = [(cb.p[0], cb.q) for cb in family]
+    accepted = list(zip(family.p, family.q))
     return all(
         any(abs(p * q2 - p2 * q) * gap.denominator <= gap.numerator * q * q2 for p2, q2 in accepted)
         for p, q in _oracle_scan_1d(c.lo_corner(0) + margin, c.hi_corner(0) - margin, q_lo, n)
@@ -344,8 +345,8 @@ def test_maximality_audit_matches_quadratic_oracle(q, p_frac, n, spread, beta, r
     if 2 * (beta / n) ** 2 > parent.side:
         return
     fam = separated_cubes(parent, n, 2, beta=beta)
-    kept = [cb for cb in fam if rnd.random() < 0.9]
-    thinned = CubeFamily(fam.level, kept, dict(fam.meta))
+    kept = [i for i in range(len(fam)) if rnd.random() < 0.9]
+    thinned = replace(fam, p=[fam.p[i] for i in kept], q=[fam.q[i] for i in kept])
     if _oracle_is_maximal(parent, n, beta, thinned):
         audit_separated_maximal(parent, n, 2, beta, thinned)
     else:
@@ -384,14 +385,58 @@ def test_twin_order_and_gap_match_fraction_oracle(base, scales, t, c1, width, da
     if len(anchors) < 2:
         anchors = anchors + anchors
     c2 = c1 + width
-    assert fractal._twin_order(anchors, t, c1, c2) == _oracle_twin_order(anchors, t, c1, c2)
+    twins = CubeFamily(1, [p for p, _ in anchors], [q for _, q in anchors], c1, c2, t)
+    assert fractal._twin_order(twins) == _oracle_twin_order(anchors, t, c1, c2)
+
+
+def _old_member(rule, p, q, t, c1, c2, scale):
+    """The Cube each builder made per anchor before families held anchors:
+    separated_cubes' ball, build_nested_levels' twin, level_cube_family's cube."""
+    if rule == "separated":
+        r = Fraction(1, q**t)
+        return Cube((p,), q, -r, r)
+    if rule == "nested":
+        q_t = q**t
+        return Cube((p,), q, c1 / q_t, c2 / q_t)
+    return Cube((p,), q, c1 * scale, c2 * scale)
+
+
+@PROPERTY
+@given(
+    base=st.lists(anchor_st, min_size=1, max_size=12),
+    scales=st.lists(st.integers(1, 4), max_size=12),
+    rule=st.sampled_from(["separated", "nested", "level"]),
+    t=st.integers(0, 4),
+    c1=st.fractions(Fraction(1, 1000), 1, max_denominator=1000),
+    width=st.fractions(Fraction(1, 1000), 1, max_denominator=1000),
+    lam=st.integers(2, 64),
+    j=st.integers(1, 6),
+)
+def test_materialized_cubes_match_old_construction(base, scales, rule, t, c1, width, lam, j):
+    # unreduced multiples k p/k q beside their anchors, with q up to 2^42
+    anchors = base + [(k * p, k * q) for (p, q), k in zip(base, scales)]
+    ps, qs = [p for p, _ in anchors], [q for _, q in anchors]
+    c2, scale = c1 + width, Fraction(1, lam**j)
+    offsets = {
+        "separated": (Fraction(-1), Fraction(1), t),
+        "nested": (c1, c2, t),
+        "level": (c1 * scale, c2 * scale, 0),
+    }
+    family = CubeFamily(0, ps, qs, *offsets[rule])
+    members = list(family)
+    assert len(members) == len(family) == len(anchors)
+    for i, (p, q) in enumerate(anchors):
+        old = _old_member(rule, p, q, t, c1, c2, scale)
+        for cube in (members[i], family[i]):
+            assert cube == old
+            assert (str(cube.lo), str(cube.hi)) == (str(old.lo), str(old.hi))
 
 
 def test_meta_records_code_path():
     wide = separated_cubes(E0, 1 << 10, 2)
     assert wide.meta["store"] == "dense"
     families, plan = build_nested_levels(1, 2, 256, 2, retain=1)
-    narrow = separated_cubes(families[1].cubes[0], plan.n[1] * 4096, 2, max_cubes=64)
+    narrow = separated_cubes(families[1][0], plan.n[1] * 4096, 2, max_cubes=64)
     assert narrow.meta["store"] == "sparse"
 
 
@@ -401,60 +446,71 @@ class TestIntegerAudit:
         return separated_cubes(E0, 256, 2)
 
     @staticmethod
-    def _with(family, cubes):
-        return CubeFamily(family.level, cubes, dict(family.meta))
+    def _with(family, anchors):
+        """The family with its anchors replaced by (p, q) pairs, rule and meta kept."""
+        return replace(family, p=[p for p, _ in anchors], q=[q for _, q in anchors])
+
+    @staticmethod
+    def _anchors(family):
+        return list(zip(family.p, family.q))
 
     def test_equal_rationals_raise(self, family):
-        cube = family.cubes[len(family) // 2]
-        twin = Cube((2 * cube.p[0],), 2 * cube.q, cube.lo / 4, cube.hi / 4)
+        # the unreduced twin 2p/2q, whose ball 1/(2q)^2 the rule gives
+        p, q = self._anchors(family)[len(family) // 2]
+        twin = self._with(family, self._anchors(family) + [(2 * p, 2 * q)])
         with pytest.raises(AssertionError, match="too close"):
-            audit_separated_family(E0, self._with(family, family.cubes + [twin]), 2)
+            audit_separated_family(E0, twin, 2)
 
     def test_one_quarter_and_two_eighths_raise(self):
         parent = Cube((0,), 1, Fraction(0), Fraction(1))
         meta = {"n": 64, "margin": Fraction(1, 4096), "anchor_gap": Fraction(3, 4096)}
-        r = Fraction(1, 4096)
-        fam = CubeFamily(0, [Cube((1,), 4, -r, r), Cube((2,), 8, -r, r)], meta)
+        fam = CubeFamily(0, [1, 2], [4, 8], -1, 1, 2, meta)
         with pytest.raises(AssertionError, match="too close"):
             audit_separated_family(parent, fam, 2)
 
     def test_anchor_within_gap_raises(self, family):
-        cube = family.cubes[len(family) // 2]
-        anchor = cube.anchor(0) + family.meta["anchor_gap"] / 2
-        r = Fraction(1, 10**12)
-        near = Cube((anchor.numerator,), anchor.denominator, -r, r)
+        p, q = self._anchors(family)[len(family) // 2]
+        near = Fraction(p, q) + family.meta["anchor_gap"] / 2
+        anchors = self._anchors(family) + [(near.numerator, near.denominator)]
         with pytest.raises(AssertionError, match="too close"):
-            audit_separated_family(E0, self._with(family, family.cubes + [near]), 2)
+            audit_separated_family(E0, self._with(family, anchors), 2)
 
     def test_anchor_inside_margin_raises(self, family):
-        anchor = E0.lo_corner(0) + family.meta["margin"] / 2
-        r = Fraction(1, 10**12)
-        stray = Cube((anchor.numerator,), anchor.denominator, -r, r)
+        stray = E0.lo_corner(0) + family.meta["margin"] / 2
+        anchors = [(stray.numerator, stray.denominator)] + self._anchors(family)
         with pytest.raises(AssertionError, match="margin"):
-            audit_separated_family(E0, self._with(family, [stray] + family.cubes), 2)
+            audit_separated_family(E0, self._with(family, anchors), 2)
 
     def test_cube_leaving_parent_raises(self, family):
-        cube = family.cubes[0]
-        wide = Cube(cube.p, cube.q, cube.lo, Fraction(1, 4))
+        # 1/7 is inside the window [1/8, 1/4] shrunk by the margin 1/4096, but
+        # its ball 1/49 reaches below 1/8
+        anchors = [(1, 7)] + self._anchors(family)
         with pytest.raises(AssertionError, match="leaves the parent"):
-            audit_separated_family(E0, self._with(family, [wide] + family.cubes[1:]), 2)
+            audit_separated_family(E0, self._with(family, anchors), 2)
 
     def test_separation_below_guarantee_raises(self, family):
-        order = sorted(family.cubes, key=lambda cb: cb.anchor(0))
-        a, b = order[len(order) // 2], order[len(order) // 2 + 1]
-        sep = Fraction(1, family.meta["n"] ** 2)
-        r = b.anchor(0) - a.anchor(0) - a.hi - sep / 2
-        grown = Cube(b.p, b.q, -r, r)
-        cubes = [grown if cb is b else cb for cb in family.cubes]
+        # 11/64 and 12/64 are 64/4096 apart; under the rule (-1, hi, 2) the
+        # gap between their cubes is (64 - 1 - hi)/4096, against n^-2 = 1/65536
+        pair = self._with(family, [(11, 64), (12, 64)])
+        audit_separated_family(E0, replace(pair, hi=Fraction(62)), 2)
         with pytest.raises(AssertionError, match="separation"):
-            audit_separated_family(E0, self._with(family, cubes), 2)
+            audit_separated_family(E0, replace(pair, hi=Fraction(63)), 2)
+
+    def test_radius_exponent_other_than_tau_raises(self, family):
+        with pytest.raises(AssertionError, match="radius exponent"):
+            audit_separated_family(E0, family, 3)
+        # checked before anything else, so an empty family is rejected too
+        with pytest.raises(AssertionError, match="radius exponent"):
+            audit_separated_family(E0, self._with(family, []), 1)
+        with pytest.raises(ValueError, match="tau"):
+            audit_separated_family(E0, family, 2.5)
 
     def test_float_ties_are_ordered_exactly(self):
         # level-3 anchors lie closer than a double can tell apart
         families, plan = build_nested_levels(1, 2, 256, 2, retain=4)
-        parent = families[1].cubes[0]
+        parent = families[1][0]
         fam = separated_cubes(parent, plan.n[1] * 4096, 2, max_cubes=64)
-        keys = [cb.p[0] / cb.q for cb in fam]
+        keys = [p / q for p, q in zip(fam.p, fam.q)]
         assert len(set(keys)) < len(keys)
         audit_separated_family(parent, fam, 2)
 
@@ -470,6 +526,9 @@ def test_non_integer_tau_rejected():
         separated_cubes(negative, 64, 2.5)
     with pytest.raises(ValueError, match="tau"):
         build_nested_levels(1, Fraction(5, 2), 64, 1)
+    # a negative tau has no integer radius 1/q^tau either
+    with pytest.raises(ValueError, match="tau"):
+        separated_cubes(E0, 64, -1)
 
 
 def test_integral_float_tau_is_exact():
