@@ -17,9 +17,14 @@ from .schrodinger import TAU, FourierData, RationalTime, dirichlet_kernel_1d, so
 
 _ATOM_CAP = 1 << 22
 
+# Points of the convolution grid: two complex arrays of this length are
+# 512 MiB, and 2 * 3^L stays below it for Cantor levels L <= 14.
+_GRID_CAP = 1 << 24
+
 # Complex entries in one atom block's exponential in the dense maximal
 # evaluators: 2^16 entries are 1 MiB, so a block stays in a 2 MiB per-core
-# L2 cache while every time (or truncation) reuses it.
+# L2 cache while every time (or truncation) reuses it.  The Dirichlet grids
+# are streamed in blocks of as many points.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -205,16 +210,37 @@ def dirichlet_abs_max_envelope(n: int, x: np.ndarray, plain: np.ndarray) -> np.n
     return np.maximum(env, plain)
 
 
+def _dirichlet_grid_into(n: int, m: int, out: np.ndarray, env: np.ndarray | None = None) -> None:
+    """Write |D_N(2 pi i / m)| for i < len(out) into out, one _BLOCK_ENTRIES
+    block of grid points at a time; with env given, also write the maximal
+    envelope there.
+
+    Each block builds x = TAU * i / m from the integer i, the same float as
+    in the whole grid, and the kernel and envelope act element by element,
+    so every entry has the bits of a whole-grid evaluation.
+    """
+    for i0 in range(0, len(out), _BLOCK_ENTRIES):
+        i1 = min(i0 + _BLOCK_ENTRIES, len(out))
+        x = TAU * np.arange(i0, i1) / m
+        plain = out[i0:i1]
+        np.abs(dirichlet_kernel_1d(n, x), out=plain)
+        if env is not None:
+            env[i0:i1] = dirichlet_abs_max_envelope(n, x, plain)
+
+
 def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) -> list[float]:
     """For each N in ns, the max over the grid 2 pi i / m, i = 0..m-1 with
     m = x_grid, of the sum over atoms of mass * |D_N(x - y)|, computed by a
     circular FFT.
 
-    One-dimensional only, and every atom must sit on the grid; otherwise
-    ValueError.  The grid must resolve the kernel oscillation of every N:
-    spacing 2 pi / m <= 1/(10 N).  All of this is checked before any FFT,
-    so a bad N anywhere in ns returns nothing.  The weight spectrum and the
-    grid are built once and shared by every N.
+    One-dimensional only, every atom must sit on the grid, and the grid may
+    hold at most 2^24 points; otherwise ValueError.  The grid must
+    resolve the kernel oscillation of every N: spacing 2 pi / m <= 1/(10 N).
+    All of this is checked before any grid array exists, so a bad N anywhere
+    in ns returns nothing.  The weight spectrum is built once and shared by
+    every N; each N streams its kernel into one reused complex buffer, which
+    is transformed, multiplied and inverted in place, so two complex arrays
+    of m entries are the whole working set.
     """
     ns = [int(n) for n in ns]
     if not ns:
@@ -224,6 +250,8 @@ def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) ->
     m = int(x_grid)
     if m < 2:
         raise ValueError("grid must contain at least two points")
+    if m > _GRID_CAP:
+        raise ValueError(f"grid of {m} points above cap {_GRID_CAP}")
     for n in ns:
         if n < 1:
             raise ValueError(f"bandwidth must be >= 1, got {n}")
@@ -237,14 +265,23 @@ def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) ->
     if not np.max(np.abs(pos - TAU * idx / m)) < 1e-9 * TAU / m:
         raise ValueError(f"an atom lies off the {m}-point grid")
     idx %= m
-    weights = np.zeros(m)
-    np.add.at(weights, idx, mu.masses)
-    spectrum = np.fft.fft(weights)
-    x = TAU * np.arange(m) / m
+    # fft of a real array is the complex transform of (x + 0j), so filling
+    # .real of zeroed complex arrays keeps every bit
+    spectrum = np.zeros(m, dtype=complex)
+    np.add.at(spectrum.real, idx, mu.masses)
+    np.fft.fft(spectrum, out=spectrum)
+    buf = np.empty(m, dtype=complex)
     out = []
     for n in ns:
-        kern = np.abs(dirichlet_kernel_1d(n, x))
-        out.append(float(np.fft.ifft(spectrum * np.fft.fft(kern)).real.max()))
+        buf.imag = 0.0
+        _dirichlet_grid_into(n, m, buf.real)
+        np.fft.fft(buf, out=buf)
+        # operand order moves the low bits of a complex product; this is the
+        # order numpy takes for `spectrum * np.fft.fft(kern)` on grids of 2^14
+        # points and more, where it writes into the temporary transform
+        np.multiply(buf, spectrum, out=buf)
+        np.fft.ifft(buf, out=buf)
+        out.append(float(buf.real.max()))
     return out
 
 
@@ -259,18 +296,20 @@ def dirichlet_l1(n: int, d: int = 1, num_points: int | None = None) -> tuple[flo
     power.  Accuracy is limited by the kernel's |.| kinks: against an 8x
     refined grid the default stays within 2e-4 relative across N <= 2^16
     (documented error control); raise num_points where more is needed.
+    The kernel and envelope are streamed into two arrays of m + 1 values,
+    and Simpson's weights are applied to them in place.
     """
     if n < 1:
         raise ValueError(f"bandwidth must be >= 1, got {n}")
     m = num_points if num_points is not None else max(40 * n, 2000)
     m += m % 2  # Simpson needs an even interval count
-    x = TAU * np.arange(m + 1) / m
-    plain = np.abs(dirichlet_kernel_1d(n, x))
-    maxi = dirichlet_abs_max_envelope(n, x, plain)
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    plain_l1, max_l1 = (float((w * f).sum() * (TAU / m) / 3.0) ** d for f in (plain, maxi))
+    plain = np.empty(m + 1)
+    maxi = np.empty(m + 1)
+    _dirichlet_grid_into(n, m, plain, maxi)
+    for f in (plain, maxi):
+        f[1:-1:2] *= 4.0
+        f[2:-1:2] *= 2.0
+    plain_l1, max_l1 = (float(f.sum() * (TAU / m) / 3.0) ** d for f in (plain, maxi))
     return plain_l1, max_l1
 
 

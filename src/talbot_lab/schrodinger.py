@@ -177,9 +177,9 @@ def dirichlet_kernel_1d(n: int, x: float | np.ndarray) -> float | np.ndarray:
     xa = np.atleast_1d(xa)
     s = np.sin(xa / 2.0)
     near = np.abs(s) < _SING_TOL
-    out = np.empty_like(xa)
-    safe = ~near
-    out[safe] = np.sin((n + 0.5) * xa[safe]) / s[safe]
+    # the near entries divide by ~0 here; the cosine series overwrites them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin((n + 0.5) * xa) / s
     if np.any(near):
         k = np.arange(1, n + 1, dtype=float)
         for i in np.nonzero(near)[0]:

@@ -146,6 +146,16 @@ class TestCliContract:
         assert not (out / "report.json").exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("level", [15, 22])
+    def test_oversized_convolution_grid_exits_two_without_report(self, tmp_path, capsys, level):
+        # 2 * 3^level grid points: level 22 passes the atom cap, and its grid
+        # would ask numpy for about 470 GiB
+        cfg = write_cfg(tmp_path, f"cantor_level = {level}\n")
+        out = tmp_path / "o"
+        assert main(["maximal", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert "above cap" in capsys.readouterr().err
+
     def test_failing_check_exits_one_with_report(self, tmp_path):
         cfg = write_cfg(tmp_path, "q_max = 60\nabel_instances = 50\nperturbed_q_max = 32\ntol = 1e-30\n")
         out = tmp_path / "o"

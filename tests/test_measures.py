@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from talbot_lab.measures import (
+    _BLOCK_ENTRIES,
     DEFAULT_FROSTMAN_RADII,
     AtomicMeasure,
     TimeSamplingPlan,
@@ -331,7 +333,24 @@ def _convolve_reference(mu, n, m):
     return float(np.fft.ifft(np.fft.fft(weights) * np.fft.fft(kern)).real.max())
 
 
-def _dirichlet_l1_reference(n, maximal, num_points=None):
+def _convolve_whole_grid(mu, ns, m):
+    # the whole-grid body that the streamed convolution replaced; for m >= 2^14
+    # numpy reuses the fft temporary as the output of `spectrum * ...` and swaps
+    # the operands, which moves low bits against _convolve_reference
+    pos = mu.positions[:, 0]
+    idx = np.rint(pos / TAU * m).astype(np.int64) % m
+    weights = np.zeros(m)
+    np.add.at(weights, idx, mu.masses)
+    spectrum = np.fft.fft(weights)
+    x = TAU * np.arange(m) / m
+    out = []
+    for n in ns:
+        kern = np.abs(dirichlet_kernel_1d(n, x))
+        out.append(float(np.fft.ifft(spectrum * np.fft.fft(kern)).real.max()))
+    return out
+
+
+def _dirichlet_l1_reference(n, maximal, num_points=None, d=1):
     m = num_points if num_points is not None else max(40 * n, 2000)
     m += m % 2
     x = TAU * np.arange(m + 1) / m
@@ -345,7 +364,7 @@ def _dirichlet_l1_reference(n, maximal, num_points=None):
     w = np.ones(m + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float((w * f).sum() * (TAU / m) / 3.0)
+    return float((w * f).sum() * (TAU / m) / 3.0) ** d
 
 
 def _maximal_values_reference(f, mu, times):
@@ -445,6 +464,77 @@ class TestSharedKernelsKeepEveryBit:
             _dirichlet_l1_reference(n, False, num_points),
             _dirichlet_l1_reference(n, True, num_points),
         )
+
+
+_B = _BLOCK_ENTRIES
+
+
+def _on_grid_measure(m, seed):
+    """Random atoms on the m-point grid, point 0 and one atom just below 2 pi included."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(m, size=200, replace=False)
+    pos = np.concatenate([TAU * idx / m, [0.0, np.nextafter(TAU, 0.0)]])
+    return AtomicMeasure(1, pos, rng.uniform(0.5, 1.5, pos.size), 0.5)
+
+
+class TestStreamedGridsKeepEveryBit:
+    # every grid holds x = 0, and the Simpson grid also 2 pi: both take the
+    # kernel's near-singular branch
+
+    @pytest.mark.parametrize("m", [_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1])
+    def test_convolution_across_block_edges(self, m):
+        mu = _on_grid_measure(m, m)
+        ns = [1, 9, 1000]
+        assert convolve_dirichlet_sup(mu, ns, m) == _convolve_whole_grid(mu, ns, m)
+
+    def test_convolution_default_grid_and_bandwidths(self):
+        mu = cantor_measure(1, 1 / 3, 12)
+        grid = 2 * 3**12
+        ns = [2**e for e in range(6, 14)]
+        assert convolve_dirichlet_sup(mu, ns, grid) == _convolve_whole_grid(mu, ns, grid)
+
+    @pytest.mark.parametrize(
+        "n, num_points, d",
+        [
+            (3, _B - 2, 1),  # m + 1 = B - 1 grid points
+            (3, _B, 1),  # m + 1 = B + 1
+            (1000, 2 * _B - 2, 1),
+            (1000, 2 * _B, 1),
+            (50, _B - 1, 1),  # odd num_points: m = B, m + 1 = B + 1
+            (7, 2 * _B + 1, 1),
+            (5, None, 2),
+            (1000, _B, 2),
+            (2000, None, 1),  # default m = 80000 crosses a block edge
+        ],
+    )
+    def test_dirichlet_l1_across_block_edges(self, n, num_points, d):
+        assert dirichlet_l1(n, d=d, num_points=num_points) == (
+            _dirichlet_l1_reference(n, False, num_points, d),
+            _dirichlet_l1_reference(n, True, num_points, d),
+        )
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while fn runs; numpy reports its data buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedGridMemory:
+    # pocketfft's own scratch is not traced; the whole-grid temporaries were
+
+    def test_convolution_holds_two_complex_grids(self):
+        mu = cantor_measure(1, 1 / 3, 12)
+        m = 2 * 3**12
+        assert _traced_peak(convolve_dirichlet_sup, mu, [64, 512, 4096], m) < 3 * 16 * m
+
+    def test_dirichlet_l1_holds_two_real_grids(self):
+        m = 40 * 2**16
+        assert _traced_peak(dirichlet_l1, 2**16) < 3 * 8 * (m + 1)
 
 
 class TestConvolutionValidatesFirst:

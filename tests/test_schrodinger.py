@@ -50,6 +50,27 @@ class TestDirichletKernel:
         direct = 1.0 + 2.0 * np.cos(np.arange(1, 13) * x).sum()
         assert dirichlet_kernel_1d(12, x) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 12, 1000])
+    def test_matches_masked_gathers(self, n):
+        # test-local copy of the evaluation that gathered the regular entries by mask
+        rng = np.random.default_rng(n)
+        xs = np.concatenate([
+            [0.0, 2e-9, -3e-9, TAU, -TAU, 2 * TAU, np.nextafter(TAU, 0.0), math.pi],
+            rng.uniform(-20.0, 20.0, 997),
+            TAU * np.arange(4097) / 4096,
+        ])
+        s = np.sin(xs / 2.0)
+        near = np.abs(s) < 1e-8
+        ref = np.empty_like(xs)
+        ref[~near] = np.sin((n + 0.5) * xs[~near]) / s[~near]
+        k = np.arange(1, n + 1, dtype=float)
+        for i in np.nonzero(near)[0]:
+            ref[i] = 1.0 + 2.0 * np.cos(k * xs[i]).sum()
+        np.clip(ref, -(2 * n + 1), 2 * n + 1, out=ref)
+        assert np.count_nonzero(near) >= 6
+        assert np.array_equal(dirichlet_kernel_1d(n, xs), ref)
+        assert [dirichlet_kernel_1d(n, x) for x in xs[:8]] == list(ref[:8])
+
 
 def _random_data(rng, d, bandwidth, count):
     ks = rng.integers(-bandwidth, bandwidth + 1, size=(count, d))
