@@ -295,11 +295,10 @@ def verify_claim_iii(
     k: int,
     samples: Sequence[SamplePoint],
     n_list: Sequence[int],
-    c: float | None = None,
 ) -> ClaimReport:
     """Decay claim for levels k > j at truncations inside the block.
 
-    ratio = |S_N f_k| / lam^(j delta - c (k - j)) with default c = s_alpha/2;
+    ratio = |S_N f_k| / lam^(j delta - c (k - j)) with c = s_alpha/2;
     factor magnitudes are normalised by lam^(j (1 - alpha/(2(d+1)))).  The
     lower offset bound eps_i >= c1 lam^-j is essential here and enforced.
     """
@@ -316,8 +315,7 @@ def verify_claim_iii(
             raise ValueError(
                 f"offset {min(s.eps):.3g} below the essential lower bound {eps_floor:.3g}"
             )
-    if c is None:
-        c = params.s_alpha / 2.0
+    c = params.s_alpha / 2.0
     target_factor = lam ** (j * (1.0 - params.alpha / (2.0 * (params.d + 1))))
     rows = []
     for n in n_list:

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ..measures import GRID_CAP
+from ..schrodinger import FREQ_LIMIT
+
 
 class ConfigError(Exception):
     """Raised on any malformed, unknown, or ill-typed configuration input."""
@@ -228,11 +231,17 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
                     raise ConfigError(f"{name} must be at least 1, got {cfg[name]}")
         lam = int(cfg["lam"])
         top = int(cfg["j_max"]) if experiment == "evolve" else max(cfg["j_list"]) + 2
-        if lam**top > 2**30:
+        if lam**top > FREQ_LIMIT:
             raise ConfigError(
-                f"lam^{top} exceeds the 2^30 frequency limit; lower j_max/j_list or lam"
+                f"lam^{top} exceeds the frequency limit {FREQ_LIMIT}; lower j_max/j_list or lam"
             )
     if experiment == "maximal":
+        level = int(cfg["cantor_level"])
+        # 2 * 3^L > 2^L, so every level past the cap's bit length is above it
+        if 2 * 3 ** min(level, GRID_CAP.bit_length()) > GRID_CAP:
+            raise ConfigError(
+                f"cantor_level {level}: convolution grid of 2*3^{level} points above cap {GRID_CAP}"
+            )
         for sweep in ("conv", "l1", "lp", "sweep"):
             lo, hi = int(cfg[f"{sweep}_exp_min"]), int(cfg[f"{sweep}_exp_max"])
             if not 1 <= lo <= hi:

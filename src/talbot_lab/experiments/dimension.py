@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from ..counterexample import CounterexampleParams
 from ..fractal import (
-    Cube,
+    ROOT_CUBE,
     audit_nesting,
     audit_separated_family,
     build_nested_levels,
@@ -46,14 +46,13 @@ def run(cfg: dict, jobs: int = 1) -> RunReport:
     report.add_check("covering_exponent_worst_error", worst_cov, float(cfg["cov_tol"]), "<=")
     report.sweeps.append(Sweep("covering_exponent", ["alpha", "fitted_exponent", "lam"], cov_rows))
 
-    # separated-cube packing counts inside [1/8, 1/4]
-    e0 = Cube((1,), 8, Fraction(0), Fraction(1, 8))
+    # separated-cube packing counts inside the root cube [1/8, 1/4]
     beta = cfg["sep_beta"]
     pts = []
     for e in range(int(cfg["sep_exp_min"]), int(cfg["sep_exp_max"]) + 1):
         n = 2**e
-        fam = separated_cubes(e0, n, 2, beta=beta)
-        audit_separated_family(e0, fam, 2)
+        fam = separated_cubes(ROOT_CUBE, n, 2, beta=beta)
+        audit_separated_family(ROOT_CUBE, fam, 2)
         pts.append((float(n), float(len(fam))))
     fit = exponent_fit(pts)
     report.add_check(

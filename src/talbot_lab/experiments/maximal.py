@@ -40,7 +40,7 @@ def run(cfg: dict, jobs: int = 1) -> RunReport:
     conv_pts = [(float(n), v) for n, v in zip(ns, convolve_dirichlet_sup(mu, ns, grid))]
     fit_plain = exponent_fit(conv_pts)
     fit_poly = exponent_fit(conv_pts, polylog=True)
-    target = 1.0 - math.log(2.0) / math.log(3.0)
+    target = 1.0 - alpha
     report.add_check(
         "convolution_polylog_slope_error",
         abs(fit_poly.slope - target),

@@ -61,7 +61,6 @@ class RunReport:
     checks: list[Check] = field(default_factory=list)
     sweeps: list[Sweep] = field(default_factory=list)
     golden_diffs: list[GoldenDiff] = field(default_factory=list)
-    version: str = __version__
 
     def add_check(self, name: str, value: float, threshold: float, op: str) -> Check:
         check = Check(name, float(value), float(threshold), op)
@@ -76,7 +75,7 @@ class RunReport:
     def to_json_dict(self) -> dict:
         return {
             "experiment": self.experiment,
-            "version": self.version,
+            "version": __version__,
             "config": self.config,
             "checks": [
                 {

@@ -7,9 +7,12 @@ Cantor-type constructions, and the mass-distribution dimension bound.
 A CubeFamily is one-dimensional and holds no cubes: its members are exact
 integer anchors (p, q) and one exact offset rule shared by all of them,
 member = p/q + [lo/q^t, hi/q^t].  The packings use (-1, 1, tau), the nested
-twins (c1, c2, tau), the level-j families (c1 lam^-j, c2 lam^-j, 0).  The
-audits read corners as integers straight from anchors and rule; a Cube is
-built only when a caller iterates or indexes a family.  The level families,
+twins (1/200, 1/100, tau), the level-j families (c1 lam^-j, c2 lam^-j, 0).
+The audits read corners as integers straight from anchors and rule; a Cube
+is built only when a caller iterates or indexes a family.  The nested build
+has one fixed shape: it packs the root cube [1/8, 1/4], its twins sit at
+offsets (1/200, 1/100), and its denominator bound grows x4096 per level,
+n_k = 4096^(k-1) n1.  The level families,
 packings, their audits, the nested builds and the volume bound reject
 d >= 2; cubes, level counts and Cantor plans stay d-general.
 """
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -560,14 +563,13 @@ class CantorPlan:
             raise ValueError("separations must be positive")
 
 
-def default_growth_rule(n_prev: int, k: int) -> int:
-    """Per-level denominator growth, geometric with ratio 2^12.
-
-    A fixed geometric ratio keeps every level computable at desk scale
-    while satisfying the feasibility requirement that child margins fit
-    inside parent cubes (ratio >> beta * sqrt(2/(c2-c1))).
-    """
-    return n_prev * 4096
+# The nested build: root cube [1/8, 1/4], twin offsets (c1, c2), and the
+# per-level growth of n_k.  A fixed geometric ratio keeps every level
+# computable at desk scale while child margins still fit inside parent cubes
+# (ratio >> beta sqrt(2/(c2 - c1))).
+ROOT_CUBE = Cube((1,), 8, Fraction(0), Fraction(1, 8))
+_TWIN_C1, _TWIN_C2 = Fraction(1, 200), Fraction(1, 100)
+_NESTED_GROWTH = 4096
 
 
 def build_nested_levels(
@@ -575,19 +577,16 @@ def build_nested_levels(
     tau,
     n1: int,
     levels: int,
-    growth: Callable[[int, int], int] | None = None,
-    beta=4,
-    c1: Fraction = Fraction(1, 200),
-    c2: Fraction = Fraction(1, 100),
     max_children: int = 64,
     retain: int = 4,
-    e0: Cube | None = None,
 ) -> tuple[list[CubeFamily], CantorPlan]:
     """Iterate the separated-cube step inside every retained parent cube.
 
-    One-dimensional only: d >= 2 raises ValueError.  Level k runs the greedy
-    packing with denominators up to n_k inside each (k-1)-level cube and
-    replaces every ball by its offset twin p/q + [c1/q^tau, c2/q^tau].  The
+    One-dimensional only: d >= 2 raises ValueError.  The construction starts
+    from ROOT_CUBE = [1/8, 1/4], and level k runs the greedy packing (window
+    ratio beta = 4) with denominators up to n_k = 4096^(k-1) n1 inside each
+    (k-1)-level cube and replaces every ball by its offset twin
+    p/q + [c1/q^tau, c2/q^tau], with (c1, c2) = (1/200, 1/100).  The
     plan records, per level, the child count m_k (min over expanded parents
     of children found, capped at max_children) and the separation eps_k (min
     over expanded parents of the exact within-parent child gap, never above
@@ -601,34 +600,26 @@ def build_nested_levels(
     """
     _require_1d(d)
     t = _tau_exponent(tau)
-    if growth is None:
-        growth = default_growth_rule
-    if e0 is None:
-        e0 = Cube((1,), 8, Fraction(0), Fraction(1, 8))
-    c1, c2 = Fraction(c1), Fraction(c2)
-    if not 0 < c1 < c2 <= 1:
-        raise ValueError("need 0 < c1 < c2 <= 1")
-    parents: Sequence[Cube] | CubeFamily = [e0]
+    parents: Sequence[Cube] | CubeFamily = [ROOT_CUBE]
     families: list[CubeFamily] = []
     ns: list[int] = []
     ms: list[int] = []
     eps: list[float] = []
-    n_prev = n1
     for k in range(1, levels + 1):
-        n_k = n1 if k == 1 else growth(n_prev, k)
+        n_k = n1 * _NESTED_GROWTH ** (k - 1)
         ps: list[int] = []
         qs: list[int] = []
         m_k = None
         gap_k = None
         for parent in parents:
-            fam = separated_cubes(parent, n_k, tau, beta=beta, max_cubes=max_children)
+            fam = separated_cubes(parent, n_k, tau, max_cubes=max_children)
             if len(fam) < 2:
                 raise ValueError(
                     f"level {k}: parent at {parent.p}/{parent.q} yields {len(fam)} "
                     f"children; the growth condition on n_k is violated (m_k >= 2 fails)"
                 )
             m_k = len(fam) if m_k is None else min(m_k, len(fam))
-            order, found_gap = _twin_order(CubeFamily(k, fam.p, fam.q, c1, c2, t))
+            order, found_gap = _twin_order(CubeFamily(k, fam.p, fam.q, _TWIN_C1, _TWIN_C2, t))
             gap_k = found_gap if gap_k is None else min(gap_k, found_gap)
             if len(order) > retain:
                 idx = np.linspace(0, len(order) - 1, retain).round().astype(int)
@@ -638,7 +629,7 @@ def build_nested_levels(
         guaranteed = float(n_k) ** -2.0
         e_k = min(gap_k, eps[-1] * (1 - 1e-12)) if eps else gap_k
         parents = CubeFamily(
-            k, ps, qs, c1, c2, t,
+            k, ps, qs, _TWIN_C1, _TWIN_C2, t,
             meta={"n": n_k, "m": m_k, "eps_realized": gap_k,
                   "eps_guaranteed": guaranteed, "retained": len(qs)},
         )
@@ -646,7 +637,6 @@ def build_nested_levels(
         ns.append(n_k)
         ms.append(int(m_k))
         eps.append(e_k)
-        n_prev = n_k
     plan = CantorPlan(d, float(tau), levels, tuple(ns), tuple(ms), tuple(eps))
     return families, plan
 
@@ -738,7 +728,7 @@ def idealized_plan(d: int, lam: int, tau: float, levels: int) -> CantorPlan:
     return CantorPlan(d, float(tau), levels, n, m, eps)
 
 
-def level_volume_lower_bound(params: CounterexampleParams, j: int, cap: int = 1 << 20) -> float:
+def level_volume_lower_bound(params: CounterexampleParams, j: int) -> float:
     """Lower bound for the Lebesgue measure of the level-j cube family at alpha = d = 1.
 
     The number of distinct anchors p/q times the exact side (c2 - c1)
@@ -752,7 +742,7 @@ def level_volume_lower_bound(params: CounterexampleParams, j: int, cap: int = 1 
     _require_1d(params.d)
     if abs(params.alpha - params.d) > 1e-12:
         raise ValueError("volume lower bound applies to the case alpha = d only")
-    fam = level_cube_family(params, j, cap=cap)
+    fam = level_cube_family(params, j)
     if not fam:
         raise ValueError(f"level-{j} family is empty")
     distinct = {(p // g, q // g) for p, q in zip(fam.p, fam.q) for g in (math.gcd(p, q),)}

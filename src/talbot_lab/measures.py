@@ -19,7 +19,7 @@ _ATOM_CAP = 1 << 22
 
 # Points of the convolution grid: two complex arrays of this length are
 # 512 MiB, and 2 * 3^L stays below it for Cantor levels L <= 14.
-_GRID_CAP = 1 << 24
+GRID_CAP = 1 << 24
 
 # Complex entries in one atom block's exponential in the dense maximal
 # evaluators: 2^16 entries are 1 MiB, so a block stays in a 2 MiB per-core
@@ -121,28 +121,19 @@ def cantor_measure(d: int, ratio: float, level: int) -> AtomicMeasure:
         pts = np.concatenate([pts, pts + width * (1.0 - ratio)])
         width *= ratio
     axis = (pts + width / 2.0) * TAU
-    if d == 1:
-        pos = axis.reshape(-1, 1)
-    else:
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        pos = np.stack([g.ravel() for g in grids], axis=1)
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    pos = np.stack([g.ravel() for g in grids], axis=1)
     masses = np.full(pos.shape[0], 1.0 / pos.shape[0])
     alpha = d * math.log(2) / math.log(1.0 / ratio)
     return AtomicMeasure(d, pos, masses, alpha)
 
 
-def uniform_measure(n: int, d: int = 1) -> AtomicMeasure:
-    """n^d equally spaced atoms of equal mass: the grid surrogate of the
-    normalized Lebesgue measure."""
+def uniform_measure(n: int) -> AtomicMeasure:
+    """n equally spaced atoms of equal mass on the circle: the grid surrogate
+    of the normalized Lebesgue measure."""
     if n < 1:
-        raise ValueError("need at least one atom per coordinate")
-    axis = TAU * np.arange(n) / n
-    if d == 1:
-        pos = axis.reshape(-1, 1)
-    else:
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        pos = np.stack([g.ravel() for g in grids], axis=1)
-    return AtomicMeasure(d, pos, np.full(pos.shape[0], 1.0 / pos.shape[0]), float(d))
+        raise ValueError("need at least one atom")
+    return AtomicMeasure(1, TAU * np.arange(n) / n, np.full(n, 1.0 / n), 1.0)
 
 
 def _ball_masses_1d(mu: AtomicMeasure, centers: np.ndarray, r: float) -> np.ndarray:
@@ -250,8 +241,8 @@ def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) ->
     m = int(x_grid)
     if m < 2:
         raise ValueError("grid must contain at least two points")
-    if m > _GRID_CAP:
-        raise ValueError(f"grid of {m} points above cap {_GRID_CAP}")
+    if m > GRID_CAP:
+        raise ValueError(f"grid of {m} points above cap {GRID_CAP}")
     for n in ns:
         if n < 1:
             raise ValueError(f"bandwidth must be >= 1, got {n}")
@@ -315,19 +306,18 @@ def dirichlet_l1(n: int, d: int = 1, num_points: int | None = None) -> tuple[flo
 
 @dataclass(frozen=True)
 class TimeSamplingPlan:
-    """Finite surrogate for the time supremum over (0, t_max).
+    """Finite surrogate for the time supremum over (0, 1].
 
-    Combines reciprocal times 2 pi / q (where rational-time resonances
-    concentrate) with a uniform grid on (0, t_max].
+    Combines the reciprocal times 2 pi / q <= 1, q <= q_max (where
+    rational-time resonances concentrate) with a uniform grid on (0, 1].
     """
 
     q_max: int = 64
     grid: int = 64
-    t_max: float = 1.0
 
     def times(self) -> list[float]:
-        out = [TAU / q for q in range(int(math.ceil(TAU / self.t_max)), self.q_max + 1)]
-        out += [self.t_max * i / self.grid for i in range(1, self.grid + 1)]
+        out = [TAU / q for q in range(math.ceil(TAU), self.q_max + 1)]
+        out += [i / self.grid for i in range(1, self.grid + 1)]
         return out
 
 
@@ -383,9 +373,9 @@ def transference_ratio(
     s: float,
     alpha: float,
     plan: TimeSamplingPlan,
-    radii: Sequence[float] = DEFAULT_FROSTMAN_RADII,
 ) -> float:
-    """Weighted maximal norm over c_alpha(mu)^(1/p) * H^s norm of the datum.
+    """Weighted maximal norm over c_alpha(mu)^(1/p) * H^s norm of the datum,
+    with the Frostman constant taken over DEFAULT_FROSTMAN_RADII.
 
     Requires s > (d - alpha)/p + d/(d+2), the regularity at which the
     Lebesgue-measure maximal bound transfers to alpha-dimensional weights.
@@ -397,7 +387,8 @@ def transference_ratio(
     num = maximal_lp_norm(f, mu, p, plan)
     if num == 0.0:
         return 0.0
-    den = frostman_constant(mu, alpha, radii).value ** (1.0 / p) * sobolev_norm(f, s)
+    c_alpha = frostman_constant(mu, alpha, DEFAULT_FROSTMAN_RADII).value
+    den = c_alpha ** (1.0 / p) * sobolev_norm(f, s)
     if den == 0.0:
         raise ValueError("zero denominator with nonzero maximal norm")
     return num / den

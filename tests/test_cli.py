@@ -146,10 +146,17 @@ class TestCliContract:
         assert not (out / "report.json").exists()
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("level", [15, 22])
-    def test_oversized_convolution_grid_exits_two_without_report(self, tmp_path, capsys, level):
+    @pytest.mark.parametrize("level", [15, 22, 10**9])
+    def test_oversized_convolution_grid_exits_two_without_report(
+        self, tmp_path, capsys, monkeypatch, level
+    ):
         # 2 * 3^level grid points: level 22 passes the atom cap, and its grid
-        # would ask numpy for about 470 GiB
+        # would ask numpy for about 470 GiB; the config check rejects every
+        # such level before the Cantor measure is built
+        def no_measure(*args):
+            raise AssertionError("cantor_measure ran for an oversized grid")
+
+        monkeypatch.setattr("talbot_lab.experiments.maximal.cantor_measure", no_measure)
         cfg = write_cfg(tmp_path, f"cantor_level = {level}\n")
         out = tmp_path / "o"
         assert main(["maximal", "--config", str(cfg), "--out", str(out)]) == 2
