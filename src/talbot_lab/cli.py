@@ -7,6 +7,8 @@ Writes report.json, sweep_*.csv, and plot_*.dat into the output directory;
 exit status 0 when every configured check passes, 1 on check failure (the
 report is still written), 2 on configuration errors, including values the
 schema accepts but a layer rejects (nothing is written).
+Only `evolve` runs a worker pool, of --jobs threads; every other experiment
+runs serially whatever --jobs says.
 Wall time goes to the run_timing.txt sidecar, keeping report bytes
 deterministic for a fixed config and seed.
 """
@@ -35,7 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="flat key = value configuration file")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker cap for parallel sweeps")
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker threads for evolve's sweep; the other experiments run serially",
+    )
     return parser
 
 
@@ -48,9 +53,6 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT if exc.code not in (0,) else 0
     overrides = {}
     if args.seed is not None:
-        if args.seed < 0:
-            print("error: seed must be nonnegative", file=sys.stderr)
-            return USAGE_EXIT
         overrides["seed"] = args.seed
     if args.jobs < 1:
         print("error: jobs must be at least 1", file=sys.stderr)

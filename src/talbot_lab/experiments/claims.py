@@ -58,7 +58,7 @@ def _require_claim2_regimes(params: CounterexampleParams, j_list) -> None:
             )
 
 
-def run(cfg: dict, jobs: int = 1) -> RunReport:
+def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("claims", {})
     params = _params(cfg)
     lam = float(params.lam)

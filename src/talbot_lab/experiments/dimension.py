@@ -21,7 +21,7 @@ from ..measures import exponent_fit
 from .report import RunReport, Sweep
 
 
-def run(cfg: dict, jobs: int = 1) -> RunReport:
+def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("dimension", {})
 
     # covering exponents of the generation families, one case per alpha

@@ -22,7 +22,7 @@ def _worst_error_at_time(args) -> tuple[int, int, float]:
     return j, t.q, worst
 
 
-def run(cfg: dict, jobs: int = 1) -> RunReport:
+def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("evolve", {})
     params = CounterexampleParams(
         d=1,

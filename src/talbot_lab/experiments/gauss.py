@@ -26,7 +26,7 @@ def _coprime_sample(rng: np.random.Generator, q: int, count: int) -> list[int]:
     return out
 
 
-def run(cfg: dict, jobs: int = 1) -> RunReport:
+def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("gauss", {})
     rng = np.random.default_rng(cfg["seed"])
     q_max = int(cfg["q_max"])

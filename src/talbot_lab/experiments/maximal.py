@@ -28,10 +28,10 @@ def _dirichlet_datum(n: int) -> FourierData:
     return FourierData(1, ks, np.ones(ks.shape[0], dtype=complex))
 
 
-def run(cfg: dict, jobs: int = 1) -> RunReport:
+def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("maximal", {})
     level = int(cfg["cantor_level"])
-    mu = cantor_measure(1, 1.0 / 3.0, level)
+    mu = cantor_measure(1.0 / 3.0, level)
     alpha = mu.alpha
 
     # measure-convolution growth exponent on the atom-aligned grid
@@ -136,9 +136,7 @@ def run(cfg: dict, jobs: int = 1) -> RunReport:
         GoldenDiff(
             "middle_thirds_frostman",
             goldens.MIDDLE_THIRDS_FROSTMAN,
-            frostman_constant(
-                mu, alpha, [2 * math.pi * 3.0 ** (-m) for m in range(1, level + 1)]
-            ).value,
+            frostman_constant(mu, alpha, [2 * math.pi * 3.0 ** (-m) for m in range(1, level + 1)]),
         )
     )
     return report

@@ -39,7 +39,7 @@ class Sweep:
     name: str
     columns: list[str]
     rows: list[list[float]]
-    fit: dict | None = None  # {"slope":, "intercept":, "polylog": bool}
+    fit: dict | None = None  # {"slope":, "intercept":, "polylog": False}: a plain power law
 
 
 @dataclass
@@ -146,14 +146,11 @@ def emit_plotdata(report: RunReport, out_dir: str | Path) -> list[Path]:
         if sweep.fit is not None:
             slope = sweep.fit["slope"]
             intercept = sweep.fit["intercept"]
-            polylog = sweep.fit.get("polylog", False)
             fit_path = out / f"plot_{sweep.name}_fit.dat"
             fit_lines = []
             for row in sweep.rows:
                 scale = row[0]
                 model = math.exp(intercept) * scale**slope
-                if polylog:
-                    model *= math.log(scale)
                 fit_lines.append(f"{_FLOAT_FMT % scale} {_FLOAT_FMT % model}")
             fit_path.write_text("\n".join(fit_lines) + "\n", encoding="utf-8")
             paths.append(fit_path)

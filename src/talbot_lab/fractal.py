@@ -33,6 +33,9 @@ from .measures import exponent_fit
 # largest dense slot store of the 1-D packing: two int64 arrays of 32 MiB
 _DENSE_SLOTS = 1 << 22
 
+# most cubes level_cube_family builds
+_LEVEL_CUBES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Cube:
@@ -57,10 +60,6 @@ class Cube:
     @property
     def d(self) -> int:
         return len(self.p)
-
-    @property
-    def side(self) -> Fraction:
-        return self.hi - self.lo
 
     def anchor(self, i: int) -> Fraction:
         return Fraction(self.p[i], self.q)
@@ -128,19 +127,18 @@ def level_cube_count(params: CounterexampleParams, j: int) -> int:
     return sum(_anchor_count(q) ** params.d for q in params.q_window(j))
 
 
-def level_cube_family(
-    params: CounterexampleParams, j: int, cap: int = 1 << 20
-) -> CubeFamily:
+def level_cube_family(params: CounterexampleParams, j: int) -> CubeFamily:
     """Every cube p/q + [c1 lam^-j, c2 lam^-j] of level j, as the anchors
     (p, q) with q in params.q_window(j) and p in anchor_range(q), in that
     order, under the offset rule (c1 lam^-j, c2 lam^-j, t = 0).
 
-    One-dimensional only: d >= 2 raises ValueError.
+    One-dimensional only: d >= 2 raises ValueError, as does a family of
+    more than 2^20 cubes.
     """
     _require_1d(params.d)
     count = level_cube_count(params, j)
-    if count > cap:
-        raise ValueError(f"level-{j} family holds {count} cubes, above the cap {cap}")
+    if count > _LEVEL_CUBES:
+        raise ValueError(f"level-{j} family holds {count} cubes, above the cap {_LEVEL_CUBES}")
     scale = Fraction(1, params.lam**j)
     ps: list[int] = []
     qs: list[int] = []
@@ -155,12 +153,9 @@ def covering_exponent(counts: Sequence[tuple[int, int]], lam: int) -> tuple[floa
     """Regression of ln(count) against level * ln(lam), over (level, count) pairs.
 
     Returns (slope, residual); the slope is the covering exponent of the
-    generation sequence, (d+1)/tau for the anchored families.
+    generation sequence, (d+1)/tau for the anchored families.  Fewer than 3
+    levels, or an empty level, raise ValueError.
     """
-    if len(counts) < 3:
-        raise ValueError("need at least 3 generation levels")
-    if any(c <= 0 for _, c in counts):
-        raise ValueError("empty generations cannot enter the regression")
     fit = exponent_fit([(float(lam) ** level, count) for level, count in counts])
     return fit.slope, fit.residual
 

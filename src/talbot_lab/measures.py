@@ -2,7 +2,8 @@
 
 Frostman-constant estimation for finitely supported measures, Dirichlet
 kernel L^1 growth and the FFT measure convolution, weighted maximal norms
-of the truncated flow, and log-log exponent fits.
+of the truncated flow, and log-log exponent fits.  Cantor measures, Frostman
+quotients, the convolution and the kernel integrals are one-dimensional.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ GRID_CAP = 1 << 24
 # L2 cache while every time (or truncation) reuses it.  The Dirichlet grids
 # are streamed in blocks of as many points.
 _BLOCK_ENTRIES = 1 << 16
+
+# Exponent slack of the truncation-maximal scaling N^((d - alpha)/2 + eps).
+_CARLESON_EPS = 0.05
 
 
 @dataclass(frozen=True)
@@ -53,27 +57,14 @@ class AtomicMeasure:
     def n_atoms(self) -> int:
         return int(self.masses.size)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-
-@dataclass(frozen=True)
-class FrostmanEstimate:
-    value: float
-    radii: tuple[float, ...]
-    argmax: tuple[tuple[float, ...], float]
-
 
 @dataclass(frozen=True)
 class ExponentFit:
     """Least-squares fit of ln(value) against ln(scale)."""
 
-    samples: tuple[tuple[float, float], ...]
     slope: float
     intercept: float
     residual: float
-    polylog: bool = False
 
 
 def exponent_fit(samples: Sequence[tuple[float, float]], polylog: bool = False) -> ExponentFit:
@@ -99,33 +90,31 @@ def exponent_fit(samples: Sequence[tuple[float, float]], polylog: bool = False) 
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     fitted = a @ coef
     res = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    return ExponentFit(tuple(pts), float(coef[1]), float(coef[0]), res, polylog)
+    return ExponentFit(float(coef[1]), float(coef[0]), res)
 
 
-def cantor_measure(d: int, ratio: float, level: int) -> AtomicMeasure:
-    """Level-L approximation of the self-similar two-branch Cantor measure.
+def cantor_measure(ratio: float, level: int) -> AtomicMeasure:
+    """Level-L approximation of the self-similar two-branch Cantor measure
+    on the circle.
 
-    Each coordinate carries 2^L atoms of equal mass placed at the centers
-    of the level-L construction intervals with contraction `ratio`; the
-    similarity dimension is d ln2 / ln(1/ratio).
+    2^L atoms of equal mass sit at the centers of the level-L construction
+    intervals with contraction `ratio`; the similarity dimension is
+    ln2 / ln(1/ratio).
     """
     if not 0 < ratio < 0.5:
         raise ValueError(f"contraction ratio must be in (0, 1/2), got {ratio}")
     if level < 0 or level > 24:
         raise ValueError(f"level must be in [0, 24], got {level}")
-    if (1 << (d * level)) > _ATOM_CAP:
-        raise ValueError(f"atom count 2^{d * level} above cap {_ATOM_CAP}")
+    if (1 << level) > _ATOM_CAP:
+        raise ValueError(f"atom count 2^{level} above cap {_ATOM_CAP}")
     pts = np.zeros(1)
     width = 1.0
     for _ in range(level):
         pts = np.concatenate([pts, pts + width * (1.0 - ratio)])
         width *= ratio
-    axis = (pts + width / 2.0) * TAU
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pos = np.stack([g.ravel() for g in grids], axis=1)
-    masses = np.full(pos.shape[0], 1.0 / pos.shape[0])
-    alpha = d * math.log(2) / math.log(1.0 / ratio)
-    return AtomicMeasure(d, pos, masses, alpha)
+    pos = (pts + width / 2.0) * TAU
+    masses = np.full(pos.size, 1.0 / pos.size)
+    return AtomicMeasure(1, pos, masses, math.log(2) / math.log(1.0 / ratio))
 
 
 def uniform_measure(n: int) -> AtomicMeasure:
@@ -154,35 +143,20 @@ def _ball_masses_1d(mu: AtomicMeasure, centers: np.ndarray, r: float) -> np.ndar
     return out
 
 
-def frostman_constant(
-    mu: AtomicMeasure, alpha: float, radii: Sequence[float]
-) -> FrostmanEstimate:
+def frostman_constant(mu: AtomicMeasure, alpha: float, radii: Sequence[float]) -> float:
     """Estimate sup over centers and radii of mu(B(x, r)) / r^alpha.
 
-    Balls are closed sup-norm balls; candidate centers are the atom
-    positions, which attain the grid supremum for atomic measures.
+    One-dimensional only; otherwise ValueError.  Balls are closed arcs;
+    candidate centers are the atom positions, which attain the grid
+    supremum for atomic measures.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(r <= 0 for r in radii):
         raise ValueError("radius grid must be nonempty and positive")
-    best = -1.0
-    best_arg = (tuple(mu.positions[0]), radii[0])
-    for r in radii:
-        if mu.d == 1:
-            masses = _ball_masses_1d(mu, mu.positions[:, 0], r)
-        else:
-            masses = np.empty(mu.n_atoms)
-            for i in range(mu.n_atoms):
-                delta = np.abs(mu.positions - mu.positions[i])
-                delta = np.minimum(delta, TAU - delta)
-                inside = (delta <= r + 1e-12).all(axis=1)
-                masses[i] = mu.masses[inside].sum()
-        ratios = masses / r**alpha
-        i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            best_arg = (tuple(mu.positions[i]), r)
-    return FrostmanEstimate(best, radii, best_arg)
+    if mu.d != 1:
+        raise ValueError("Frostman quotients are implemented for d = 1")
+    centers = mu.positions[:, 0]
+    return max(float((_ball_masses_1d(mu, centers, r) / r**alpha).max()) for r in radii)
 
 
 def dirichlet_abs_max_envelope(n: int, x: np.ndarray, plain: np.ndarray) -> np.ndarray:
@@ -276,15 +250,14 @@ def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) ->
     return out
 
 
-def dirichlet_l1(n: int, d: int = 1, num_points: int | None = None) -> tuple[float, float]:
-    """Quadratures of the torus integrals of |D_N| and of its maximal
+def dirichlet_l1(n: int, num_points: int | None = None) -> tuple[float, float]:
+    """Quadratures of the circle integrals of |D_N| and of its maximal
     envelope, as (plain, maximal).
 
     Composite Simpson on a uniform grid that oversamples the kernel
     oscillation by a factor ~20; both share the same grid and the same
     |D_N| values, so the maximal value dominates the plain one exactly.
-    The d-dimensional values are the 1-d integrals raised to the d-th
-    power.  Accuracy is limited by the kernel's |.| kinks: against an 8x
+    Accuracy is limited by the kernel's |.| kinks: against an 8x
     refined grid the default stays within 2e-4 relative across N <= 2^16
     (documented error control); raise num_points where more is needed.
     The kernel and envelope are streamed into two arrays of m + 1 values,
@@ -300,7 +273,7 @@ def dirichlet_l1(n: int, d: int = 1, num_points: int | None = None) -> tuple[flo
     for f in (plain, maxi):
         f[1:-1:2] *= 4.0
         f[2:-1:2] *= 2.0
-    plain_l1, max_l1 = (float(f.sum() * (TAU / m) / 3.0) ** d for f in (plain, maxi))
+    plain_l1, max_l1 = (float(f.sum() * (TAU / m) / 3.0) for f in (plain, maxi))
     return plain_l1, max_l1
 
 
@@ -387,7 +360,7 @@ def transference_ratio(
     num = maximal_lp_norm(f, mu, p, plan)
     if num == 0.0:
         return 0.0
-    c_alpha = frostman_constant(mu, alpha, DEFAULT_FROSTMAN_RADII).value
+    c_alpha = frostman_constant(mu, alpha, DEFAULT_FROSTMAN_RADII)
     den = c_alpha ** (1.0 / p) * sobolev_norm(f, s)
     if den == 0.0:
         raise ValueError("zero denominator with nonzero maximal norm")
@@ -401,16 +374,15 @@ def carleson_l2_ratio(
     alpha: float,
     n_trunc_set: Sequence[int],
     t: RationalTime | float,
-    eps: float = 0.05,
-    radii: Sequence[float] = DEFAULT_FROSTMAN_RADII,
 ) -> float:
     """Weighted L^2 norm of the truncation-maximal flow against its scaling.
 
     Returns ||max over M in the set, M <= N of |S_M(t)f| ||_{L^2(d mu)}
     divided by sqrt(c_alpha) * N^((d-alpha)/2 + eps) * ||f||_2 at a fixed
-    sampled time.  Rejects alpha <= d - 2s, where the weighted problem is
-    ill posed.  The atoms go in blocks of _block_rows; each block's
-    full-band exponential serves every truncation.
+    sampled time, with eps = 0.05 and the Frostman constant taken over
+    DEFAULT_FROSTMAN_RADII.  Rejects alpha <= d - 2s, where the weighted
+    problem is ill posed.  The atoms go in blocks of _block_rows; each
+    block's full-band exponential serves every truncation.
     """
     d = f.d
     if not 0 < s <= d / 2:
@@ -440,8 +412,8 @@ def carleson_l2_ratio(
             np.maximum(out, np.abs(np.compress(keep, ex, axis=1) @ c), out=out)
     num = float(np.sqrt((mu.masses * best**2).sum()))
     den = (
-        math.sqrt(frostman_constant(mu, alpha, radii).value)
-        * n ** ((d - alpha) / 2.0 + eps)
+        math.sqrt(frostman_constant(mu, alpha, DEFAULT_FROSTMAN_RADII))
+        * n ** ((d - alpha) / 2.0 + _CARLESON_EPS)
         * f.l2()
     )
     if den == 0.0:

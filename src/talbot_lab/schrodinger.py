@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +22,10 @@ TAU = 2.0 * math.pi
 FREQ_LIMIT = 2**30
 
 _SING_TOL = 1e-8
+
+# Coefficients of the largest block datum DirichletBlock builds: 2^24
+# complex entries are 256 MiB.
+_BLOCK_COEFF_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -104,22 +108,9 @@ class FourierData:
         self.coeffs = coeffs
         self.bandwidth = bandwidth
 
-    @classmethod
-    def from_dict(cls, d: int, coeffs: Mapping[tuple[int, ...] | int, complex]) -> "FourierData":
-        keys, vals = [], []
-        for k, c in coeffs.items():
-            keys.append((k,) if isinstance(k, int) else tuple(k))
-            vals.append(c)
-        if not keys:
-            return cls(d, np.zeros((0, d), dtype=np.int64), np.zeros(0, dtype=complex))
-        return cls(d, np.array(keys, dtype=np.int64), np.array(vals, dtype=complex))
-
     @property
     def nnz(self) -> int:
         return int(self.coeffs.size)
-
-    def l1(self) -> float:
-        return float(np.abs(self.coeffs).sum())
 
     def l2(self) -> float:
         return float(np.sqrt((np.abs(self.coeffs) ** 2).sum()))
@@ -129,7 +120,7 @@ class FourierData:
 class DirichletBlock:
     """Product datum whose factors sum e^{i n x} over n in [lam^(j-1), lam^j - 1].
 
-    Carries no amplitude; scaling is applied by callers.
+    Carries no amplitude: every coefficient is 1, and callers scale.
     """
 
     d: int
@@ -153,14 +144,14 @@ class DirichletBlock:
     def coefficient_count(self) -> int:
         return (self.n_hi - self.n_lo + 1) ** self.d
 
-    def to_fourier_data(self, amplitude: complex = 1.0, max_coeffs: int = 1 << 24) -> FourierData:
+    def to_fourier_data(self) -> FourierData:
         count = self.coefficient_count()
-        if count > max_coeffs:
-            raise ValueError(f"block has {count} coefficients, above the cap {max_coeffs}")
+        if count > _BLOCK_COEFF_CAP:
+            raise ValueError(f"block has {count} coefficients, above the cap {_BLOCK_COEFF_CAP}")
         axis = np.arange(self.n_lo, self.n_hi + 1, dtype=np.int64)
         grids = np.meshgrid(*([axis] * self.d), indexing="ij")
         ks = np.stack([g.ravel() for g in grids], axis=1)
-        return FourierData(self.d, ks, np.full(ks.shape[0], amplitude, dtype=complex))
+        return FourierData(self.d, ks, np.ones(ks.shape[0], dtype=complex))
 
 
 def dirichlet_kernel_1d(n: int, x: float | np.ndarray) -> float | np.ndarray:

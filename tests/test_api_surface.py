@@ -1,14 +1,15 @@
-"""Every public module-level function and class of talbot_lab has a caller
-in the package itself: a name that only tests reach is dead weight.  Every
-default a public function or dataclass offers is set by some call: a setting
-no call sets is a knob nothing covers."""
+"""Every public module-level function and class of talbot_lab, and every
+public method and property of a public class, has a caller in the package
+itself: a name that only tests reach is dead weight.  Every default a public
+function, method or dataclass offers is set by some call in the program or
+its benchmark: a setting that only tests turn is a knob no run covers."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "talbot_lab"
-CALL_SITES = ("src", "tests", "perfbench")
+CALL_SITES = ("src", "perfbench")
 
 # Public names whose callers in src/ are scheduled, each with its ROADMAP item.
 SCHEDULED = {
@@ -18,11 +19,11 @@ SCHEDULED = {
     "audit_separated_maximal": "ROADMAP item 2: maximality audits of uncapped families",
 }
 
-# Settings that calls do set, but not by name: the CLI dispatches every runner
-# as RUNNERS[experiment](cfg, jobs).
-DISPATCHED = {
-    f"experiments/{name}.py: run(jobs)"
-    for name in ("claims", "dimension", "evolve", "gauss", "maximal")
+# Settings that only tests set, each with the reason it stays.
+ALLOWED_SETTINGS = {
+    "fractal.py: build_nested_levels(max_children)": "ROADMAP item 2: uncapped nested builds",
+    "fractal.py: build_nested_levels(retain)": "ROADMAP item 2: uncapped nested builds",
+    "measures.py: dirichlet_l1(num_points)": "the block-edge bit-identity tests pick the grid",
 }
 
 
@@ -37,23 +38,44 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return out
 
 
-def _public_api_without_caller() -> list[str]:
-    definitions = []  # (module, statement index, name)
-    references = []  # (module, statement index, names read there)
+def _is_public(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+
+
+def _modules():
     for path in sorted(SRC.rglob("*.py")):
-        module = str(path.relative_to(SRC))
-        for index, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
-                definitions.append((module, index, stmt.name))
-            references.append((module, index, _referenced_names(stmt)))
+        yield str(path.relative_to(SRC)), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _public_api_without_caller() -> list[str]:
+    """Public names that no other part of src/ reads.  Code is split into
+    units keyed by their place: a top-level statement is (module, index),
+    and each statement of a public class body is (module, index, member).
+    A name has a caller when a unit outside the one defining it reads it."""
+    definitions = []  # (module, qualified name, name, key)
+    units = []  # (key, names read there)
+    for module, tree in _modules():
+        for index, stmt in enumerate(tree.body):
+            key = (module, index)
+            if not _is_public(stmt):
+                units.append((key, _referenced_names(stmt)))
+                continue
+            definitions.append((module, stmt.name, stmt.name, key))
+            if isinstance(stmt, ast.FunctionDef):
+                units.append((key, _referenced_names(stmt)))
+                continue
+            header = stmt.decorator_list + stmt.bases + stmt.keywords
+            units.append((key, set().union(*map(_referenced_names, header))))
+            for member_index, member in enumerate(stmt.body):
+                member_key = key + (member_index,)
+                if _is_public(member) and isinstance(member, ast.FunctionDef):
+                    definitions.append(
+                        (module, f"{stmt.name}.{member.name}", member.name, member_key))
+                units.append((member_key, _referenced_names(member)))
     return [
-        f"{module}: {name}"
-        for module, index, name in definitions
-        if not any(
-            name in names
-            for ref_module, ref_index, names in references
-            if (ref_module, ref_index) != (module, index)
-        )
+        f"{module}: {qualified}"
+        for module, qualified, name, key in definitions
+        if not any(name in names for unit, names in units if unit[: len(key)] != key)
     ]
 
 
@@ -81,24 +103,38 @@ def _is_field_call(value: ast.expr | None) -> bool:
             and value.func.id == "field")
 
 
+def _is_staticmethod(fn: ast.FunctionDef) -> bool:
+    return any(getattr(dec, "id", None) == "staticmethod" for dec in fn.decorator_list)
+
+
+def _parameter_defaults(module: str, label: str, fn: ast.FunctionDef, skip: int):
+    """(module, label, setting, position) for every defaulted parameter of
+    fn, positions counted after the first skip parameters (self or cls);
+    position is None where the setting is keyword-only."""
+    args = fn.args.posonlyargs + fn.args.args
+    first = len(args) - len(fn.args.defaults)
+    out = [(module, label, a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+    out += [(module, label, a.arg, None)
+            for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
 def _defaulted_settings() -> list[tuple[str, str, str, int | None]]:
     """(module, callable, setting, position) for every parameter with a default
-    of a public function, and every plain-default field of a public dataclass;
-    position is None where the setting is keyword-only."""
+    of a public function or of a public method of a public class, and every
+    plain-default field of a public dataclass; a method's callable is
+    Class.method."""
     out = []
-    for path in sorted(SRC.rglob("*.py")):
-        module = str(path.relative_to(SRC))
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
-                continue
+    for module, tree in _modules():
+        for stmt in filter(_is_public, tree.body):
             if isinstance(stmt, ast.FunctionDef):
-                args = stmt.args.posonlyargs + stmt.args.args
-                first = len(args) - len(stmt.args.defaults)
-                out += [(module, stmt.name, a.arg, i) for i, a in enumerate(args) if i >= first]
-                out += [(module, stmt.name, a.arg, None)
-                        for a, d in zip(stmt.args.kwonlyargs, stmt.args.kw_defaults)
-                        if d is not None]
-            elif _is_dataclass(stmt):
+                out += _parameter_defaults(module, stmt.name, stmt, 0)
+                continue
+            for member in filter(_is_public, stmt.body):
+                if isinstance(member, ast.FunctionDef):
+                    skip = 0 if _is_staticmethod(member) else 1
+                    out += _parameter_defaults(module, f"{stmt.name}.{member.name}", member, skip)
+            if _is_dataclass(stmt):
                 fields = [s for s in stmt.body if isinstance(s, ast.AnnAssign)
                           and not (_is_field_call(s.value) and any(
                               k.arg == "init" for k in s.value.keywords))]
@@ -134,15 +170,16 @@ def _settings_without_caller() -> list[str]:
     return [
         f"{module}: {name}({setting})"
         for module, name, setting, position in _defaulted_settings()
-        if not any(_sets(call, setting, position) for call in calls.get(name, []))
+        if not any(_sets(call, setting, position)
+                   for call in calls.get(name.rpartition(".")[2], []))
     ]
 
 
 def test_every_default_is_set_by_some_call():
-    unset = [entry for entry in _settings_without_caller() if entry not in DISPATCHED]
+    unset = [entry for entry in _settings_without_caller() if entry not in ALLOWED_SETTINGS]
     assert unset == []
 
 
-def test_dispatched_settings_are_still_defaults():
-    # a runner setting that a named call starts to pass leaves the allowlist
-    assert DISPATCHED <= set(_settings_without_caller())
+def test_allowed_settings_are_still_unset():
+    # once a program call sets an allowed setting, it leaves the allowlist
+    assert set(ALLOWED_SETTINGS) <= set(_settings_without_caller())

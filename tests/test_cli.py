@@ -101,6 +101,13 @@ class TestCliContract:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 9
 
+    def test_negative_seed_override_exits_two_without_report(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "q_max = 60\nabel_instances = 50\nperturbed_q_max = 32\n")
+        out = tmp_path / "o"
+        assert main(["gauss", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert not (out / "report.json").exists()
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
     def test_value_a_layer_rejects_exits_two_without_report(self, tmp_path, capsys):
         # the schema takes two levels, but the growth fit needs three
         cfg = write_cfg(tmp_path, "j_list = 3,4\nsamples_per_j = 4\n")

@@ -20,6 +20,7 @@ from talbot_lab.counterexample import (
 from talbot_lab.counterexample import _block_eval
 from talbot_lab.schrodinger import (
     DirichletBlock,
+    FourierData,
     RationalTime,
     SamplePoint,
     block_split,
@@ -38,7 +39,8 @@ BLOWUP = dict(
 
 def block_datum(p, j):
     """The block datum f_j: (lam^j - lam^(j-1))^d coefficients of height p.amplitude(j)."""
-    return DirichletBlock(p.d, p.lam, j).to_fourier_data(p.amplitude(j))
+    f = DirichletBlock(p.d, p.lam, j).to_fourier_data()
+    return FourierData(p.d, f.ks, p.amplitude(j) * f.coeffs)
 
 
 class TestParams:

@@ -40,7 +40,7 @@ class TestLevelCubeFamily:
     def test_side_is_exact(self):
         fam = level_cube_family(desk_params(), 2)
         expected = (Fraction(1, 100) - Fraction(1, 200)) * Fraction(1, 16**2)
-        assert all(c.side == expected for c in fam)
+        assert all(c.hi - c.lo == expected for c in fam)
 
     def test_two_sided_inequality_on_corners(self):
         params = desk_params()
@@ -61,8 +61,9 @@ class TestLevelCubeFamily:
         assert all(fractal._anchor_count(q) == len(anchor_range(q)) for q in range(1, 10**4 + 1))
 
     def test_cap_rejects_large_families(self):
+        # level 7 holds 3,935,745 cubes, above the 2^20 cap; counting them is cheap
         with pytest.raises(ValueError, match="cap"):
-            level_cube_family(desk_params(), 6, cap=1000)
+            level_cube_family(desk_params(), 7)
 
 
 class TestCoveringExponent:
@@ -87,6 +88,10 @@ class TestCoveringExponent:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError, match="3"):
             covering_exponent([(1, 10), (2, 100)], lam=4)
+
+    def test_empty_level_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            covering_exponent([(1, 10), (2, 0), (3, 1000)], lam=4)
 
 
 E0_2D = Cube((1, 1), 8, Fraction(0), Fraction(1, 8))

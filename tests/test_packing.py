@@ -81,7 +81,7 @@ def oracle_separated_1d(c, n, beta=4, max_cubes=None):
 
 def _assert_matches_oracle(parent, n, beta, max_cubes):
     margin = (beta / n) ** 2
-    if 2 * margin > parent.side:
+    if 2 * margin > parent.hi - parent.lo:
         with pytest.raises(ValueError, match="margin"):
             separated_cubes(parent, n, 2, beta=beta, max_cubes=max_cubes)
         return
@@ -297,7 +297,7 @@ def test_denominator_window_is_exact():
 def test_maximality_audit_on_narrow_parent():
     families, _ = build_nested_levels(1, 2, 64, 1)
     parent, n = families[0][1], 1 << 14
-    assert parent.side < Fraction(1, n)
+    assert parent.hi - parent.lo < Fraction(1, n)
     fam = separated_cubes(parent, n, 2)
     assert len(fam) > 2
     audit_separated_maximal(parent, n, 2, 4, fam)
@@ -342,7 +342,7 @@ def _oracle_is_maximal(c, n, beta, family):
 )
 def test_maximality_audit_matches_quadratic_oracle(q, p_frac, n, spread, beta, rnd):
     parent = Cube((int(p_frac * q),), q, Fraction(0), (beta / n) ** 2 * spread)
-    if 2 * (beta / n) ** 2 > parent.side:
+    if 2 * (beta / n) ** 2 > parent.hi - parent.lo:
         return
     fam = separated_cubes(parent, n, 2, beta=beta)
     kept = [i for i in range(len(fam)) if rnd.random() < 0.9]
