@@ -133,39 +133,36 @@ def sample_points(
 
 
 @dataclass(frozen=True)
-class ClaimRow:
-    """One verified sample: the headline ratio plus per-coordinate factors."""
-
-    j: int
-    k: int
-    n: int
-    q: int
-    x: tuple[float, ...]
-    ratio: float
-    factor_ratios: tuple[float, ...] = ()
-    factor_mags: tuple[float, ...] = ()
-    regime: str = ""
-    boundary_only: bool = False
-    extra: float = float("nan")
-
-
-@dataclass(frozen=True)
 class ClaimReport:
+    """One claim over its samples, as columns with one entry per sample.
+
+    values are the magnitudes |S_N f_k(x)|, ratios their normalised
+    headline, factor_mags and factor_ratios (samples x d) the per-coordinate
+    factors raw and normalised, boundary_only flags samples with no complete
+    residue period, and extra is the upper-regime comparison of claim (ii),
+    NaN elsewhere.
+    """
+
     claim_id: str
-    rows: tuple[ClaimRow, ...]
+    regime: str
+    values: np.ndarray
+    ratios: np.ndarray
+    factor_mags: np.ndarray
+    factor_ratios: np.ndarray
+    boundary_only: np.ndarray
+    extra: np.ndarray
     ratio_min: float = field(init=False)
     ratio_max: float = field(init=False)
     ratio_geomean: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.rows:
+        if not len(self.ratios):
             raise ValueError("claim report needs at least one row")
-        ratios = np.array([r.ratio for r in self.rows])
-        if np.any(ratios <= 0):
+        if np.any(self.ratios <= 0):
             raise ValueError("ratios must be strictly positive")
-        object.__setattr__(self, "ratio_min", float(ratios.min()))
-        object.__setattr__(self, "ratio_max", float(ratios.max()))
-        object.__setattr__(self, "ratio_geomean", float(np.exp(np.log(ratios).mean())))
+        object.__setattr__(self, "ratio_min", float(self.ratios.min()))
+        object.__setattr__(self, "ratio_max", float(self.ratios.max()))
+        object.__setattr__(self, "ratio_geomean", float(np.exp(np.log(self.ratios).mean())))
 
 
 def claim_regime(params: CounterexampleParams, j: int, k: int) -> str:
@@ -183,20 +180,24 @@ def claim_regime(params: CounterexampleParams, j: int, k: int) -> str:
     return "second_derivative"
 
 
-def _block_eval(
-    params: CounterexampleParams, k: int, sample: SamplePoint, n: int
-) -> tuple[np.ndarray, bool]:
-    """Per-coordinate factor magnitudes of block k at the sample, plus a
-    flag marking samples with no complete residue period (boundary only)."""
-    t = RationalTime(sample.q)
-    _, _, l, r = block_split(params.lam, k, sample.q, n)
+def _block_columns(
+    params: CounterexampleParams, k: int, samples: Sequence[SamplePoint], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block k at each sample: the magnitudes |S_N f_k(x)|, the per-coordinate
+    factor magnitudes (samples x d), and flags marking samples with no
+    complete residue period (boundary only)."""
     mags = np.array(
         [
-            abs(block_factor_fast(params.lam, k, t, p_i, eps_i, n))
-            for p_i, eps_i in zip(sample.p, sample.eps)
+            [
+                abs(block_factor_fast(params.lam, k, RationalTime(s.q), p_i, eps_i, n))
+                for p_i, eps_i in zip(s.p, s.eps)
+            ]
+            for s in samples
         ]
-    )
-    return mags, r <= l
+    ).reshape(len(samples), params.d)
+    splits = [block_split(params.lam, k, s.q, n) for s in samples]
+    boundary = np.array([r <= l for _, _, l, r in splits], dtype=bool)
+    return params.amplitude(k) * np.prod(mags, axis=1), mags, boundary
 
 
 def verify_claim_i(
@@ -207,33 +208,18 @@ def verify_claim_i(
 ) -> ClaimReport:
     """Growth claim at level j: |S_N(t) f_j(x)| compared to lam^(j delta).
 
-    Rows carry the headline ratio and the per-coordinate factor magnitudes
-    normalized by lam^(j - j alpha / (2(d+1))).
+    The factor magnitudes are normalised by lam^(j - j alpha / (2(d+1))).
     """
     if n <= params.lam**j:
         raise ValueError(f"need N > lam^j = {params.lam ** j}, got N={n}")
     lam = float(params.lam)
     target = lam ** (j * params.delta)
     factor_target = lam ** (j - j * params.alpha / (2.0 * (params.d + 1)))
-    rows = []
-    for s in samples:
-        mags, boundary = _block_eval(params, j, s, n)
-        value = params.amplitude(j) * float(np.prod(mags))
-        rows.append(
-            ClaimRow(
-                j=j,
-                k=j,
-                n=n,
-                q=s.q,
-                x=tuple(float(v) for v in s.x),
-                ratio=value / target,
-                factor_ratios=tuple(mags / factor_target),
-                factor_mags=tuple(mags),
-                regime="coherent",
-                boundary_only=boundary,
-            )
-        )
-    return ClaimReport("i", tuple(rows))
+    values, mags, boundary = _block_columns(params, j, samples, n)
+    nan = np.full(len(values), np.nan)
+    return ClaimReport(
+        "i", "coherent", values, values / target, mags, mags / factor_target, boundary, nan
+    )
 
 
 def verify_claim_ii(
@@ -257,36 +243,19 @@ def verify_claim_ii(
         raise ValueError(f"need N > lam^j = {params.lam ** j}, got N={n}")
     lam = float(params.lam)
     regime = claim_regime(params, j, k)
-    rows = []
-    for s in samples:
-        mags, boundary = _block_eval(params, k, s, n)
-        value = params.amplitude(k) * float(np.prod(mags))
-        if regime == "upper":
-            ratio = value / lam ** (k * params.delta)
-            extended = lam ** (
-                k * params.delta
-                - (j - k) * params.d * params.alpha / (2.0 * (params.d + 1))
-            )
-            extra = value / extended
-        else:
-            ratio = value
-            extra = float("nan")
-        rows.append(
-            ClaimRow(
-                j=j,
-                k=k,
-                n=n,
-                q=s.q,
-                x=tuple(float(v) for v in s.x),
-                ratio=max(ratio, 1e-300),
-                factor_ratios=tuple(mags),
-                factor_mags=tuple(mags),
-                regime=regime,
-                boundary_only=boundary,
-                extra=extra,
-            )
+    values, mags, boundary = _block_columns(params, k, samples, n)
+    if regime == "upper":
+        ratios = values / lam ** (k * params.delta)
+        extended = lam ** (
+            k * params.delta - (j - k) * params.d * params.alpha / (2.0 * (params.d + 1))
         )
-    return ClaimReport("ii", tuple(rows))
+        extra = values / extended
+    else:
+        ratios = values
+        extra = np.full(len(values), np.nan)
+    return ClaimReport(
+        "ii", regime, values, np.maximum(ratios, 1e-300), mags, mags, boundary, extra
+    )
 
 
 def verify_claim_iii(
@@ -301,11 +270,14 @@ def verify_claim_iii(
     ratio = |S_N f_k| / lam^(j delta - c (k - j)) with c = s_alpha/2;
     factor magnitudes are normalised by lam^(j (1 - alpha/(2(d+1)))).  The
     lower offset bound eps_i >= c1 lam^-j is essential here and enforced.
+    Entries run over n_list, then over the samples.
     """
     if k <= j:
         raise ValueError(f"need k > j, got k={k}, j={j}")
     lam = float(params.lam)
     lo_n, hi_n = params.lam ** (k - 1), params.lam**k
+    if not n_list:
+        raise ValueError("need at least one truncation")
     for n in n_list:
         if not lo_n <= n < hi_n:
             raise ValueError(f"truncation {n} outside the block [{lo_n}, {hi_n})")
@@ -317,27 +289,14 @@ def verify_claim_iii(
             )
     c = params.s_alpha / 2.0
     target_factor = lam ** (j * (1.0 - params.alpha / (2.0 * (params.d + 1))))
-    rows = []
-    for n in n_list:
-        for s in samples:
-            mags, boundary = _block_eval(params, k, s, n)
-            value = params.amplitude(k) * float(np.prod(mags))
-            denom = lam ** (j * params.delta - c * (k - j))
-            rows.append(
-                ClaimRow(
-                    j=j,
-                    k=k,
-                    n=n,
-                    q=s.q,
-                    x=tuple(float(v) for v in s.x),
-                    ratio=max(value / denom, 1e-300),
-                    factor_ratios=tuple(mags / target_factor),
-                    factor_mags=tuple(mags),
-                    regime="incoherent",
-                    boundary_only=boundary,
-                )
-            )
-    return ClaimReport("iii", tuple(rows))
+    denom = lam ** (j * params.delta - c * (k - j))
+    columns = [_block_columns(params, k, samples, n) for n in n_list]
+    values, mags, boundary = (np.concatenate(col) for col in zip(*columns))
+    ratios = np.maximum(values / denom, 1e-300)
+    nan = np.full(len(values), np.nan)
+    return ClaimReport(
+        "iii", "incoherent", values, ratios, mags, mags / target_factor, boundary, nan
+    )
 
 
 def full_datum_value(

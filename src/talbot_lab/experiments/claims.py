@@ -76,10 +76,9 @@ def run(cfg: dict, jobs: int) -> RunReport:
         n = params.lam**j + 1
         samples = _level_samples(params, j, int(cfg["samples_per_j"]), seed + 17 * j)
         rep = verify_claim_i(params, j, samples, n)
-        for row in rep.rows:
-            for fr in row.factor_ratios:
-                total += 1
-                inside += 1.0 / band <= fr <= band
+        fr = rep.factor_ratios
+        total += fr.size
+        inside += int(np.count_nonzero((1.0 / band <= fr) & (fr <= band)))
         ratio_rows.append([float(j), rep.ratio_geomean, rep.ratio_min, rep.ratio_max])
         # matched top-of-window samples pin the growth slope
         top = time_set(params, j)[-1]
@@ -118,11 +117,10 @@ def run(cfg: dict, jobs: int) -> RunReport:
         samples = _level_samples(params, j, 16, seed + 53 * j)
         for k in range(1, j):
             rep = verify_claim_ii(params, j, k, samples, n)
-            regime = claim_regime(params, j, k)
-            if regime == "upper":
+            if rep.regime == "upper":
                 upper_max = max(upper_max, rep.ratio_max)
-            elif regime == "first_derivative":
-                vdc_max = max(vdc_max, max(max(r.factor_mags) for r in rep.rows))
+            elif rep.regime == "first_derivative":
+                vdc_max = max(vdc_max, float(rep.factor_mags.max()))
     report.add_check("claim2_upper_ratio_max", upper_max, float(cfg["upper_ratio_cap"]), "<=")
     report.add_check("claim2_vdc_factor_max", vdc_max, vdc_cap, "<=")
 
@@ -137,11 +135,8 @@ def run(cfg: dict, jobs: int) -> RunReport:
             lo, hi = params.lam ** (k - 1), params.lam**k
             n_list = [lo, (lo + hi) // 2, hi - 1]
             rep = verify_claim_iii(params, j, k, samples, n_list)
-            factor_max = max(factor_max, max(max(r.factor_ratios) for r in rep.rows))
-            mags = [
-                math.log(max(np.prod(r.factor_mags) * params.amplitude(k), 1e-300))
-                for r in rep.rows
-            ]
+            factor_max = max(factor_max, float(rep.factor_ratios.max()))
+            mags = [math.log(v) for v in np.maximum(rep.values, 1e-300)]
             per_k[k] = math.exp(float(np.mean(mags)))
             decay_rows.append([float(k), per_k[k], float(j)])
         c_fits.append(

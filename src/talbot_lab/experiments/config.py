@@ -143,6 +143,13 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 
 EXPERIMENTS = tuple(sorted(SCHEMAS))
 
+# Counts a run loops over: at zero its checks would pass on no samples.
+_COUNTS = {
+    "gauss": ("spot_checks", "abel_instances"),
+    "evolve": ("j_max", "samples_per_q"),
+    "maximal": ("plan_grid",),
+}
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     """key = value lines; blank lines and # comments ignored."""
@@ -207,6 +214,9 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
             raise ConfigError(f"{name} must be positive, got {value}")
     if cfg.get("seed") is not None and int(cfg["seed"]) < 0:
         raise ConfigError("seed must be nonnegative")
+    for name in _COUNTS.get(experiment, ()):
+        if int(cfg[name]) < 1:
+            raise ConfigError(f"{name} must be at least 1, got {cfg[name]}")
     if experiment == "gauss":
         if int(cfg["q_max"]) < 4:
             raise ConfigError("q_max must be at least 4")
@@ -225,10 +235,6 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
             raise ConfigError("kappa must lie in (0, 1)")
         if not 0 < Fraction(cfg["c1"]) < Fraction(cfg["c2"]) <= 1:
             raise ConfigError("need 0 < c1 < c2 <= 1")
-        if experiment == "evolve":
-            for name in ("j_max", "samples_per_q"):
-                if int(cfg[name]) < 1:
-                    raise ConfigError(f"{name} must be at least 1, got {cfg[name]}")
         lam = int(cfg["lam"])
         top = int(cfg["j_max"]) if experiment == "evolve" else max(cfg["j_list"]) + 2
         if lam**top > FREQ_LIMIT:
@@ -250,8 +256,6 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
                 )
         if int(cfg["conv_exp_max"]) - int(cfg["conv_exp_min"]) < 2:
             raise ConfigError("the convolution exponent fit needs at least 3 bandwidths")
-        if int(cfg["plan_grid"]) < 1:
-            raise ConfigError(f"plan_grid must be at least 1, got {cfg['plan_grid']}")
     if experiment == "dimension":
         for case in str(cfg["cov_cases"]).split(";"):
             parts = case.split(":")
@@ -261,6 +265,11 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
                 Fraction(parts[0]), int(parts[1]), Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise ConfigError(f"cannot parse covering case {case!r}") from None
+        if len(cfg["meas_j_list"]) < 2:
+            raise ConfigError(
+                "meas_j_list needs at least two levels for the consecutive-level ratios,"
+                f" got {list(cfg['meas_j_list'])}"
+            )
 
 
 def config_for_json(cfg: dict[str, object]) -> dict[str, object]:

@@ -480,26 +480,15 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
             raise AssertionError(f"anchor {p[i]}/{q[i]} violates the margin")
         raise AssertionError(f"cube at {p[i]}/{q[i]} leaves the parent")
 
-    def adjacent_gaps(order):
-        a, b = order[:-1], order[1:]
-        diff = p[b] * q[a] - p[a] * q[b]  # (anchor_b - anchor_a) q_a q_b
-        return a, b, diff * gap.denominator > gap.numerator * q[a] * q[b]
-
-    # a float sort, certified exactly: gaps > gap > 0 prove the order strict
-    order = np.argsort([pi / qi for pi, qi in zip(family.p, family.q)], kind="stable")
-    a, b, apart = adjacent_gaps(order)
+    # exact order: floor(p 2^s / q), with 2^s >= q_max^2, is strictly
+    # monotone on distinct anchors and ties equal ones
+    order = np.argsort((p << 2 * max(family.q).bit_length()) // q, kind="stable")
+    a, b = order[:-1], order[1:]
+    diff = p[b] * q[a] - p[a] * q[b]  # (anchor_b - anchor_a) q_a q_b
+    apart = diff * gap.denominator > gap.numerator * q[a] * q[b]
     if not apart.all():
-        # exact order: floor(p 2^s / q), with 2^s >= q_max^2, is strictly
-        # monotone on distinct anchors and ties equal ones
-        shift = 2 * max(family.q).bit_length()
-        keys = [(pi << shift) // qi for pi, qi in zip(family.p, family.q)]
-        order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
-        a, b, apart = adjacent_gaps(order)
-        if not apart.all():
-            i = int(np.flatnonzero(~apart)[0])
-            raise AssertionError(
-                f"anchors {p[a[i]]}/{q[a[i]]} and {p[b[i]]}/{q[b[i]]} too close"
-            )
+        i = int(np.flatnonzero(~apart)[0])
+        raise AssertionError(f"anchors {p[a[i]]}/{q[a[i]]} and {p[b[i]]}/{q[b[i]]} too close")
     # lo_b/den_b - hi_a/den_a >= sep, times den_a den_b sep_d > 0
     lhs = (lo[b] * den[a] - hi[a] * den[b]) * sep.denominator
     if not (lhs >= sep.numerator * den[a] * den[b]).all():

@@ -125,30 +125,13 @@ def uniform_measure(n: int) -> AtomicMeasure:
     return AtomicMeasure(1, TAU * np.arange(n) / n, np.full(n, 1.0 / n), 1.0)
 
 
-def _ball_masses_1d(mu: AtomicMeasure, centers: np.ndarray, r: float) -> np.ndarray:
-    """Mass of closed balls [c - r, c + r] on the circle, for all centers."""
-    order = np.argsort(mu.positions[:, 0], kind="stable")
-    pos = mu.positions[order, 0]
-    cum = np.concatenate([[0.0], np.cumsum(mu.masses[order])])
-    total = cum[-1]
-    if 2 * r >= TAU:
-        return np.full(centers.size, total)
-    eps = 1e-12
-    lo = (centers - r - eps) % TAU
-    hi = (centers + r + eps) % TAU
-    lo_i = np.searchsorted(pos, lo, side="left")
-    hi_i = np.searchsorted(pos, hi, side="right")
-    wrap = lo > hi
-    out = np.where(wrap, (total - cum[lo_i]) + cum[hi_i], cum[hi_i] - cum[lo_i])
-    return out
-
-
 def frostman_constant(mu: AtomicMeasure, alpha: float, radii: Sequence[float]) -> float:
     """Estimate sup over centers and radii of mu(B(x, r)) / r^alpha.
 
     One-dimensional only; otherwise ValueError.  Balls are closed arcs;
     candidate centers are the atom positions, which attain the grid
-    supremum for atomic measures.
+    supremum for atomic measures.  The atoms are sorted and their prefix
+    masses summed once; each radius then costs two binary searches.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(r <= 0 for r in radii):
@@ -156,7 +139,23 @@ def frostman_constant(mu: AtomicMeasure, alpha: float, radii: Sequence[float]) -
     if mu.d != 1:
         raise ValueError("Frostman quotients are implemented for d = 1")
     centers = mu.positions[:, 0]
-    return max(float((_ball_masses_1d(mu, centers, r) / r**alpha).max()) for r in radii)
+    order = np.argsort(centers, kind="stable")
+    pos = centers[order]
+    cum = np.concatenate([[0.0], np.cumsum(mu.masses[order])])
+    total = cum[-1]
+    eps = 1e-12
+    quotients = []
+    for r in radii:
+        if 2 * r >= TAU:
+            masses = np.full(centers.size, total)
+        else:
+            lo = (centers - r - eps) % TAU
+            hi = (centers + r + eps) % TAU
+            lo_i = np.searchsorted(pos, lo, side="left")
+            hi_i = np.searchsorted(pos, hi, side="right")
+            masses = np.where(lo > hi, (total - cum[lo_i]) + cum[hi_i], cum[hi_i] - cum[lo_i])
+        quotients.append(float((masses / r**alpha).max()))
+    return max(quotients)
 
 
 def dirichlet_abs_max_envelope(n: int, x: np.ndarray, plain: np.ndarray) -> np.ndarray:

@@ -70,12 +70,6 @@ class SamplePoint:
     def d(self) -> int:
         return len(self.p)
 
-    @property
-    def x(self) -> np.ndarray:
-        """Position in radians, reduced to [0, 2 pi) per coordinate."""
-        frac = (np.asarray(self.p, dtype=float) / self.q + np.asarray(self.eps)) % 1.0
-        return TAU * frac
-
 
 class FourierData:
     """Finitely supported Fourier coefficients on the lattice Z^d.

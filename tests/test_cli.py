@@ -138,6 +138,9 @@ class TestCliContract:
             ("evolve", "samples_per_q = 0\n"),
             ("evolve", "j_max = 0\n"),
             ("gauss", "q_max = 60\nabel_instances = 50\nperturbed_q_min = 64\nperturbed_q_max = 32\n"),
+            # zero spot checks or Abel instances: those checks would pass on no samples
+            ("gauss", "q_max = 60\nabel_instances = 50\nspot_checks = 0\n"),
+            ("gauss", "q_max = 60\nabel_instances = 0\n"),
             # no pair k < j in the first-derivative regime: claim (ii) would pass on none
             ("claims", "alpha = 0.5\n"),
             # j_list = 2 leaves the one pair (2, 1) in the second-derivative band
@@ -152,6 +155,19 @@ class TestCliContract:
         assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_single_volume_level_exits_two_naming_the_key(self, tmp_path, capsys, monkeypatch):
+        # one level gives no consecutive-level ratio; the config check rejects
+        # it before the covering, packing and nested stages run
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a dimension stage ran for a single volume level")
+
+        monkeypatch.setattr("talbot_lab.experiments.dimension.separated_cubes", no_stage)
+        cfg = write_cfg(tmp_path, "meas_j_list = 3\n")
+        out = tmp_path / "o"
+        assert main(["dimension", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert "meas_j_list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("level", [15, 22, 10**9])
     def test_oversized_convolution_grid_exits_two_without_report(

@@ -17,12 +17,13 @@ from talbot_lab.counterexample import (
     verify_claim_ii,
     verify_claim_iii,
 )
-from talbot_lab.counterexample import _block_eval
+from talbot_lab.counterexample import _block_columns
 from talbot_lab.schrodinger import (
     DirichletBlock,
     FourierData,
     RationalTime,
     SamplePoint,
+    block_factor_fast,
     block_split,
     partial_sum_direct,
 )
@@ -141,9 +142,8 @@ class TestClaimGrowth:
         for j in (2, 3):
             for t in time_set(p, j):
                 rep = verify_claim_i(p, j, sample_points(p, j, t, 8, seed=5 * j), p.lam**j + 1)
-                for row in rep.rows:
-                    for fr in row.factor_ratios:
-                        assert 1 / 8 <= fr <= 8  # measured range [1.32, 2.66]
+                fr = rep.factor_ratios
+                assert np.all((1 / 8 <= fr) & (fr <= 8))  # measured range [1.32, 2.66]
 
     def test_growth_slope_matches_delta(self):
         p = CounterexampleParams(**DESK)
@@ -161,7 +161,7 @@ class TestClaimGrowth:
         p = CounterexampleParams(d=1, alpha=1.0, lam=2, delta=0.05, kappa=0.5 - 1e-9)
         x = SamplePoint((2,), 8, (1e-3,))
         rep = verify_claim_i(p, 2, [x], 5)
-        assert rep.rows[0].boundary_only
+        assert rep.boundary_only.tolist() == [True]
 
     def test_requires_large_truncation(self):
         p = CounterexampleParams(**DESK)
@@ -197,15 +197,14 @@ class TestClaimBelow:
         for j, k in [(3, 2), (4, 3)]:
             t = time_set(p, j)[-1]
             rep = verify_claim_ii(p, j, k, sample_points(p, j, t, 8, seed=3 * j), p.lam**j + 1)
-            assert rep.rows[0].regime == "upper"
+            assert rep.regime == "upper"
             assert rep.ratio_max <= 4.0  # frozen: measured max 1.33
 
     def test_extended_estimate_band(self):
         p = CounterexampleParams(**DESK)
         t = time_set(p, 4)[-1]
         rep = verify_claim_ii(p, 4, 3, sample_points(p, 4, t, 8, seed=21), p.lam**4 + 1)
-        for row in rep.rows:
-            assert 1 / 8 <= row.extra <= 8
+        assert np.all((1 / 8 <= rep.extra) & (rep.extra <= 8))
 
     def test_derivative_regime_factor_sums_bounded(self):
         from talbot_lab.expsum import vdc_first_derivative_bound
@@ -215,9 +214,8 @@ class TestClaimBelow:
         for j in (3, 4):
             t = time_set(p, j)[-1]
             rep = verify_claim_ii(p, j, 1, sample_points(p, j, t, 8, seed=4 * j), p.lam**j + 1)
-            assert rep.rows[0].regime == "first_derivative"
-            for row in rep.rows:
-                assert max(row.factor_mags) <= cap
+            assert rep.regime == "first_derivative"
+            assert np.all(rep.factor_mags <= cap)
 
     def test_consistency_with_growth_code_path(self):
         # shared samples: the k-level magnitudes must agree between the two
@@ -230,10 +228,9 @@ class TestClaimBelow:
         rep_ii = verify_claim_ii(p, j, k, samples, n)
         rep_i = verify_claim_i(p, k, samples, n)
         lam = float(p.lam)
-        for a, b in zip(rep_ii.rows, rep_i.rows):
-            v_ii = a.ratio * lam ** (k * p.delta)
-            v_i = b.ratio * lam ** (k * p.delta)
-            assert v_ii == pytest.approx(v_i, rel=1e-12)
+        v_ii = rep_ii.ratios * lam ** (k * p.delta)
+        v_i = rep_i.ratios * lam ** (k * p.delta)
+        assert v_ii == pytest.approx(v_i, rel=1e-12)
 
     def test_k_range_validated(self):
         p = CounterexampleParams(**DESK)
@@ -250,8 +247,7 @@ class TestClaimAbove:
             for k in (j + 1, j + 2):
                 lo, hi = p.lam ** (k - 1), p.lam**k
                 rep = verify_claim_iii(p, j, k, samples, [lo, hi - 1])
-                for row in rep.rows:
-                    assert max(row.factor_ratios) <= 256.0  # frozen: measured <= 148
+                assert np.all(rep.factor_ratios <= 256.0)  # frozen: measured <= 148
 
     def test_decay_rate_positive(self):
         p = CounterexampleParams(**DESK)
@@ -285,6 +281,98 @@ class TestClaimAbove:
             verify_claim_iii(p, 2, 3, good, [p.lam**3])
 
 
+def _rowwise(p, k, samples, n):
+    """(value, factor magnitudes, boundary flag) for each sample, one sample
+    at a time: the per-row formulas the column reports must reproduce."""
+    out = []
+    for s in samples:
+        _, _, l, r = block_split(p.lam, k, s.q, n)
+        mags = np.array(
+            [abs(block_factor_fast(p.lam, k, RationalTime(s.q), p_i, eps_i, n))
+             for p_i, eps_i in zip(s.p, s.eps)]
+        )
+        out.append((p.amplitude(k) * float(np.prod(mags)), mags, r <= l))
+    return out
+
+
+class TestClaimColumnsKeepEveryBit:
+    """Each column equals, bit for bit, the value the per-row evaluation gave."""
+
+    PARAMS = (CounterexampleParams(**DESK),
+              CounterexampleParams(d=2, alpha=2.0, lam=8, delta=0.05, kappa=1 / 4))
+
+    @staticmethod
+    def _assert_rows(rep, rows, ratio, factor_norm, extra=None):
+        assert len(rep.values) == len(rows)
+        for i, (value, mags, boundary) in enumerate(rows):
+            assert rep.values[i] == value
+            assert rep.ratios[i] == ratio(value)
+            assert np.array_equal(rep.factor_mags[i], mags)
+            assert np.array_equal(rep.factor_ratios[i], mags / factor_norm)
+            assert rep.boundary_only[i] == boundary
+            if extra is None:
+                assert math.isnan(rep.extra[i])
+            else:
+                assert rep.extra[i] == extra(value)
+
+    def test_claim_i(self):
+        for p in self.PARAMS:
+            lam = float(p.lam)
+            for j in (2, 3):
+                samples = sample_points(p, j, time_set(p, j)[-1], 8, seed=3 * j)
+                n = p.lam**j + 1
+                rep = verify_claim_i(p, j, samples, n)
+                target = lam ** (j * p.delta)
+                self._assert_rows(
+                    rep, _rowwise(p, j, samples, n), lambda v: v / target,
+                    lam ** (j - j * p.alpha / (2.0 * (p.d + 1))),
+                )
+                assert rep.regime == "coherent"
+
+    def test_claim_ii_both_regimes(self):
+        for p, (j_up, k_up), (j_fd, k_fd) in zip(self.PARAMS, [(3, 2), (4, 3)], [(3, 1), (3, 1)]):
+            lam = float(p.lam)
+            for j, k, regime in ((j_up, k_up, "upper"), (j_fd, k_fd, "first_derivative")):
+                samples = sample_points(p, j, time_set(p, j)[-1], 8, seed=11 * j + k)
+                n = p.lam**j + 1
+                rep = verify_claim_ii(p, j, k, samples, n)
+                assert rep.regime == regime
+                rows = _rowwise(p, k, samples, n)
+                if regime == "upper":
+                    extended = lam ** (
+                        k * p.delta - (j - k) * p.d * p.alpha / (2.0 * (p.d + 1))
+                    )
+                    self._assert_rows(
+                        rep, rows, lambda v: max(v / lam ** (k * p.delta), 1e-300), 1,
+                        extra=lambda v: v / extended,
+                    )
+                else:
+                    self._assert_rows(rep, rows, lambda v: max(v, 1e-300), 1)
+
+    def test_claim_iii_runs_over_truncations_then_samples(self):
+        for p in self.PARAMS:
+            lam = float(p.lam)
+            j, k = 2, 3
+            samples = sample_points(p, j, time_set(p, j)[-1], 6, seed=14)
+            lo, hi = p.lam ** (k - 1), p.lam**k
+            n_list = [lo, (lo + hi) // 2, hi - 1]
+            rep = verify_claim_iii(p, j, k, samples, n_list)
+            denom = lam ** (j * p.delta - p.s_alpha / 2.0 * (k - j))
+            rows = [row for n in n_list for row in _rowwise(p, k, samples, n)]
+            self._assert_rows(
+                rep, rows, lambda v: max(v / denom, 1e-300),
+                lam ** (j * (1.0 - p.alpha / (2.0 * (p.d + 1)))),
+            )
+            assert rep.regime == "incoherent"
+
+    def test_empty_inputs_rejected(self):
+        p = CounterexampleParams(**DESK)
+        with pytest.raises(ValueError, match="at least one row"):
+            verify_claim_i(p, 2, [], p.lam**2 + 1)
+        with pytest.raises(ValueError, match="at least one truncation"):
+            verify_claim_iii(p, 2, 3, sample_points(p, 2, RationalTime(16), 1, seed=1), [])
+
+
 class TestBlowup:
     def test_trajectory_times_and_positivity(self):
         p = CounterexampleParams(**BLOWUP)
@@ -312,15 +400,10 @@ class TestBlowup:
         n = p.lam**3
         for j in (2, 3):
             t = time_set(p, j)[-1]
-            for s in sample_points(p, j, t, 6, seed=19 * j):
-                mags, _ = _block_eval(p, j, s, n)
-                main = p.amplitude(j) * float(np.prod(mags))
-                rest = sum(
-                    p.amplitude(k) * float(np.prod(_block_eval(p, k, s, n)[0]))
-                    for k in range(1, 4)
-                    if k != j
-                )
-                assert rest <= 0.5 * main
+            samples = sample_points(p, j, t, 6, seed=19 * j)
+            main = _block_columns(p, j, samples, n)[0]
+            rest = sum(_block_columns(p, k, samples, n)[0] for k in range(1, 4) if k != j)
+            assert np.all(rest <= 0.5 * main)
 
     def test_block_sobolev_norm_tracks_exponent(self):
         # ||f_j||_{H^s} against lam^(-j(s_alpha - delta - s)): the quotient

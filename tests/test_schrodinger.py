@@ -192,8 +192,9 @@ class TestPartialSumDirect:
         f = FourierData(1, np.arange(3, 40), np.ones(37))
         t = RationalTime(12)
         x = SamplePoint((5,), 12, (1e-3,))
+        radians = [TAU * ((5 / 12 + 1e-3) % 1.0)]
         exact = partial_sum_direct(f, 64, t, [x])[0]
-        floaty = partial_sum_direct(f, 64, t.t, [x.x])[0]
+        floaty = partial_sum_direct(f, 64, t.t, [radians])[0]
         assert exact == pytest.approx(floaty, rel=1e-9)
 
 
