@@ -132,7 +132,10 @@ def sample_points(
     return out
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("values", "ratios", "factor_mags", "factor_ratios", "boundary_only", "extra")
+
+
+@dataclass(frozen=True, eq=False)
 class ClaimReport:
     """One claim over its samples, as columns with one entry per sample.
 
@@ -140,7 +143,8 @@ class ClaimReport:
     headline, factor_mags and factor_ratios (samples x d) the per-coordinate
     factors raw and normalised, boundary_only flags samples with no complete
     residue period, and extra is the upper-regime comparison of claim (ii),
-    NaN elsewhere.
+    NaN elsewhere.  The columns are read-only views, so the ratio summaries
+    stay true to them, and reports compare by identity.
     """
 
     claim_id: str
@@ -156,6 +160,10 @@ class ClaimReport:
     ratio_geomean: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in _COLUMNS:
+            column = np.asarray(getattr(self, name)).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         if not len(self.ratios):
             raise ValueError("claim report needs at least one row")
         if np.any(self.ratios <= 0):

@@ -481,11 +481,16 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
         raise AssertionError(f"cube at {p[i]}/{q[i]} leaves the parent")
 
     # exact order: floor(p 2^s / q), with 2^s >= q_max^2, is strictly
-    # monotone on distinct anchors and ties equal ones
-    order = np.argsort((p << 2 * max(family.q).bit_length()) // q, kind="stable")
+    # monotone on distinct anchors and ties equal ones.  By the margin check
+    # every key lies in [lo_b 2^s, hi_b 2^s]; numpy sorts int64 keys far
+    # faster than Python ints, which it needs only beyond int64
+    shift = 2 * max(family.q).bit_length()
+    wide = not (-(2**63) <= math.floor(lo_b * 2**shift) and math.floor(hi_b * 2**shift) < 2**63)
+    keys = ((pi << shift) // qi for pi, qi in zip(family.p, family.q))
+    order = np.argsort(np.fromiter(keys, object if wide else np.int64, len(family)), kind="stable")
     a, b = order[:-1], order[1:]
-    diff = p[b] * q[a] - p[a] * q[b]  # (anchor_b - anchor_a) q_a q_b
-    apart = diff * gap.denominator > gap.numerator * q[a] * q[b]
+    # (anchor_b - anchor_a) q_a q_b > gap q_a q_b, times gap_d
+    apart = (p[b] * q[a] - p[a] * q[b]) * gap.denominator > gap.numerator * q[a] * q[b]
     if not apart.all():
         i = int(np.flatnonzero(~apart)[0])
         raise AssertionError(f"anchors {p[a[i]]}/{q[a[i]]} and {p[b[i]]}/{q[b[i]]} too close")

@@ -365,6 +365,21 @@ class TestClaimColumnsKeepEveryBit:
             )
             assert rep.regime == "incoherent"
 
+    def test_columns_are_read_only(self):
+        p = CounterexampleParams(**DESK)
+        samples = sample_points(p, 3, time_set(p, 3)[-1], 4, seed=5)
+        rep = verify_claim_ii(p, 3, 2, samples, p.lam**3 + 1)
+        # claim (ii) shows one array as raw and normalised factors
+        assert np.shares_memory(rep.factor_mags, rep.factor_ratios)
+        for column in (rep.values, rep.ratios, rep.factor_mags, rep.factor_ratios,
+                       rep.boundary_only, rep.extra):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        # reports compare by identity, not elementwise
+        assert rep == rep
+        assert rep != verify_claim_ii(p, 3, 2, samples, p.lam**3 + 1)
+        assert {rep: 1}[rep] == 1
+
     def test_empty_inputs_rejected(self):
         p = CounterexampleParams(**DESK)
         with pytest.raises(ValueError, match="at least one row"):

@@ -514,6 +514,27 @@ class TestIntegerAudit:
         assert len(set(keys)) < len(keys)
         audit_separated_family(parent, fam, 2)
 
+    @pytest.mark.parametrize("bits", [31, 32])
+    def test_sort_keys_at_the_int64_edge(self, bits):
+        # with q = 2^bits - 1 the sort keys floor(p 4^bits / q) of (q-1)/q and
+        # (q-2)/(q-1) are near 2^62 (int64) or 2^64 (beyond it), and a double
+        # ties them; given in decreasing order, only an exact sort passes
+        q = 2**bits - 1
+        gap = Fraction(1, q * (q - 1))  # (q-1)/q - (q-2)/(q-1)
+        parent = Cube((0,), 1, Fraction(0), Fraction(1))
+        keys = [((q - 1) << 2 * bits) // q, ((q - 2) << 2 * bits) // (q - 1)]
+        assert (max(keys) < 2**63) == (bits == 31)
+        assert float(keys[0]) == float(keys[1])
+        for anchor_gap, passes in [(gap * Fraction(9, 10), True), (gap, False)]:
+            meta = {"n": 2 * q, "margin": Fraction(1, 2 * q), "anchor_gap": anchor_gap}
+            fam = CubeFamily(0, [q - 1, q - 2], [q, q - 1], Fraction(-1, 8), Fraction(1, 8), 2,
+                             meta)
+            if passes:
+                audit_separated_family(parent, fam, 2)
+            else:
+                with pytest.raises(AssertionError, match="too close"):
+                    audit_separated_family(parent, fam, 2)
+
 
 def test_non_integer_tau_rejected():
     with pytest.raises(ValueError, match="tau"):
