@@ -132,7 +132,7 @@ def sample_points(
     return out
 
 
-_COLUMNS = ("values", "ratios", "factor_mags", "factor_ratios", "boundary_only", "extra")
+_COLUMNS = ("values", "ratios", "factor_mags", "factor_ratios", "boundary_only")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +141,9 @@ class ClaimReport:
 
     values are the magnitudes |S_N f_k(x)|, ratios their normalised
     headline, factor_mags and factor_ratios (samples x d) the per-coordinate
-    factors raw and normalised, boundary_only flags samples with no complete
-    residue period, and extra is the upper-regime comparison of claim (ii),
-    NaN elsewhere.  The columns are read-only views, so the ratio summaries
-    stay true to them, and reports compare by identity.
+    factors raw and normalised, and boundary_only flags samples with no
+    complete residue period.  The columns are read-only views, so the ratio
+    summaries stay true to them, and reports compare by identity.
     """
 
     claim_id: str
@@ -154,7 +153,6 @@ class ClaimReport:
     factor_mags: np.ndarray
     factor_ratios: np.ndarray
     boundary_only: np.ndarray
-    extra: np.ndarray
     ratio_min: float = field(init=False)
     ratio_max: float = field(init=False)
     ratio_geomean: float = field(init=False)
@@ -224,9 +222,8 @@ def verify_claim_i(
     target = lam ** (j * params.delta)
     factor_target = lam ** (j - j * params.alpha / (2.0 * (params.d + 1)))
     values, mags, boundary = _block_columns(params, j, samples, n)
-    nan = np.full(len(values), np.nan)
     return ClaimReport(
-        "i", "coherent", values, values / target, mags, mags / factor_target, boundary, nan
+        "i", "coherent", values, values / target, mags, mags / factor_target, boundary
     )
 
 
@@ -239,11 +236,10 @@ def verify_claim_ii(
 ) -> ClaimReport:
     """Control claim for levels k < j.
 
-    In the upper regime the ratio is |S_N f_k| / lam^(k delta) and `extra`
-    carries the sharper comparison against
-    lam^(k delta - (j-k) d alpha/(2(d+1))).  In the lower regimes the ratio
-    is the raw magnitude |S_N f_k| (callers fit the decay rate across k);
-    factor magnitudes are always reported for the derivative-test bounds.
+    In the upper regime the ratio is |S_N f_k| / lam^(k delta).  In the
+    lower regimes the ratio is the raw magnitude |S_N f_k| (callers fit the
+    decay rate across k); factor magnitudes are always reported for the
+    derivative-test bounds.
     """
     if not 1 <= k < j:
         raise ValueError(f"need 1 <= k < j, got k={k}, j={j}")
@@ -252,18 +248,8 @@ def verify_claim_ii(
     lam = float(params.lam)
     regime = claim_regime(params, j, k)
     values, mags, boundary = _block_columns(params, k, samples, n)
-    if regime == "upper":
-        ratios = values / lam ** (k * params.delta)
-        extended = lam ** (
-            k * params.delta - (j - k) * params.d * params.alpha / (2.0 * (params.d + 1))
-        )
-        extra = values / extended
-    else:
-        ratios = values
-        extra = np.full(len(values), np.nan)
-    return ClaimReport(
-        "ii", regime, values, np.maximum(ratios, 1e-300), mags, mags, boundary, extra
-    )
+    ratios = values / lam ** (k * params.delta) if regime == "upper" else values
+    return ClaimReport("ii", regime, values, np.maximum(ratios, 1e-300), mags, mags, boundary)
 
 
 def verify_claim_iii(
@@ -301,10 +287,7 @@ def verify_claim_iii(
     columns = [_block_columns(params, k, samples, n) for n in n_list]
     values, mags, boundary = (np.concatenate(col) for col in zip(*columns))
     ratios = np.maximum(values / denom, 1e-300)
-    nan = np.full(len(values), np.nan)
-    return ClaimReport(
-        "iii", "incoherent", values, ratios, mags, mags / target_factor, boundary, nan
-    )
+    return ClaimReport("iii", "incoherent", values, ratios, mags, mags / target_factor, boundary)
 
 
 def full_datum_value(

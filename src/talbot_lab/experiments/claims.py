@@ -17,19 +17,8 @@ from ..counterexample import (
 )
 from ..expsum import vdc_first_derivative_bound
 from ..measures import exponent_fit
+from .config import counterexample_params
 from .report import RunReport, Sweep
-
-
-def _params(cfg: dict) -> CounterexampleParams:
-    return CounterexampleParams(
-        d=1,
-        alpha=float(cfg["alpha"]),
-        lam=int(cfg["lam"]),
-        delta=float(cfg["delta"]),
-        kappa=float(cfg["kappa"]),
-        c1=cfg["c1"],
-        c2=cfg["c2"],
-    )
 
 
 def _level_samples(params, j, total, seed):
@@ -60,7 +49,7 @@ def _require_claim2_regimes(params: CounterexampleParams, j_list) -> None:
 
 def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("claims", {})
-    params = _params(cfg)
+    params = counterexample_params(cfg)
     lam = float(params.lam)
     seed = int(cfg["seed"])
     j_list = tuple(cfg["j_list"])

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ..counterexample import CounterexampleParams
 from ..measures import GRID_CAP
 from ..schrodinger import FREQ_LIMIT
 
@@ -43,6 +44,16 @@ COMMON = {
     "seed": Key("int", 0, "root seed for every randomized draw"),
 }
 
+# The blow-up datum's parameters, shared by evolve and claims.
+COUNTEREXAMPLE = {
+    "lam": Key("int", 16, "lacunary base"),
+    "alpha": Key("float", 1.0, "target dimension"),
+    "delta": Key("float", 0.05, "growth exponent"),
+    "kappa": Key("float", 0.25, "window ratio"),
+    "c1": Key("fraction", Fraction(1, 200), "lower offset constant"),
+    "c2": Key("fraction", Fraction(1, 100), "upper offset constant"),
+}
+
 SCHEMAS: dict[str, dict[str, Key]] = {
     "gauss": {
         **COMMON,
@@ -57,24 +68,14 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "evolve": {
         **COMMON,
-        "lam": Key("int", 16, "lacunary base"),
-        "alpha": Key("float", 1.0, "target dimension"),
-        "delta": Key("float", 0.05, "growth exponent"),
-        "kappa": Key("float", 0.25, "window ratio"),
-        "c1": Key("fraction", Fraction(1, 200), "lower offset constant"),
-        "c2": Key("fraction", Fraction(1, 100), "upper offset constant"),
+        **COUNTEREXAMPLE,
         "j_max": Key("int", 4, "largest block level"),
         "samples_per_q": Key("int", 32, "samples per admissible time"),
         "tol": Key("float", 1e-9, "relative agreement between fast and direct paths"),
     },
     "claims": {
         **COMMON,
-        "lam": Key("int", 16, "lacunary base"),
-        "alpha": Key("float", 1.0, "target dimension"),
-        "delta": Key("float", 0.05, "growth exponent"),
-        "kappa": Key("float", 0.25, "window ratio"),
-        "c1": Key("fraction", Fraction(1, 200), "lower offset constant"),
-        "c2": Key("fraction", Fraction(1, 100), "upper offset constant"),
+        **COUNTEREXAMPLE,
         "j_list": Key("intlist", (2, 3, 4), "levels entering the growth claim"),
         "samples_per_j": Key("int", 64, "total samples per level"),
         "factor_band": Key(
@@ -270,6 +271,19 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
                 "meas_j_list needs at least two levels for the consecutive-level ratios,"
                 f" got {list(cfg['meas_j_list'])}"
             )
+
+
+def counterexample_params(cfg: dict[str, object]) -> CounterexampleParams:
+    """The d = 1 blow-up parameters named by the COUNTEREXAMPLE keys of cfg."""
+    return CounterexampleParams(
+        d=1,
+        alpha=float(cfg["alpha"]),
+        lam=int(cfg["lam"]),
+        delta=float(cfg["delta"]),
+        kappa=float(cfg["kappa"]),
+        c1=cfg["c1"],
+        c2=cfg["c2"],
+    )
 
 
 def config_for_json(cfg: dict[str, object]) -> dict[str, object]:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from ..counterexample import CounterexampleParams, sample_points, time_set
+from ..counterexample import sample_points, time_set
 from ..schrodinger import DirichletBlock, evolve_rational_fast, partial_sum_direct
+from .config import counterexample_params
 from .report import RunReport, Sweep
 
 
@@ -24,15 +25,7 @@ def _worst_error_at_time(args) -> tuple[int, int, float]:
 
 def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("evolve", {})
-    params = CounterexampleParams(
-        d=1,
-        alpha=float(cfg["alpha"]),
-        lam=int(cfg["lam"]),
-        delta=float(cfg["delta"]),
-        kappa=float(cfg["kappa"]),
-        c1=cfg["c1"],
-        c2=cfg["c2"],
-    )
+    params = counterexample_params(cfg)
     tasks = []
     seed = int(cfg["seed"])
     for j in range(1, int(cfg["j_max"]) + 1):

@@ -8,6 +8,7 @@ import numpy as np
 
 from .. import goldens
 from ..measures import (
+    AtomicMeasure,
     TimeSamplingPlan,
     cantor_measure,
     carleson_l2_ratio,
@@ -107,10 +108,8 @@ def run(cfg: dict, jobs: int) -> RunReport:
     for e in range(int(cfg["sweep_exp_min"]), int(cfg["sweep_exp_max"]) + 1):
         n = 2**e
         f = _dirichlet_datum(n)
-        tr = transference_ratio(f, mu, 6.0, s_transfer, alpha, plan)
-        cr = carleson_l2_ratio(
-            f, mu, s_carleson, alpha, [2**i for i in range(1, e + 1)], t_fixed
-        )
+        tr = transference_ratio(f, mu, 6.0, s_transfer, plan)
+        cr = carleson_l2_ratio(f, mu, s_carleson, [2**i for i in range(1, e + 1)], t_fixed)
         trans.append(tr)
         carl.append(cr)
         trans_rows.append([float(n), tr])
@@ -121,13 +120,12 @@ def run(cfg: dict, jobs: int) -> RunReport:
     report.sweeps.append(Sweep("transference", ["n", "ratio"], trans_rows))
     report.sweeps.append(Sweep("carleson", ["n", "ratio"], carl_rows))
 
-    # the ill-posed weighted regime must be rejected
+    # the ill-posed weighted regime must be rejected: the Cantor atoms
+    # labelled with a dimension just below 1 - 2s
+    illposed = AtomicMeasure(1, mu.positions, mu.masses, 1.0 - 2 * s_carleson - 0.01)
     rejected = 0.0
     try:
-        carleson_l2_ratio(
-            _dirichlet_datum(16), mu, s_carleson, 1.0 - 2 * s_carleson - 0.01,
-            [4, 8, 16], t_fixed,
-        )
+        carleson_l2_ratio(_dirichlet_datum(16), illposed, s_carleson, [4, 8, 16], t_fixed)
     except ValueError:
         rejected = 1.0
     report.add_check("illposed_regime_rejected", rejected, 1.0, ">=")
@@ -136,7 +134,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
         GoldenDiff(
             "middle_thirds_frostman",
             goldens.MIDDLE_THIRDS_FROSTMAN,
-            frostman_constant(mu, alpha, [2 * math.pi * 3.0 ** (-m) for m in range(1, level + 1)]),
+            frostman_constant(mu, [2 * math.pi * 3.0 ** (-m) for m in range(1, level + 1)]),
         )
     )
     return report

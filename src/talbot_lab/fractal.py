@@ -429,12 +429,8 @@ def separated_cubes(
         0, ps, qs, Fraction(-1), Fraction(1), t,
         meta={
             "n": n,
-            "beta": Fraction(beta),
-            "tau": float(tau),
             "margin": margin,
             "anchor_gap": gap,
-            "cube_separation": float(n) ** -2.0,
-            "count": len(qs),
             "maximal": max_cubes is None,
             "store": store,
         },
@@ -615,13 +611,8 @@ def build_nested_levels(
                 order = [order[i] for i in sorted(set(int(v) for v in idx))]
             ps.extend(fam.p[i] for i in order)
             qs.extend(fam.q[i] for i in order)
-        guaranteed = float(n_k) ** -2.0
         e_k = min(gap_k, eps[-1] * (1 - 1e-12)) if eps else gap_k
-        parents = CubeFamily(
-            k, ps, qs, _TWIN_C1, _TWIN_C2, t,
-            meta={"n": n_k, "m": m_k, "eps_realized": gap_k,
-                  "eps_guaranteed": guaranteed, "retained": len(qs)},
-        )
+        parents = CubeFamily(k, ps, qs, _TWIN_C1, _TWIN_C2, t)
         families.append(parents)
         ns.append(n_k)
         ms.append(int(m_k))

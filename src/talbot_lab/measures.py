@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +57,12 @@ class AtomicMeasure:
     @property
     def n_atoms(self) -> int:
         return int(self.masses.size)
+
+    @cached_property
+    def c_alpha(self) -> float:
+        """Frostman constant at the measure's own alpha over
+        DEFAULT_FROSTMAN_RADII, computed on first use and kept."""
+        return frostman_constant(self, DEFAULT_FROSTMAN_RADII)
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,9 @@ def uniform_measure(n: int) -> AtomicMeasure:
     return AtomicMeasure(1, TAU * np.arange(n) / n, np.full(n, 1.0 / n), 1.0)
 
 
-def frostman_constant(mu: AtomicMeasure, alpha: float, radii: Sequence[float]) -> float:
-    """Estimate sup over centers and radii of mu(B(x, r)) / r^alpha.
+def frostman_constant(mu: AtomicMeasure, radii: Sequence[float]) -> float:
+    """Estimate sup over centers and radii of mu(B(x, r)) / r^alpha, with
+    alpha = mu.alpha.
 
     One-dimensional only; otherwise ValueError.  Balls are closed arcs;
     candidate centers are the atom positions, which attain the grid
@@ -154,7 +162,7 @@ def frostman_constant(mu: AtomicMeasure, alpha: float, radii: Sequence[float]) -
             lo_i = np.searchsorted(pos, lo, side="left")
             hi_i = np.searchsorted(pos, hi, side="right")
             masses = np.where(lo > hi, (total - cum[lo_i]) + cum[hi_i], cum[hi_i] - cum[lo_i])
-        quotients.append(float((masses / r**alpha).max()))
+        quotients.append(float((masses / r**mu.alpha).max()))
     return max(quotients)
 
 
@@ -298,24 +306,30 @@ def _block_rows(nk: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(nk, 1))
 
 
-def _maximal_values_at_atoms(f: FourierData, mu: AtomicMeasure, times: Sequence[float]) -> np.ndarray:
-    """max over times of |S_N(t)f| at every atom, N = bandwidth of f.
+def _atom_maxima(
+    mu: AtomicMeasure,
+    ks: np.ndarray,
+    shift: np.ndarray | float,
+    vectors: Sequence[tuple[np.ndarray | None, np.ndarray]],
+) -> np.ndarray:
+    """max over (keep, v) in vectors of |sum over kept k of v_k e^{i(k.x - shift_k)}|
+    at every atom x; keep None keeps every k, and v holds one entry per kept k.
 
-    The time-phased coefficient vectors are built once; the atoms go in
-    blocks of _block_rows, and each block's exponential meets every time.
-    A row's GEMV result does not depend on the block's row count.
+    The atoms go in blocks of _block_rows, and each block's full-band
+    exponential meets every vector.  A row's GEMV result does not depend on
+    the block's row count.
     """
-    ks, coeffs = f.ks, f.coeffs
-    ksq = (ks * ks).sum(axis=1).astype(float)
     kf = ks.T.astype(float)
-    phased = [coeffs * np.exp(-1j * ksq * t) for t in times]
     best = np.zeros(mu.n_atoms)
     rows = _block_rows(ks.shape[0])
     for start in range(0, mu.n_atoms, rows):
-        ex = np.exp(1j * (mu.positions[start : start + rows] @ kf))
+        ex = np.exp(1j * (mu.positions[start : start + rows] @ kf - shift))
         out = best[start : start + rows]
-        for v in phased:
-            np.maximum(out, np.abs(ex @ v), out=out)
+        for keep, v in vectors:
+            # compress, not ex[:, keep]: the mask index returns an F-ordered copy, and
+            # BLAS then runs the transposed GEMV, which moves the low bits
+            kept = ex if keep is None else np.compress(keep, ex, axis=1)
+            np.maximum(out, np.abs(kept @ v), out=out)
     return best
 
 
@@ -331,7 +345,9 @@ def maximal_lp_norm(
     times = plan.times()
     if not times:
         raise ValueError("time sampling plan is empty")
-    best = _maximal_values_at_atoms(f, mu, times)
+    ksq = (f.ks * f.ks).sum(axis=1).astype(float)
+    phased = [(None, f.coeffs * np.exp(-1j * ksq * t)) for t in times]
+    best = _atom_maxima(mu, f.ks, 0.0, phased)
     return float((mu.masses * best**p).sum() ** (1.0 / p))
 
 
@@ -343,24 +359,22 @@ def transference_ratio(
     mu: AtomicMeasure,
     p: float,
     s: float,
-    alpha: float,
     plan: TimeSamplingPlan,
 ) -> float:
     """Weighted maximal norm over c_alpha(mu)^(1/p) * H^s norm of the datum,
-    with the Frostman constant taken over DEFAULT_FROSTMAN_RADII.
+    with alpha = mu.alpha and c_alpha = mu.c_alpha.
 
     Requires s > (d - alpha)/p + d/(d+2), the regularity at which the
     Lebesgue-measure maximal bound transfers to alpha-dimensional weights.
     """
     d = f.d
-    s_min = (d - alpha) / p + d / (d + 2.0)
+    s_min = (d - mu.alpha) / p + d / (d + 2.0)
     if s <= s_min:
         raise ValueError(f"need s > {s_min:.4f} for the transfer, got s={s}")
     num = maximal_lp_norm(f, mu, p, plan)
     if num == 0.0:
         return 0.0
-    c_alpha = frostman_constant(mu, alpha, DEFAULT_FROSTMAN_RADII)
-    den = c_alpha ** (1.0 / p) * sobolev_norm(f, s)
+    den = mu.c_alpha ** (1.0 / p) * sobolev_norm(f, s)
     if den == 0.0:
         raise ValueError("zero denominator with nonzero maximal norm")
     return num / den
@@ -370,20 +384,19 @@ def carleson_l2_ratio(
     f: FourierData,
     mu: AtomicMeasure,
     s: float,
-    alpha: float,
     n_trunc_set: Sequence[int],
-    t: RationalTime | float,
+    t: RationalTime,
 ) -> float:
     """Weighted L^2 norm of the truncation-maximal flow against its scaling.
 
     Returns ||max over M in the set, M <= N of |S_M(t)f| ||_{L^2(d mu)}
     divided by sqrt(c_alpha) * N^((d-alpha)/2 + eps) * ||f||_2 at a fixed
-    sampled time, with eps = 0.05 and the Frostman constant taken over
-    DEFAULT_FROSTMAN_RADII.  Rejects alpha <= d - 2s, where the weighted
-    problem is ill posed.  The atoms go in blocks of _block_rows; each
-    block's full-band exponential serves every truncation.
+    sampled time, with eps = 0.05, alpha = mu.alpha and c_alpha =
+    mu.c_alpha.  Rejects alpha <= d - 2s, where the weighted problem is ill
+    posed.
     """
     d = f.d
+    alpha = mu.alpha
     if not 0 < s <= d / 2:
         raise ValueError(f"s must lie in (0, d/2], got {s}")
     if alpha <= d - 2 * s:
@@ -396,25 +409,10 @@ def carleson_l2_ratio(
         raise ValueError("no truncation levels at or below the bandwidth")
     ks, coeffs = f.ks, f.coeffs
     keeps = [keep for keep in ((np.abs(ks) <= m).all(axis=1) for m in truncs) if keep.any()]
-    kept_coeffs = [coeffs[keep] for keep in keeps]
-    kf = ks.T.astype(float)
     ksq = (ks * ks).sum(axis=1).astype(float)
-    tt = t.t if isinstance(t, RationalTime) else float(t)
-    best = np.zeros(mu.n_atoms)
-    rows = _block_rows(ks.shape[0])
-    for start in range(0, mu.n_atoms, rows):
-        ex = np.exp(1j * (mu.positions[start : start + rows] @ kf - ksq[None, :] * tt))
-        out = best[start : start + rows]
-        for keep, c in zip(keeps, kept_coeffs):
-            # compress, not ex[:, keep]: the mask index returns an F-ordered copy, and
-            # BLAS then runs the transposed GEMV, which moves the low bits
-            np.maximum(out, np.abs(np.compress(keep, ex, axis=1) @ c), out=out)
+    best = _atom_maxima(mu, ks, ksq * t.t, [(keep, coeffs[keep]) for keep in keeps])
     num = float(np.sqrt((mu.masses * best**2).sum()))
-    den = (
-        math.sqrt(frostman_constant(mu, alpha, DEFAULT_FROSTMAN_RADII))
-        * n ** ((d - alpha) / 2.0 + _CARLESON_EPS)
-        * f.l2()
-    )
+    den = math.sqrt(mu.c_alpha) * n ** ((d - alpha) / 2.0 + _CARLESON_EPS) * f.l2()
     if den == 0.0:
         raise ValueError("zero denominator")
     return num / den

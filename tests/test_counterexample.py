@@ -203,8 +203,10 @@ class TestClaimBelow:
     def test_extended_estimate_band(self):
         p = CounterexampleParams(**DESK)
         t = time_set(p, 4)[-1]
-        rep = verify_claim_ii(p, 4, 3, sample_points(p, 4, t, 8, seed=21), p.lam**4 + 1)
-        assert np.all((1 / 8 <= rep.extra) & (rep.extra <= 8))
+        j, k = 4, 3
+        rep = verify_claim_ii(p, j, k, sample_points(p, j, t, 8, seed=21), p.lam**j + 1)
+        extended = float(p.lam) ** (k * p.delta - (j - k) * p.d * p.alpha / (2.0 * (p.d + 1)))
+        assert np.all((1 / 8 <= rep.values / extended) & (rep.values / extended <= 8))
 
     def test_derivative_regime_factor_sums_bounded(self):
         from talbot_lab.expsum import vdc_first_derivative_bound
@@ -302,7 +304,7 @@ class TestClaimColumnsKeepEveryBit:
               CounterexampleParams(d=2, alpha=2.0, lam=8, delta=0.05, kappa=1 / 4))
 
     @staticmethod
-    def _assert_rows(rep, rows, ratio, factor_norm, extra=None):
+    def _assert_rows(rep, rows, ratio, factor_norm):
         assert len(rep.values) == len(rows)
         for i, (value, mags, boundary) in enumerate(rows):
             assert rep.values[i] == value
@@ -310,10 +312,6 @@ class TestClaimColumnsKeepEveryBit:
             assert np.array_equal(rep.factor_mags[i], mags)
             assert np.array_equal(rep.factor_ratios[i], mags / factor_norm)
             assert rep.boundary_only[i] == boundary
-            if extra is None:
-                assert math.isnan(rep.extra[i])
-            else:
-                assert rep.extra[i] == extra(value)
 
     def test_claim_i(self):
         for p in self.PARAMS:
@@ -339,13 +337,7 @@ class TestClaimColumnsKeepEveryBit:
                 assert rep.regime == regime
                 rows = _rowwise(p, k, samples, n)
                 if regime == "upper":
-                    extended = lam ** (
-                        k * p.delta - (j - k) * p.d * p.alpha / (2.0 * (p.d + 1))
-                    )
-                    self._assert_rows(
-                        rep, rows, lambda v: max(v / lam ** (k * p.delta), 1e-300), 1,
-                        extra=lambda v: v / extended,
-                    )
+                    self._assert_rows(rep, rows, lambda v: max(v / lam ** (k * p.delta), 1e-300), 1)
                 else:
                     self._assert_rows(rep, rows, lambda v: max(v, 1e-300), 1)
 
@@ -372,7 +364,7 @@ class TestClaimColumnsKeepEveryBit:
         # claim (ii) shows one array as raw and normalised factors
         assert np.shares_memory(rep.factor_mags, rep.factor_ratios)
         for column in (rep.values, rep.ratios, rep.factor_mags, rep.factor_ratios,
-                       rep.boundary_only, rep.extra):
+                       rep.boundary_only):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
         # reports compare by identity, not elementwise

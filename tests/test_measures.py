@@ -57,11 +57,11 @@ class TestFrostman:
     def test_uniform_measure_close_to_inverse_pi(self):
         mu = uniform_measure(4096)
         radii = [TAU * 2.0**-m for m in range(2, 9)]
-        assert frostman_constant(mu, 1.0, radii) == pytest.approx(1 / math.pi, rel=0.1)
+        assert frostman_constant(mu, radii) == pytest.approx(1 / math.pi, rel=0.1)
 
     def test_point_mass_alpha_zero(self):
         mu = AtomicMeasure(1, np.array([[1.0]]), np.array([1.0]), 0.0)
-        assert frostman_constant(mu, 0.0, [0.1, 0.5, 1.0]) == 1.0
+        assert frostman_constant(mu, [0.1, 0.5, 1.0]) == 1.0
 
     def test_middle_thirds_golden(self):
         # frozen at calibration; stable across construction depth
@@ -69,7 +69,7 @@ class TestFrostman:
         for level in (10, 11, 12):
             mu = cantor_measure(1 / 3, level)
             radii = [TAU * 3.0**-m for m in range(1, level + 1)]
-            values[level] = frostman_constant(mu, mu.alpha, radii)
+            values[level] = frostman_constant(mu, radii)
         assert values[12] == pytest.approx(0.627241, abs=1e-3)
         assert max(values.values()) / min(values.values()) <= 1.1
 
@@ -77,21 +77,40 @@ class TestFrostman:
         mu = cantor_measure(1 / 3, 6)
         doubled = AtomicMeasure(mu.d, mu.positions, 2.0 * mu.masses, mu.alpha)
         radii = [TAU * 3.0**-m for m in range(1, 7)]
-        a = frostman_constant(mu, mu.alpha, radii)
-        b = frostman_constant(doubled, mu.alpha, radii)
+        a = frostman_constant(mu, radii)
+        b = frostman_constant(doubled, radii)
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
     def test_needs_positive_radii(self):
         mu = cantor_measure(1 / 3, 3)
         with pytest.raises(ValueError):
-            frostman_constant(mu, mu.alpha, [])
+            frostman_constant(mu, [])
         with pytest.raises(ValueError):
-            frostman_constant(mu, mu.alpha, [0.0])
+            frostman_constant(mu, [0.0])
 
     def test_two_dimensional_measure_rejected(self):
         mu = AtomicMeasure(2, np.array([[1.0, 2.0]]), np.array([1.0]), 0.0)
         with pytest.raises(ValueError, match="d = 1"):
-            frostman_constant(mu, 0.0, [0.1])
+            frostman_constant(mu, [0.1])
+
+    def test_default_maximal_run_evaluates_twice(self, monkeypatch):
+        # once over the default radii, kept on the Cantor measure for all ten
+        # transfer ratios, and once over the 3-adic radii of the golden
+        from talbot_lab import measures
+        from talbot_lab.experiments import maximal
+        from talbot_lab.experiments.config import load_config
+
+        radii_seen = []
+
+        def counted(mu, radii):
+            radii_seen.append(tuple(radii))
+            return frostman_constant(mu, radii)
+
+        monkeypatch.setattr(measures, "frostman_constant", counted)
+        monkeypatch.setattr(maximal, "frostman_constant", counted)
+        maximal.run(load_config("maximal", None), 1)
+        assert len(radii_seen) == 2
+        assert radii_seen[0] == DEFAULT_FROSTMAN_RADII
 
 
 class TestConvolution:
@@ -192,9 +211,7 @@ class TestMaximalLpNorm:
         mu = cantor_measure(1 / 3, 6)
         f = dirichlet_datum(8)
         plan = TimeSamplingPlan(q_max=16, grid=8)
-        from talbot_lab.measures import _maximal_values_at_atoms
-
-        sup = float(_maximal_values_at_atoms(f, mu, plan.times()).max())
+        sup = float(_time_maxima(f, mu, plan.times()).max())
         for p in (1.0, 2.0, 6.0):
             assert maximal_lp_norm(f, mu, p, plan) <= sup + 1e-12
 
@@ -209,7 +226,7 @@ class TestTransference:
         mu = cantor_measure(1 / 3, 6)
         f = FourierData(1, [], [])
         plan = TimeSamplingPlan(q_max=16, grid=8)
-        assert transference_ratio(f, mu, 6.0, 0.9, mu.alpha, plan) == 0.0
+        assert transference_ratio(f, mu, 6.0, 0.9, plan) == 0.0
 
     def test_scaling_invariance(self):
         mu = cantor_measure(1 / 3, 8)
@@ -217,8 +234,8 @@ class TestTransference:
         doubled = FourierData(1, f.ks, 2.0 * f.coeffs)
         plan = TimeSamplingPlan(q_max=16, grid=8)
         s = (1 - mu.alpha) / 6 + 1 / 3 + 0.05
-        a = transference_ratio(f, mu, 6.0, s, mu.alpha, plan)
-        b = transference_ratio(doubled, mu, 6.0, s, mu.alpha, plan)
+        a = transference_ratio(f, mu, 6.0, s, plan)
+        b = transference_ratio(doubled, mu, 6.0, s, plan)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_chain_recomputes_to_same_ratio(self):
@@ -230,22 +247,22 @@ class TestTransference:
         f = dirichlet_datum(16)
         plan = TimeSamplingPlan(q_max=16, grid=8)
         s = (1 - mu.alpha) / 6 + 1 / 3 + 0.05
-        ratio = transference_ratio(f, mu, 6.0, s, mu.alpha, plan)
+        ratio = transference_ratio(f, mu, 6.0, s, plan)
         num = maximal_lp_norm(f, mu, 6.0, plan)
-        den = frostman_constant(mu, mu.alpha, DEFAULT_FROSTMAN_RADII) ** (1 / 6.0) * sobolev_norm(f, s)
+        den = frostman_constant(mu, DEFAULT_FROSTMAN_RADII) ** (1 / 6.0) * sobolev_norm(f, s)
         assert ratio == pytest.approx(num / den, rel=1e-12)
 
     def test_regularity_floor_enforced(self):
         mu = cantor_measure(1 / 3, 6)
         with pytest.raises(ValueError, match="transfer"):
-            transference_ratio(dirichlet_datum(8), mu, 6.0, 0.1, mu.alpha, TimeSamplingPlan(8, 4))
+            transference_ratio(dirichlet_datum(8), mu, 6.0, 0.1, TimeSamplingPlan(8, 4))
 
     def test_bounded_over_short_sweep(self):
         mu = cantor_measure(1 / 3, 10)
         plan = TimeSamplingPlan(q_max=32, grid=32)
         s = (1 - mu.alpha) / 6 + 1 / 3 + 0.05
         vals = [
-            transference_ratio(dirichlet_datum(2**e), mu, 6.0, s, mu.alpha, plan)
+            transference_ratio(dirichlet_datum(2**e), mu, 6.0, s, plan)
             for e in range(5, 9)
         ]
         assert max(vals) <= 2.0 * float(np.median(vals))
@@ -257,13 +274,13 @@ class TestCarleson:
         n = 16
         f = dirichlet_datum(n)
         t = RationalTime(8)
-        ratio = carleson_l2_ratio(f, mu, 0.4, mu.alpha, [n], t)
+        ratio = carleson_l2_ratio(f, mu, 0.4, [n], t)
         from talbot_lab.schrodinger import partial_sum_direct
 
         values = partial_sum_direct(f, n, t, mu.positions)
         weighted = math.sqrt(float((mu.masses * np.abs(values) ** 2).sum()))
         denom = (
-            math.sqrt(frostman_constant(mu, mu.alpha, DEFAULT_FROSTMAN_RADII))
+            math.sqrt(frostman_constant(mu, DEFAULT_FROSTMAN_RADII))
             * n ** ((1 - mu.alpha) / 2 + 0.05)
             * f.l2()
         )
@@ -275,14 +292,15 @@ class TestCarleson:
         mu = AtomicMeasure(1, np.array([[0.5]]), np.array([1.0]), 0.01)
         n = 32
         f = dirichlet_datum(n)
-        ratio = carleson_l2_ratio(f, mu, 0.5, 0.01, [2, 8, n], RationalTime(4))
+        ratio = carleson_l2_ratio(f, mu, 0.5, [2, 8, n], RationalTime(4))
         assert math.isfinite(ratio)
         assert ratio * n ** (0.5 * (1 - 0.01) + 0.05) / math.sqrt(2 * n + 1) <= 1.5
 
     def test_illposed_regime_rejected(self):
-        mu = cantor_measure(1 / 3, 6)
+        cantor = cantor_measure(1 / 3, 6)
+        mu = AtomicMeasure(1, cantor.positions, cantor.masses, 0.4)
         with pytest.raises(ValueError, match="ill-posed"):
-            carleson_l2_ratio(dirichlet_datum(8), mu, 0.3, 0.4, [4, 8], RationalTime(4))
+            carleson_l2_ratio(dirichlet_datum(8), mu, 0.3, [4, 8], RationalTime(4))
 
     def test_bounded_over_short_sweep(self):
         mu = cantor_measure(1 / 3, 10)
@@ -291,8 +309,7 @@ class TestCarleson:
             n = 2**e
             vals.append(
                 carleson_l2_ratio(
-                    dirichlet_datum(n), mu, 0.3, mu.alpha,
-                    [2**i for i in range(1, e + 1)], RationalTime(8),
+                    dirichlet_datum(n), mu, 0.3, [2**i for i in range(1, e + 1)], RationalTime(8)
                 )
             )
         assert max(vals) <= 2.0 * float(np.median(vals))
@@ -377,6 +394,27 @@ def _maximal_values_reference(f, mu, times):
     return best
 
 
+def _frostman_reference(mu, alpha, radii):
+    # the Frostman estimate as it was when alpha was an argument of its own
+    centers = mu.positions[:, 0]
+    order = np.argsort(centers, kind="stable")
+    pos = centers[order]
+    cum = np.concatenate([[0.0], np.cumsum(mu.masses[order])])
+    total = cum[-1]
+    quotients = []
+    for r in radii:
+        if 2 * r >= TAU:
+            masses = np.full(centers.size, total)
+        else:
+            lo = (centers - r - 1e-12) % TAU
+            hi = (centers + r + 1e-12) % TAU
+            lo_i = np.searchsorted(pos, lo, side="left")
+            hi_i = np.searchsorted(pos, hi, side="right")
+            masses = np.where(lo > hi, (total - cum[lo_i]) + cum[hi_i], cum[hi_i] - cum[lo_i])
+        quotients.append(float((masses / r**alpha).max()))
+    return max(quotients)
+
+
 def _carleson_reference(f, mu, s, alpha, n_trunc_set, t):
     d = f.d
     n = f.bandwidth
@@ -392,11 +430,20 @@ def _carleson_reference(f, mu, s, alpha, n_trunc_set, t):
         np.maximum(best, vals, out=best)
     num = float(np.sqrt((mu.masses * best**2).sum()))
     den = (
-        math.sqrt(frostman_constant(mu, alpha, DEFAULT_FROSTMAN_RADII))
+        math.sqrt(_frostman_reference(mu, alpha, DEFAULT_FROSTMAN_RADII))
         * n ** ((d - alpha) / 2.0 + 0.05)
         * f.l2()
     )
     return num / den
+
+
+def _time_maxima(f, mu, times):
+    """The shared evaluator as maximal_lp_norm calls it: time-phased
+    coefficients, no shift, no mask."""
+    from talbot_lab.measures import _atom_maxima
+
+    ksq = (f.ks * f.ks).sum(axis=1).astype(float)
+    return _atom_maxima(mu, f.ks, 0.0, [(None, f.coeffs * np.exp(-1j * ksq * t)) for t in times])
 
 
 def _random_datum(rng, bandwidth, nnz):
@@ -408,7 +455,7 @@ def _random_datum(rng, bandwidth, nnz):
 class TestSharedKernelsKeepEveryBit:
     @pytest.mark.parametrize("nnz", [1, 33, 1025])
     def test_blocked_maximal_values(self, nnz):
-        from talbot_lab.measures import _block_rows, _maximal_values_at_atoms
+        from talbot_lab.measures import _block_rows
 
         rng = np.random.default_rng(nnz)
         rows = _block_rows(nnz)
@@ -416,7 +463,7 @@ class TestSharedKernelsKeepEveryBit:
         mu = AtomicMeasure(1, rng.uniform(0, TAU, n_atoms), np.full(n_atoms, 1.0 / n_atoms), 0.5)
         f = _random_datum(rng, 600, nnz)
         times = TimeSamplingPlan(q_max=16, grid=8).times()
-        got = _maximal_values_at_atoms(f, mu, times)
+        got = _time_maxima(f, mu, times)
         assert np.array_equal(got, _maximal_values_reference(f, mu, times))
 
     def test_carleson_shuffled_frequencies(self):
@@ -426,7 +473,7 @@ class TestSharedKernelsKeepEveryBit:
         order = rng.permutation(f.nnz)
         f = FourierData(1, f.ks[order], f.coeffs[order] * (1 + 0.5j * rng.standard_normal(f.nnz)))
         truncs = [2**i for i in range(1, 7)]
-        got = carleson_l2_ratio(f, mu, 0.3, mu.alpha, truncs, RationalTime(8))
+        got = carleson_l2_ratio(f, mu, 0.3, truncs, RationalTime(8))
         assert got == _carleson_reference(f, mu, 0.3, mu.alpha, truncs, RationalTime(8))
 
     def test_carleson_smallest_level_keeps_nothing(self):
@@ -434,8 +481,28 @@ class TestSharedKernelsKeepEveryBit:
         f = FourierData(1, ks, np.ones(ks.shape[0], dtype=complex))
         mu = cantor_measure(1 / 3, 9)
         truncs = [1, 2, 8, 40]
-        got = carleson_l2_ratio(f, mu, 0.3, mu.alpha, truncs, RationalTime(4))
+        got = carleson_l2_ratio(f, mu, 0.3, truncs, RationalTime(4))
         assert got == _carleson_reference(f, mu, 0.3, mu.alpha, truncs, RationalTime(4))
+
+    def test_relabelled_measure_moves_ratios_as_alpha_argument(self):
+        # the old alpha argument entered the gate, the Frostman quotient and
+        # the Carleson scaling; the measure's own label now does, bit for bit
+        from talbot_lab.schrodinger import sobolev_norm
+
+        mu = cantor_measure(1 / 3, 8)
+        f = dirichlet_datum(32)
+        plan = TimeSamplingPlan(q_max=16, grid=8)
+        truncs = [2, 8, 32]
+        num = maximal_lp_norm(f, mu, 6.0, plan)
+        for alpha in (0.5, mu.alpha, 0.9):
+            nu = AtomicMeasure(1, mu.positions, mu.masses, alpha)
+            c_alpha = _frostman_reference(mu, alpha, DEFAULT_FROSTMAN_RADII)
+            assert nu.c_alpha == c_alpha
+            got = carleson_l2_ratio(f, nu, 0.3, truncs, RationalTime(8))
+            assert got == _carleson_reference(f, mu, 0.3, alpha, truncs, RationalTime(8))
+            s = (1 - alpha) / 6 + 1 / 3 + 0.05
+            got = transference_ratio(f, nu, 6.0, s, plan)
+            assert got == num / (c_alpha ** (1.0 / 6.0) * sobolev_norm(f, s))
 
     def test_convolution_list_matches_per_n(self):
         mu = cantor_measure(1 / 3, 8)
