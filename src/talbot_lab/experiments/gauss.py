@@ -40,8 +40,9 @@ def run(cfg: dict, jobs: int) -> RunReport:
         rs.update(_coprime_sample(rng, q, int(cfg["random_r_per_q"])))
         scale = max(1.0, math.sqrt(2.0 * q))
         q_worst = 0.0
-        for r in sorted(rs):
-            err = np.abs(np.abs(gauss_sum_table(q, r)) - gauss_sum_magnitudes(q, r))
+        rs = sorted(rs)
+        for r, table in zip(rs, gauss_sum_table(q, rs)):
+            err = np.abs(np.abs(table) - gauss_sum_magnitudes(q, r))
             q_worst = max(q_worst, float(err.max()))
             mismatches += int((err > tol * scale).sum())
         worst_overall = max(worst_overall, q_worst / scale)

@@ -17,6 +17,26 @@ MODULUS_LIMIT = 2**31
 
 _CHUNK = 1 << 20
 
+_TWO_PI = 2.0 * math.pi
+
+
+def _unit_phasor(frac: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{2 pi i frac} for a float array frac, bit for bit np.exp(2j * math.pi * frac).
+
+    Writes cos and sin of 2 pi frac into the halves of out (complex, the
+    shape of frac; allocated when None) and returns it; frac is overwritten
+    with the angle.  glibc's cexp(+-0 + i theta) is (cos theta, sin theta),
+    and the imaginary part of the complex product 2j * pi * frac is
+    0*0 + 2 pi frac, which turns -0 into +0; adding 0.0 does the same.
+    """
+    if out is None:
+        out = np.empty(frac.shape, dtype=complex)
+    np.multiply(frac, _TWO_PI, out=frac)
+    np.add(frac, 0.0, out=frac)
+    np.cos(frac, out=out.real)
+    np.sin(frac, out=out.imag)
+    return out
+
 
 def quadratic_sum(a2: int, a1: int, q: int, eps: float, lo: int, hi: int) -> complex:
     """Sum over k = lo..hi of e^{2 pi i ((a2 k^2 + a1 k) mod q / q + eps k)}.
@@ -39,23 +59,27 @@ def quadratic_sum(a2: int, a1: int, q: int, eps: float, lo: int, hi: int) -> com
         km = k % q
         idx = (a2m * (km * km % q) % q + a1m * km % q) % q
         frac = idx / q + (eps * k) % 1.0
-        total += np.exp(2j * math.pi * frac).sum()
+        total += _unit_phasor(frac).sum()
     return complex(total)
 
 
-def gauss_sum_table(q: int, r: int) -> np.ndarray:
+def gauss_sum_table(q: int, r: int | Sequence[int]) -> np.ndarray:
     """Complete quadratic sums for every linear coefficient p = 0..q-1 at once.
 
     The quadratic part is reduced exactly; the linear part is applied as a
     discrete Fourier transform, which computes the same sums in O(q log q).
+    A single r gives shape (q,); a sequence of r gives one row per r, all
+    transformed by one call, each row bit for bit the table of its r alone.
     """
     if q < 1 or q > MODULUS_LIMIT:
         raise ValueError(f"modulus {q} out of range")
-    r = r % q
+    single = np.ndim(r) == 0
+    rs = np.array([v % q for v in ([r] if single else r)], dtype=np.int64)
     k = np.arange(q, dtype=np.int64)
-    v = np.exp(2j * math.pi * ((r * (k * k % q)) % q / q))
+    v = _unit_phasor(rs[:, None] * (k * k % q) % q / q)
     # sum_k v_k e^{2 pi i p k / q} = q * ifft(v)[p]
-    return q * np.fft.ifft(v)
+    table = q * np.fft.ifft(v, axis=-1)
+    return table[0] if single else table
 
 
 def gauss_sum_magnitudes(q: int, r: int) -> np.ndarray:

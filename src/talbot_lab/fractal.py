@@ -122,9 +122,30 @@ def _anchor_count(q: int) -> int:
     return q // 4 + (-q) // 8 + 1
 
 
+def _power_sum(n: int, e: int) -> int:
+    """Sum of v^e over v = 1..n, exactly, from (n+1)^(k+1) - 1 = sum over i <= k
+    of C(k+1, i) times the power sum of exponent i, solved for k = 0..e in turn."""
+    sums: list[int] = []
+    for k in range(e + 1):
+        lower = sum(math.comb(k + 1, i) * s for i, s in enumerate(sums))
+        sums.append(((n + 1) ** (k + 1) - 1 - lower) // (k + 1))
+    return sums[e]
+
+
 def level_cube_count(params: CounterexampleParams, j: int) -> int:
-    """Exact cube count of the level-j cube family, without materializing it."""
-    return sum(_anchor_count(q) ** params.d for q in params.q_window(j))
+    """Exact cube count of the level-j cube family, without materializing it.
+
+    At q = 4m the anchor count is v = floor(m/2) + 1, taken at m = 2v - 2 and
+    2v - 1, so the window sums each v^d twice, less the ends it takes once:
+    a first q = 4 (mod 8) and a last q = 0 (mod 8).
+    """
+    qs = params.q_window(j)
+    if not qs:
+        return 0
+    d = params.d
+    lo, hi = _anchor_count(qs[0]), _anchor_count(qs[-1])
+    total = 2 * (_power_sum(hi, d) - _power_sum(lo - 1, d))
+    return total - (lo**d if qs[0] % 8 else 0) - (0 if qs[-1] % 8 else hi**d)
 
 
 def level_cube_family(params: CounterexampleParams, j: int) -> CubeFamily:

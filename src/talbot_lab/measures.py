@@ -33,9 +33,13 @@ _BLOCK_ENTRIES = 1 << 16
 _CARLESON_EPS = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Finitely supported positive measure on the torus [0, 2 pi)^d."""
+    """Finitely supported positive measure on the torus [0, 2 pi)^d.
+
+    positions and masses are read-only copies of the inputs, so the cached
+    c_alpha stays true to them, and measures compare by identity.
+    """
 
     d: int
     positions: np.ndarray
@@ -44,15 +48,16 @@ class AtomicMeasure:
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.positions, dtype=float).reshape(-1, self.d) % TAU
-        mas = np.asarray(self.masses, dtype=float).reshape(-1)
+        mas = np.array(self.masses, dtype=float).reshape(-1)
         if pos.shape[0] != mas.shape[0]:
             raise ValueError("positions and masses differ in length")
         if pos.shape[0] == 0:
             raise ValueError("measure needs at least one atom")
         if np.any(mas <= 0):
             raise ValueError("masses must be positive")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "masses", mas)
+        for name, column in (("positions", pos), ("masses", mas)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def n_atoms(self) -> int:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expsum import MODULUS_LIMIT, perturbed_gauss_sum_value, quadratic_sum
+from .expsum import MODULUS_LIMIT, _unit_phasor, perturbed_gauss_sum_value, quadratic_sum
 
 TAU = 2.0 * math.pi
 
@@ -174,32 +174,65 @@ def dirichlet_kernel_1d(n: int, x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _dot_into(cols: np.ndarray, v: Sequence, out: np.ndarray) -> None:
-    """out = cols @ v, one multiply-add per coordinate (a one-column matmul is slow)."""
-    np.multiply(cols[:, 0], v[0], out=out)
+    """out = cols @ v computed in out's dtype, one multiply-add per coordinate
+    (a one-column matmul is slow)."""
+    np.multiply(cols[:, 0], v[0], out=out, dtype=out.dtype)
     for i in range(1, len(v)):
-        out += cols[:, i] * v[i]
+        out += np.multiply(cols[:, i], v[i], dtype=out.dtype)
+
+
+def _residues(ks: np.ndarray, q: int, dot: np.ndarray) -> np.ndarray:
+    """k_i mod q, one row per coordinate: at d = 1 the row is the int64 buffer dot."""
+    if ks.shape[1] == 1:
+        np.remainder(ks[:, 0], q, out=dot)
+        return dot[None]
+    return np.remainder(ks.T, q, out=np.empty(ks.T.shape, dtype=np.int64))
+
+
+def _table_fraction(res: np.ndarray, x: SamplePoint, dot: np.ndarray, frac: np.ndarray) -> None:
+    """Write (k.p mod q)/q into frac, read from tables indexed by res = k mod q.
+
+    Coordinate i's table holds r p_i mod q for r < q.  At d = 1 the table is
+    divided by q and read once; otherwise the entries are summed into the
+    int64 buffer dot (each below q) and index a table of (s mod q)/q, s < d q.
+    mode="clip" writes straight into the output, where "raise" buffers it.
+    """
+    q, p = x.q, x.p
+    r = np.arange(q, dtype=np.int64)
+    if len(p) == 1:
+        np.take(r * p[0] % q / q, res[0], out=frac, mode="clip")
+        return
+    np.take(r * p[0] % q, res[0], out=dot, mode="clip")
+    for row, p_i in zip(res[1:], p[1:]):
+        dot += np.take(r * p_i % q, row, mode="clip")
+    np.take(np.arange(len(p) * q) % q / q, dot, out=frac, mode="clip")
 
 
 def _phase_fraction_x(
     ks: np.ndarray,
-    kf: np.ndarray,
     x: SamplePoint | Sequence[float],
+    res: np.ndarray | None,
     dot: np.ndarray,
     frac: np.ndarray,
     term: np.ndarray,
 ) -> None:
     """Write k.x as a fraction of a full turn (cycles) into frac, exactly reduced when anchored.
 
-    kf is ks as floats; dot (int64) and term (float64) are work buffers.
+    res holds k mod q for the anchor's modulus, or is None to reduce k.p per
+    point; dot (int64) and term (float64) are work buffers.  The float
+    products cast k from int64 exactly, as |k| <= FREQ_LIMIT.
     """
     if isinstance(x, SamplePoint):
-        _dot_into(ks, x.p, dot)
-        np.remainder(dot, x.q, out=dot)
-        np.true_divide(dot, x.q, out=frac)
-        _dot_into(kf, x.eps, term)
+        if res is None:
+            _dot_into(ks, x.p, dot)
+            np.remainder(dot, x.q, out=dot)
+            np.true_divide(dot, x.q, out=frac)
+        else:
+            _table_fraction(res, x, dot, frac)
+        _dot_into(ks, x.eps, term)
         np.add(frac, term, out=frac)
     else:
-        _dot_into(kf, x, frac)
+        _dot_into(ks, x, frac)
         np.true_divide(frac, TAU, out=frac)
 
 
@@ -228,7 +261,11 @@ def partial_sum_direct(
     product in the last bit.
 
     Phases are reduced modulo one full turn; the reduction is exact in
-    integer arithmetic when t is a RationalTime and x a SamplePoint.  For
+    integer arithmetic when t is a RationalTime and x a SamplePoint.  A
+    SamplePoint whose modulus has d q <= nnz (nnz the truncated support)
+    reads k.p mod q from tables indexed by k_i mod q, computed once for each
+    run of points with that modulus; float points and larger moduli reduce
+    k.p per point.  Both give the same integers.  For
     floating-point times the reduction happens in double precision, which
     degrades once N^2 t approaches 2^53.  The int64 phases |k|^2 <= d N^2
     and |k.p| < d N q (N the truncated bandwidth, q the largest anchor
@@ -250,19 +287,24 @@ def partial_sum_direct(
     if nnz == 0:
         return out
     tphase = _phase_fraction_t((ks * ks).sum(axis=1), t)
-    kf = ks.astype(float)
     dot = np.empty(nnz, dtype=np.int64)
     frac = np.empty(nnz)
     term = np.empty(nnz)
     wave = np.empty(nnz, dtype=complex)
+    res_q = 0  # the modulus whose residues res holds; 0 for none
     for i, x in enumerate(xs):
         d = x.d if isinstance(x, SamplePoint) else len(x)
         if d != f.d:
             raise ValueError(f"dimension mismatch: point d={d}, data d={f.d}")
-        _phase_fraction_x(ks, kf, x, dot, frac, term)
+        if isinstance(x, SamplePoint) and d * x.q <= nnz:
+            if x.q != res_q:
+                res, res_q = _residues(ks, x.q, dot), x.q
+            _phase_fraction_x(ks, x, res, dot, frac, term)
+        else:
+            _phase_fraction_x(ks, x, None, dot, frac, term)
+            res_q = 0  # at d = 1 dot held the residues
         np.subtract(frac, tphase, out=frac)
-        np.multiply(2j * math.pi, frac, out=wave)
-        np.exp(wave, out=wave)
+        _unit_phasor(frac, wave)
         np.multiply(coeffs, wave, out=wave)
         out[i] = wave.sum()
     return out
@@ -307,7 +349,7 @@ def block_factor_fast(
     if r <= l:
         return quad_block_sum(a, b, q, p, eps)
     m = np.arange(r - l, dtype=np.int64)
-    geom = complex(np.exp(2j * math.pi * ((q * eps * (l + m)) % 1.0)).sum())
+    geom = complex(_unit_phasor((q * eps * (l + m)) % 1.0).sum())
     middle = geom * perturbed_gauss_sum_value(q, p, eps)
     left = quad_block_sum(a, l * q - 1, q, p, eps)
     right = quad_block_sum(r * q, b, q, p, eps)

@@ -9,6 +9,7 @@ import pytest
 from talbot_lab.expsum import (
     _CHUNK,
     MODULUS_LIMIT,
+    _unit_phasor,
     abel_bound_check,
     gauss_sum_magnitudes,
     gauss_sum_table,
@@ -74,6 +75,49 @@ class TestGaussSumTable:
             table = gauss_sum_table(q, r)
             p = int(rng.integers(0, q))
             assert table[p] == pytest.approx(_gauss(q, r, p), abs=1e-10 * max(1, q))
+
+
+    def test_sequence_of_r_gives_the_single_r_rows(self):
+        # each row equals a one-dimensional transform of the complex exponential, bit for bit
+        for q in (1, 2, 7, 64, 97, 360, 1000, 1999):
+            rs = sorted({1, max(1, q - 1), 3 % q or 1, 2 * q + 5})
+            tables = gauss_sum_table(q, rs)
+            assert tables.shape == (len(rs), q)
+            k = np.arange(q, dtype=np.int64)
+            for r, row in zip(rs, tables):
+                v = np.exp(2j * math.pi * ((r % q * (k * k % q)) % q / q))
+                expected = q * np.fft.ifft(v)
+                single = gauss_sum_table(q, r)
+                assert single.shape == (q,)
+                assert _bits(row) == _bits(single) == _bits(expected)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64).tolist()
+
+
+class TestUnitPhasor:
+    """The cos/sin phasor is the complex exponential bit for bit, zeros included."""
+
+    def test_matches_complex_exp_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        mags = np.concatenate([10.0 ** rng.uniform(-9, 9, 200_000), rng.uniform(0, 2, 100_000)])
+        frac = mags * rng.choice([-1.0, 1.0], mags.size)
+        frac = np.concatenate([frac, [0.0, -0.0, 0.25, -0.5, 0.75, 1.0, -1.0, 1e9, -1e9,
+                                      1e-300, -1e-300, 5e-324, -5e-324]])
+        expected = np.exp(2j * math.pi * frac)
+        assert _bits(_unit_phasor(frac.copy())) == _bits(expected)
+
+    def test_signed_zero_gives_positive_zero_sine(self):
+        out = _unit_phasor(np.array([-0.0, 0.0]))
+        assert _bits(out) == _bits(np.exp(2j * math.pi * np.array([-0.0, 0.0])))
+        assert not np.signbit(out.imag).any()
+
+    def test_writes_into_the_given_buffer(self):
+        frac = np.array([0.1, -0.3])
+        out = np.empty(2, dtype=complex)
+        assert _unit_phasor(frac, out) is out
+        assert _bits(frac) == _bits(2 * math.pi * np.array([0.1, -0.3]) + 0.0)
 
 
 class TestWeylSum:

@@ -5,6 +5,7 @@ import pytest
 
 from talbot_lab import fractal
 from talbot_lab.counterexample import CounterexampleParams, anchor_range
+from talbot_lab.experiments.config import load_config
 from talbot_lab.fractal import (
     CantorPlan,
     Cube,
@@ -59,6 +60,18 @@ class TestLevelCubeFamily:
     def test_anchor_count_matches_anchor_range(self):
         # the closed form holds for every q >= 1, not only q = 0 (mod 4)
         assert all(fractal._anchor_count(q) == len(anchor_range(q)) for q in range(1, 10**4 + 1))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_count_matches_the_window_sum(self, d):
+        # the closed form against the per-denominator sum, over every shipped covering case
+        cases = str(load_config("dimension", None)["cov_cases"]).split(";")
+        for case in cases + ["1:16:1/4", "1:16:1/64"]:
+            alpha, lam, kappa = (Fraction(v) for v in case.split(":"))
+            params = CounterexampleParams(d=d, alpha=float(alpha), lam=int(lam), delta=0.01,
+                                          kappa=float(kappa))
+            for j in range(0, 9):
+                old = sum(fractal._anchor_count(q) ** d for q in params.q_window(j))
+                assert level_cube_count(params, j) == old
 
     def test_cap_rejects_large_families(self):
         # level 7 holds 3,935,745 cubes, above the 2^20 cap; counting them is cheap

@@ -53,6 +53,30 @@ class TestCantorMeasure:
             cantor_measure(1 / 3, 30)
 
 
+class TestAtomicMeasureValue:
+    def test_compares_by_identity(self):
+        mu, nu = cantor_measure(1 / 3, 3), cantor_measure(1 / 3, 3)
+        assert mu == mu and mu != nu
+
+    def test_hashable(self):
+        mu = cantor_measure(1 / 3, 3)
+        assert hash(mu) == hash(mu) and {mu: 1}[mu] == 1
+
+    def test_columns_are_read_only_copies(self):
+        pos = np.array([0.5, 1.5, 2.5])
+        masses = np.array([0.25, 0.25, 0.5])
+        mu = AtomicMeasure(1, pos, masses, 0.5)
+        c_alpha = mu.c_alpha
+        for column in (mu.positions, mu.masses):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        # the caller's arrays stay writable and are not shared
+        masses[0] = 0.75
+        pos[0] = 0.1
+        assert mu.masses[0] == 0.25 and mu.positions[0, 0] == 0.5
+        assert mu.c_alpha == c_alpha == frostman_constant(mu, DEFAULT_FROSTMAN_RADII)
+
+
 class TestFrostman:
     def test_uniform_measure_close_to_inverse_pi(self):
         mu = uniform_measure(4096)

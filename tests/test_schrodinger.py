@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from talbot_lab import schrodinger
 from talbot_lab.counterexample import CounterexampleParams, sample_points, time_set
 from talbot_lab.expsum import MODULUS_LIMIT, gauss_sum_magnitudes, gauss_sum_table
 from talbot_lab.schrodinger import (
@@ -252,7 +253,8 @@ class TestBatchedDirect:
     def test_float_time_and_positions_bit_for_bit(self):
         rng = np.random.default_rng(43)
         f = _random_data(rng, 1, 500, 300)
-        xs = [[float(v)] for v in rng.uniform(0, TAU, 12)] + [np.array([2.5])]
+        # an integer coordinate whose products with k pass 2^63 is taken as a float
+        xs = [[float(v)] for v in rng.uniform(0, TAU, 12)] + [np.array([2.5]), [2**60]]
         for t in (0.0, 0.37, RationalTime(20).t):
             values = partial_sum_direct(f, 500, t, xs)
             assert values.tolist() == _reference_values(f, 500, t, xs)
@@ -303,6 +305,76 @@ class TestBatchedDirect:
         assert partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), xs[:-1]).shape == (2,)
         with pytest.raises(ValueError, match="q=2147483648: d N\\^2 or d N q reaches 2\\^63"):
             partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), xs)
+
+
+class TestResidueTables:
+    """Anchors with d q <= nnz read k.p mod q from residue tables; the bits stay the same."""
+
+    def test_block_datum_bit_for_bit(self):
+        params = CounterexampleParams(d=1, alpha=1.0, lam=16, delta=0.05, kappa=0.25)
+        f = DirichletBlock(1, 16, 4).to_fourier_data()
+        for q in (64, 132, 256):
+            t = RationalTime(q)
+            xs = sample_points(params, 4, t, 3, seed=q)
+            assert f.d * q <= f.nnz
+            assert partial_sum_direct(f, 16**4, t, xs).tolist() == _reference_values(
+                f, 16**4, t, xs)
+
+    def test_anchors_straddling_the_rule_bit_for_bit(self):
+        rng = np.random.default_rng(59)
+        f = _random_data(rng, 1, 400, 60)
+        n = f.nnz
+        xs = [SamplePoint((7,), n, (1e-4,)), SamplePoint((8,), n + 1, (-3e-5,)),
+              SamplePoint((n - 1,), n, (2e-6,)), SamplePoint((3,), 9, (0.0,)),
+              [1.25], SamplePoint((4,), 9, (-1e-5,)), SamplePoint((n // 2,), n, (0.0,)),
+              SamplePoint((n,), n + 1, (1e-7,))]
+        for t in (RationalTime(n), RationalTime(n + 1), 0.41):
+            values = partial_sum_direct(f, 400, t, xs)
+            assert values.tolist() == _reference_values(f, 400, t, xs)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_straddle_in_higher_dimensions(self, d):
+        rng = np.random.default_rng(61 + d)
+        f = _random_data(rng, d, 50, 12 * d)
+        nnz = f.nnz
+        q_in, q_out = nnz // d, nnz // d + 1
+        assert d * q_in <= nnz < d * q_out
+        xs = [SamplePoint(tuple(int(v) for v in rng.integers(0, q, d)), q,
+                          tuple(float(e) for e in rng.uniform(-1e-3, 1e-3, d)))
+              for q in (q_in, q_out, q_in, 5, 5, q_in)]
+        t = RationalTime(q_in)
+        values = partial_sum_direct(f, 50, t, xs)
+        assert np.all(np.abs(values - _reference_values(f, 50, t, xs))
+                      <= 1e-12 * np.abs(f.coeffs).sum())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_table_fraction_is_the_reduced_product(self, d):
+        rng = np.random.default_rng(71 + d)
+        ks = rng.integers(-FREQ_LIMIT, FREQ_LIMIT + 1, size=(64, d))
+        dot, frac = np.empty(64, dtype=np.int64), np.empty(64)
+        for q in (1, 5, 64 // d):
+            p = tuple(int(v) for v in rng.integers(0, q, d))
+            res = schrodinger._residues(ks, q, dot)
+            schrodinger._table_fraction(res, SamplePoint(p, q, (0.0,) * d), dot, frac)
+            expected = [(sum(k_i * p_i for k_i, p_i in zip(k, p)) % q) / q for k in ks.tolist()]
+            assert frac.tolist() == expected
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_higher_dimensions_match_the_python_int_oracle(self, d):
+        # frequencies near the limit make every k_i p_i far larger than q
+        rng = np.random.default_rng(67 + d)
+        n = 40
+        offsets = rng.choice(1 << 12, size=n * d, replace=False).reshape(n, d)
+        ks = (FREQ_LIMIT - offsets) * rng.choice([-1, 1], (n, d))
+        coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        f = FourierData(d, ks, coeffs)
+        for q in (1, 2, 7, n // d):
+            p = tuple(int(v) for v in rng.integers(0, q, d))
+            eps = tuple(float(v) for v in rng.uniform(-1e-9, 1e-9, d))
+            for t_q in (3, MODULUS_LIMIT - 1):
+                value = partial_sum_direct(f, FREQ_LIMIT, RationalTime(t_q), [SamplePoint(p, q, eps)])[0]
+                expected = _python_int_sum(ks.tolist(), coeffs.tolist(), t_q, p, q, eps)
+                assert abs(value - expected) <= 1e-9 * n
 
 
 class TestFastEvolution:
