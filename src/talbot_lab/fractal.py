@@ -20,7 +20,7 @@ d >= 2; cubes, level counts and Cantor plans stay d-general.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -32,6 +32,9 @@ from .measures import exponent_fit
 
 # largest dense slot store of the 1-D packing: two int64 arrays of 32 MiB
 _DENSE_SLOTS = 1 << 22
+
+# most candidates one step of the dense 1-D packing checks at once
+_DENSE_RUN = 1 << 12
 
 # most cubes level_cube_family builds
 _LEVEL_CUBES = 1 << 20
@@ -318,19 +321,13 @@ def _pack_1d(
 ) -> tuple[list[int], list[int], str]:
     """Greedy (q, p)-lexicographic anchors p/q in [lo, hi], pairwise > gap apart.
 
-    Accepted anchors sit in a slot store keyed by the exact integer slot
-    s = floor((p/q - lo) / gap) = ((p b - a q) h) // (q b g), with lo = a/b
-    and gap = g/h.  Accepted anchors are more than gap apart, so a slot holds
-    at most one, and an anchor can clash only with slots s - 1, s, s + 1.  A
-    clash is decided exactly: |p q2 - p2 q| h <= g q q2.
-
-    The dense store checks a whole q at once against earlier denominators,
-    which is the greedy only when anchors of one q cannot clash: they are
-    >= 1/q >= 1/q_hi apart (Farey spacing), so this needs g q_hi < h.
-
-    Candidates come from _candidate_scan_1d, so 0 <= lo.  Returns the
-    accepted numerators, their denominators, and the store that ran,
-    "dense" or "sparse".
+    With lo = a/b and gap = g/h, anchor p/q sits in slot
+    s = floor((p/q - lo) / gap) = ((p b - a q) h) // (q b g).  A slot holds
+    at most one accepted anchor, and a clash, |p q2 - p2 q| h <= g q q2,
+    needs slots within one of each other.  Windows whose products fit int64
+    and whose store fits _DENSE_SLOTS run dense, the rest one candidate at a
+    time in Python integers.  Needs 0 <= lo.  Returns the accepted
+    numerators, their denominators, and the store that ran.
     """
     a, b = lo.numerator, lo.denominator
     g, h = gap.numerator, gap.denominator
@@ -340,63 +337,87 @@ def _pack_1d(
     # every int64 product of the dense path below is at most one of these
     # (0 <= a, 0 <= p <= p_max, q <= q_hi, p b - a q >= 0)
     magnitude = max((p_max * b + a * q_hi) * h, q_hi * b * g, p_max * q_hi * h, g * q_hi * q_hi)
-    if g * q_hi < h and magnitude < 2**63 and n_slots <= _DENSE_SLOTS:
+    if magnitude < 2**63 and n_slots <= _DENSE_SLOTS:
         return (*_pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes), "dense")
-    return (*_pack_1d_sparse(a, b, g, h, ranges, max_cubes), "sparse")
+    slotted = (
+        (p, q, (p * b - a * q) * h // (q * b * g)) for q, p0, p1 in ranges for p in range(p0, p1 + 1)
+    )
+    return (*_greedy_in_order(slotted, g, h, max_cubes)[:2], "sparse")
+
+
+def _greedy_in_order(candidates, g, h, limit):
+    """(ps, qs, slots) of the candidates (p, q, slot), in order, that clash
+    with none taken before them; stops once limit are taken (None: never)."""
+    store: dict[int, tuple[int, int]] = {}
+    ps: list[int] = []
+    qs: list[int] = []
+    slots: list[int] = []
+    for p, q, s in candidates:
+        for key in (s - 1, s, s + 1):
+            other = store.get(key)
+            if other is not None and abs(p * other[1] - other[0] * q) * h <= g * q * other[1]:
+                break
+        else:
+            store[s] = (p, q)
+            ps.append(p)
+            qs.append(q)
+            slots.append(s)
+            if len(ps) == limit:
+                break
+    return ps, qs, slots
+
+
+def _denominator_runs(ranges):
+    """ranges in runs of denominators: one, then until a run holds twice the
+    candidates of the last, up to _DENSE_RUN.  Lazy, so an early stop reads
+    at most about twice the denominators it needs."""
+    run: list[tuple[int, int, int]] = []
+    total, size = 0, 1
+    for triple in ranges:
+        run.append(triple)
+        total += triple[2] - triple[1] + 1
+        if total >= size:
+            yield run
+            run, total, size = [], 0, min(2 * total, _DENSE_RUN)
+    if run:
+        yield run
 
 
 def _pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes):
-    """_pack_1d with int64 numpy arithmetic, one whole denominator per step."""
+    """_pack_1d in int64 numpy arithmetic, one run of denominators per step.
+
+    A run is checked against the store of earlier runs at once.  Its
+    survivors can still clash with each other (of one q when g q >= h, of
+    different q, or unreduced twins such as 1/4 and 2/8), so
+    _greedy_in_order takes them in (q, p) order, as the greedy does.
+    """
     # slot s lives at index s + 1, so the neighbours s - 1 and s + 1 always
     # exist; q = 0 marks an empty slot
     slot_p = np.zeros(n_slots + 2, dtype=np.int64)
     slot_q = np.zeros(n_slots + 2, dtype=np.int64)
-    near = np.arange(3)
     accepted_p: list[int] = []
     accepted_q: list[int] = []
-    for q, p0, p1 in ranges:
-        ps = np.arange(p0, p1 + 1, dtype=np.int64)
-        slots = (ps * b - a * q) * h // (q * b * g)
-        nb = slots[:, None] + near
-        q2, p2 = slot_q[nb], slot_p[nb]
-        clash = ((q2 > 0) & (np.abs(ps[:, None] * q2 - p2 * q) * h <= g * q * q2)).any(axis=1)
-        ps, slots = ps[~clash], slots[~clash]
-        if max_cubes is not None:
-            room = max_cubes - len(accepted_q)
-            ps, slots = ps[:room], slots[:room]
-        slot_p[slots + 1] = ps
-        slot_q[slots + 1] = q
-        accepted_p.extend(ps.tolist())
-        accepted_q.extend([q] * len(ps))
-        if max_cubes is not None and len(accepted_q) >= max_cubes:
+    for run in _denominator_runs(ranges):
+        run_q, p0, p1 = np.array(run, dtype=np.int64).T
+        counts = p1 - p0 + 1
+        # every (q, p) of the run, in (q, p) order
+        q = np.repeat(run_q, counts)
+        p = np.arange(len(q), dtype=np.int64) + np.repeat(p0 - np.cumsum(counts) + counts, counts)
+        slots = (p * b - a * q) * h // (q * b * g)
+        # the own slot first: it rejects the most
+        for k in (1, 0, 2):
+            q2, p2 = slot_q[slots + k], slot_p[slots + k]
+            free = (q2 == 0) | (np.abs(p * q2 - p2 * q) * h > g * q * q2)
+            p, q, slots = p[free], q[free], slots[free]
+        room = None if max_cubes is None else max_cubes - len(accepted_q)
+        ps, qs, ss = _greedy_in_order(zip(p.tolist(), q.tolist(), slots.tolist()), g, h, room)
+        taken = np.array(ss, dtype=np.int64) + 1
+        slot_p[taken] = ps
+        slot_q[taken] = qs
+        accepted_p.extend(ps)
+        accepted_q.extend(qs)
+        if len(accepted_q) == max_cubes:
             break
-    return accepted_p, accepted_q
-
-
-def _pack_1d_sparse(a, b, g, h, ranges, max_cubes):
-    """_pack_1d in Python integers with a dict slot store, one anchor per step.
-
-    Serves the windows whose products leave int64 (the huge denominators of
-    nested levels), whose slot count is too large for a dense store, or
-    whose anchors of one q can clash (n <= 3 beta^2).
-    """
-    store: dict[int, tuple[int, int]] = {}
-    accepted_p: list[int] = []
-    accepted_q: list[int] = []
-    for q, p0, p1 in ranges:
-        den = q * b * g
-        for p in range(p0, p1 + 1):
-            s = (p * b - a * q) * h // den
-            for key in (s - 1, s, s + 1):
-                other = store.get(key)
-                if other is not None and abs(p * other[1] - other[0] * q) * h <= g * q * other[1]:
-                    break
-            else:
-                store[s] = (p, q)
-                accepted_p.append(p)
-                accepted_q.append(q)
-                if max_cubes is not None and len(accepted_q) >= max_cubes:
-                    return accepted_p, accepted_q
     return accepted_p, accepted_q
 
 
@@ -418,26 +439,12 @@ def separated_cubes(
     lexicographic in (q, p).  With max_cubes set the scan stops early,
     producing a valid (not necessarily maximal) family.
 
-    The scan takes one denominator at a time, in exact integer arithmetic.
-    Two anchors sharing q are at least 1/q apart (Farey spacing), so when
-    gap q_hi < 1, with gap = 3 (beta/n)^2 (that is, when n > 3 beta^2),
-    anchors of one q never clash with each other: the whole range
-    ceil(q lo)..floor(q hi) is checked at once against the anchors accepted
-    for earlier q, through a store of gap-wide slots that each hold at most
-    one accepted anchor.  The cost is O(1) vectorized steps per denominator,
-    O(candidates) work in all, plus a store of about (hi - lo)/gap slots.
-    Windows with n <= 3 beta^2, whose products leave int64, or whose store
-    would pass _DENSE_SLOTS, run the same scan one anchor at a time in
-    Python integers with a dict store.  The result is the same list, in the
-    same order, as the anchor-by-anchor greedy.
-
-    The candidates come from one exact source, chosen per denominator: a q
-    that holds at most one anchor of the window of width w (q w < 1, as in
-    the narrow parents of nested levels >= 2) is found by a walk of the
-    Stern-Brocot lattice cone, at a cost that follows the anchors found,
-    not the n - n/beta denominators; every larger q holds an anchor and
-    gives its range directly.  meta["store"] ("dense" or "sparse") records
-    the store that ran.  The family holds the accepted anchors under the
+    The scan (_pack_1d) is exact integer arithmetic over gap-wide slots,
+    gap = 3 (beta/n)^2; where products fit int64 it checks a run of
+    denominators per numpy step, O(candidates) work in all.  The result is
+    the anchor-by-anchor greedy's list.  meta["store"] ("dense" or
+    "sparse") records the store that ran.  The family holds the accepted
+    anchors under the
     offset rule (-1, 1, t): member p/q + [-1/q^t, 1/q^t], with t = tau.
     """
     _require_1d(c.d)
@@ -458,6 +465,12 @@ def separated_cubes(
     )
 
 
+def _exact_dtype(magnitude: int):
+    """np.int64 when magnitude, a bound on every integer a comparison forms,
+    is below 2^63, else object (numpy arrays of Python ints)."""
+    return np.int64 if magnitude < 2**63 else object
+
+
 def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
     """Exact structural audit of a separated_cubes family: radius exponent
     t = tau, containment with margin, pairwise anchor gap, and cube
@@ -467,8 +480,8 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
     Corners come from the anchors and the family's offset rule
     (_integer_corners), so the audit holds for any rule, not only balls.
     Adjacent anchors in sorted order witness the minimum, so the audit is
-    linear.  Every comparison is an integer cross-multiplication, on numpy
-    object arrays of Python ints, since nested denominators overflow int64.
+    linear.  Every comparison is an integer cross-multiplication, in int64
+    where one bound admits it and on object arrays otherwise.
     """
     _require_1d(c.d)
     t = _tau_exponent(tau)
@@ -479,10 +492,27 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
     margin: Fraction = family.meta["margin"]
     gap: Fraction = family.meta["anchor_gap"]
     sep = Fraction(1, family.meta["n"] ** 2)
-    p, q = np.array(family.p, dtype=object), np.array(family.q, dtype=object)
-    lo, hi, den = _integer_corners(family)
     lo_b, hi_b = c.lo_corner(0) + margin, c.hi_corner(0) - margin
     c_lo, c_hi = c.lo_corner(0), c.hi_corner(0)
+    # every integer formed below is at most one of these; no member has a
+    # larger corner or den than +-p_max/q_max
+    p_max, q_max = max(max(family.p), -min(family.p)), max(family.q)
+    x_lo, x_hi, x_den = _integer_corners(replace(family, p=[p_max, -p_max], q=[q_max, q_max]))
+    corner_max, den_max = max(map(abs, [*x_lo, *x_hi])), x_den[0]
+    shift = 2 * q_max.bit_length()
+    dtype = _exact_dtype(max(
+        p_max * max(lo_b.denominator, hi_b.denominator),
+        max(abs(lo_b.numerator), abs(hi_b.numerator)) * q_max,
+        corner_max * max(c_lo.denominator, c_hi.denominator),
+        max(abs(c_lo.numerator), abs(c_hi.numerator)) * den_max,
+        p_max << shift,
+        2 * p_max * q_max * gap.denominator,
+        gap.numerator * q_max * q_max,
+        2 * corner_max * den_max,
+        sep.numerator * den_max * den_max,
+    ))
+    p, q = np.array(family.p, dtype=dtype), np.array(family.q, dtype=dtype)
+    lo, hi, den = _integer_corners(family, dtype)
     # lo_b <= p/q <= hi_b, and c_lo <= lo/den, hi/den <= c_hi (q, den > 0)
     bad_margin = (p * lo_b.denominator < lo_b.numerator * q) | (
         p * hi_b.denominator > hi_b.numerator * q
@@ -498,22 +528,18 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
         raise AssertionError(f"cube at {p[i]}/{q[i]} leaves the parent")
 
     # exact order: floor(p 2^s / q), with 2^s >= q_max^2, is strictly
-    # monotone on distinct anchors and ties equal ones.  By the margin check
-    # every key lies in [lo_b 2^s, hi_b 2^s]; numpy sorts int64 keys far
-    # faster than Python ints, which it needs only beyond int64
-    shift = 2 * max(family.q).bit_length()
-    wide = not (-(2**63) <= math.floor(lo_b * 2**shift) and math.floor(hi_b * 2**shift) < 2**63)
-    keys = ((pi << shift) // qi for pi, qi in zip(family.p, family.q))
-    order = np.argsort(np.fromiter(keys, object if wide else np.int64, len(family)), kind="stable")
+    # monotone on distinct anchors and ties equal ones
+    order = np.argsort((p << shift) // q, kind="stable")
     a, b = order[:-1], order[1:]
     # (anchor_b - anchor_a) q_a q_b > gap q_a q_b, times gap_d
     apart = (p[b] * q[a] - p[a] * q[b]) * gap.denominator > gap.numerator * q[a] * q[b]
     if not apart.all():
         i = int(np.flatnonzero(~apart)[0])
         raise AssertionError(f"anchors {p[a[i]]}/{q[a[i]]} and {p[b[i]]}/{q[b[i]]} too close")
-    # lo_b/den_b - hi_a/den_a >= sep, times den_a den_b sep_d > 0
-    lhs = (lo[b] * den[a] - hi[a] * den[b]) * sep.denominator
-    if not (lhs >= sep.numerator * den[a] * den[b]).all():
+    # lo_b/den_b - hi_a/den_a >= sep, times den_a den_b: an integer at least
+    # sep den_a den_b, so at least its ceiling
+    gaps = lo[b] * den[a] - hi[a] * den[b]
+    if not (gaps >= -(-sep.numerator * den[a] * den[b] // sep.denominator)).all():
         raise AssertionError("cube separation below the guarantee")
 
 
@@ -642,21 +668,23 @@ def build_nested_levels(
     return families, plan
 
 
-def _integer_corners(family: CubeFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, den): the corners p/q + lo/q^t and p/q + hi/q^t of every
-    member as lo[i]/den[i] and hi[i]/den[i], numpy object arrays of Python
-    ints, straight from anchors and rule.
+def _integer_corners(
+    family: CubeFamily, dtype=object
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, den): every member's corners p/q + lo/q^t and p/q + hi/q^t
+    as lo[i]/den[i] and hi[i]/den[i], numpy arrays of dtype.
 
-    With the rule's offsets over their common denominator b, lo = a1/b and
-    hi = a2/b, both corners share den = b q^(t+1) > 0: they are
-    (p b q^t + a1 q)/den and (p b q^t + a2 q)/den.
+    With lo = a1/b and hi = a2/b, the corners over b q^(t+1) are
+    p b q^t + a1 q and p b q^t + a2 q; for t >= 1 q cancels: den = b q^t.
     """
     b = math.lcm(family.lo.denominator, family.hi.denominator)
     a1 = family.lo.numerator * (b // family.lo.denominator)
     a2 = family.hi.numerator * (b // family.hi.denominator)
-    p, q = np.array(family.p, dtype=object), np.array(family.q, dtype=object)
-    bq_t = b * q**family.t
-    return p * bq_t + a1 * q, p * bq_t + a2 * q, bq_t * q
+    p, q = np.array(family.p, dtype=dtype), np.array(family.q, dtype=dtype)
+    if family.t:
+        scale = b * q ** (family.t - 1)
+        return p * scale + a1, p * scale + a2, scale * q
+    return p * b + a1 * q, p * b + a2 * q, b * q
 
 
 def _twin_order(family: CubeFamily) -> tuple[list[int], float]:

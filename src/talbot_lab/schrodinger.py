@@ -90,7 +90,9 @@ class FourierData:
         ks, coeffs = ks[keep], coeffs[keep]
         if ks.size and np.abs(ks).max() > FREQ_LIMIT:
             raise ValueError(f"frequencies exceed limit {FREQ_LIMIT}")
-        if np.unique(ks, axis=0).shape[0] != ks.shape[0]:
+        # sorted rows: equal rows end up next to each other
+        rows = ks[np.lexsort(ks.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValueError("duplicate lattice points in coefficient map")
         bandwidth = int(np.abs(ks).max()) if ks.size else 0
         if d * bandwidth**2 >= 2**63:
@@ -142,9 +144,9 @@ class DirichletBlock:
         count = self.coefficient_count()
         if count > _BLOCK_COEFF_CAP:
             raise ValueError(f"block has {count} coefficients, above the cap {_BLOCK_COEFF_CAP}")
-        axis = np.arange(self.n_lo, self.n_hi + 1, dtype=np.int64)
-        grids = np.meshgrid(*([axis] * self.d), indexing="ij")
-        ks = np.stack([g.ravel() for g in grids], axis=1)
+        # rows in the order of a meshgrid with indexing="ij"
+        width = self.n_hi - self.n_lo + 1
+        ks = np.indices((width,) * self.d).reshape(self.d, -1).T + self.n_lo
         return FourierData(self.d, ks, np.ones(ks.shape[0], dtype=complex))
 
 

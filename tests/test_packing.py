@@ -160,6 +160,73 @@ def test_nested_levels_match_greedy_oracle():
             _assert_matches_oracle(parent, n, Fraction(4), 64)
 
 
+def _run_of(parent, n, beta):
+    """q -> the index of the dense packer's run of denominators that holds q."""
+    lo_b, hi_b, _, _, q_lo = fractal._packing_window(parent, n, beta)
+    runs = fractal._denominator_runs(fractal._candidate_scan_1d(lo_b, hi_b, q_lo, n))
+    return {q: i for i, run in enumerate(runs) for q, _, _ in run}
+
+
+@pytest.mark.parametrize("n", [1 << 9, 1 << 10, 1 << 11])
+def test_root_cube_across_runs_matches_greedy_oracle(n):
+    # 11, 21 and 64 runs of denominators, many with survivors that clash
+    assert len(set(_run_of(E0, n, 4).values())) > 10
+    _assert_matches_oracle(E0, n, Fraction(4), None)
+
+
+@pytest.mark.parametrize(
+    "parent, n, beta, first, later",
+    [
+        # unreduced twins 34/85 = 36/90 = 2/5
+        (Cube((0,), 14, Fraction(25, 64), Fraction(284425, 652864)), 202, Fraction(5, 2),
+         (34, 85), (36, 90)),
+        # 149/83 and 158/88 are 1/3652 apart, within the gap 3 (2/146)^2
+        (Cube((4,), 5, Fraction(63, 64), Fraction(339759, 341056)), 146, Fraction(2),
+         (149, 83), (158, 88)),
+    ],
+)
+def test_clash_within_one_run_matches_greedy_oracle(parent, n, beta, first, later):
+    # the earlier denominator's anchor survives the store and takes the
+    # later one's place inside the run that holds both
+    runs = _run_of(parent, n, beta)
+    assert runs[first[1]] == runs[later[1]]
+    fam = separated_cubes(parent, n, 2, beta=beta)
+    anchors = list(zip(fam.p, fam.q))
+    assert first in anchors and later not in anchors
+    _assert_matches_oracle(parent, n, beta, None)
+
+
+def test_max_cubes_filling_mid_run_matches_greedy_oracle():
+    # at n = 512 the run of q = 143..157 takes anchors 211..332, after
+    # in-run clashes from anchor 281 on
+    full = separated_cubes(E0, 512, 2)
+    runs = _run_of(E0, 512, 4)
+    assert runs[full.q[309]] == runs[full.q[310]] == runs[143] == runs[157]
+    _assert_matches_oracle(E0, 512, Fraction(4), 310)
+
+
+def test_early_stop_reads_about_twice_the_denominators_it_needs(monkeypatch):
+    read = []
+    scan = fractal._candidate_scan_1d
+
+    def counted(*args):
+        for triple in scan(*args):
+            read.append(triple[0])
+            yield triple
+
+    monkeypatch.setattr(fractal, "_candidate_scan_1d", counted)
+    families, plan = build_nested_levels(1, 2, 256, 2, retain=1)
+    # nested level 1 (n1 = 256 and 1024) and level 2, and larger caps
+    cases = [(E0, 256, 64), (E0, 1024, 64), (E0, 1024, 1000), (E0, 1 << 12, 20000)]
+    cases.append((families[0][0], plan.n[1], 64))
+    for parent, n, cap in cases:
+        read.clear()
+        fam = separated_cubes(parent, n, 2, max_cubes=cap)
+        assert len(fam) == cap
+        needed = read.index(fam.q[-1]) + 1
+        assert len(read) <= 2 * needed
+
+
 def _lattice_pairs(lo, hi, q_lo, q_hi, limit=None):
     """The lattice source's triples as (p, q) pairs, in _oracle_scan_1d's form."""
     triples = _lattice_scan_1d(lo, hi, q_lo, q_hi)
@@ -534,6 +601,37 @@ class TestIntegerAudit:
             else:
                 with pytest.raises(AssertionError, match="too close"):
                     audit_separated_family(parent, fam, 2)
+
+
+class TestObjectAudit(TestIntegerAudit):
+    """Every audit above again, with the bound forcing object arrays."""
+
+    @pytest.fixture(autouse=True)
+    def _object_arrays(self, monkeypatch):
+        monkeypatch.setattr(fractal, "_exact_dtype", lambda magnitude: object)
+
+
+@pytest.mark.parametrize("q, dtype", [(55108, np.int64), (55109, object)])
+def test_separation_at_the_int64_edge(monkeypatch, q, dtype):
+    # balls B(1/q, q^-2) and B(2/q, q^-2) over den = q^2: the separation
+    # check forms den den = q^4, just below 2^63 at q = 55108 and just above
+    # at 55109, where int64 would wrap and pass every pair
+    assert (q**4 < 2**63) == (dtype is np.int64)
+    chosen = []
+    exact_dtype = fractal._exact_dtype
+    monkeypatch.setattr(fractal, "_exact_dtype", lambda m: chosen.append(exact_dtype(m)) or chosen[-1])
+    parent = Cube((0,), 1, Fraction(0), Fraction(1))
+    # the cubes are (q - 2)/q^2 apart: at least n^-2 for n = 235, not for 234
+    for n, passes in [(235, True), (234, False)]:
+        meta = {"n": n, "margin": Fraction(0), "anchor_gap": Fraction(1, 2 * q)}
+        fam = CubeFamily(0, [1, 2], [q, q], -1, 1, 2, meta)
+        chosen.clear()
+        if passes:
+            audit_separated_family(parent, fam, 2)
+        else:
+            with pytest.raises(AssertionError, match="separation"):
+                audit_separated_family(parent, fam, 2)
+        assert chosen == [dtype]
 
 
 def test_non_integer_tau_rejected():

@@ -90,6 +90,21 @@ class TestFourierData:
         with pytest.raises(ValueError, match="duplicate"):
             FourierData(1, np.array([[1], [1]]), np.array([1.0, 2.0]))
 
+    def test_rejects_duplicate_rows_only(self):
+        # rows that share a coordinate are distinct; (1, 2) twice is not
+        rows = [[1, 2], [1, 3], [2, 2], [2, 1]]
+        assert FourierData(2, rows, np.ones(4)).nnz == 4
+        with pytest.raises(ValueError, match="duplicate"):
+            FourierData(2, rows + [[1, 2]], np.ones(5))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_frequencies_in_meshgrid_order(self, d):
+        block = DirichletBlock(d, 3, 2)
+        axis = np.arange(block.n_lo, block.n_hi + 1)
+        grids = np.meshgrid(*([axis] * d), indexing="ij")
+        expected = np.stack([g.ravel() for g in grids], axis=1)
+        assert np.array_equal(block.to_fourier_data().ks, expected)
+
     def test_block_coefficients(self):
         block = DirichletBlock(1, 16, 2)
         f = block.to_fourier_data()
