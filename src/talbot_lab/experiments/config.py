@@ -236,6 +236,8 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
             raise ConfigError("kappa must lie in (0, 1)")
         if not 0 < Fraction(cfg["c1"]) < Fraction(cfg["c2"]) <= 1:
             raise ConfigError("need 0 < c1 < c2 <= 1")
+        if experiment == "claims" and not cfg["j_list"]:
+            raise ConfigError("j_list needs at least one level")
         lam = int(cfg["lam"])
         top = int(cfg["j_max"]) if experiment == "evolve" else max(cfg["j_list"]) + 2
         if lam**top > FREQ_LIMIT:

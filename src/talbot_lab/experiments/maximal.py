@@ -16,7 +16,9 @@ from ..measures import (
     dirichlet_l1,
     exponent_fit,
     frostman_constant,
+    illposed_dimension,
     maximal_lp_norm,
+    transfer_regularity,
     transference_ratio,
     uniform_measure,
 )
@@ -100,7 +102,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
     report.sweeps.append(Sweep("maximal_lp", ["n", "ratio", "norm"], lp_rows))
 
     # transfer to the fractal weight and the truncation-maximal ratio
-    s_transfer = (1.0 - alpha) / 6.0 + 1.0 / 3.0 + 0.05
+    s_transfer = transfer_regularity(1, alpha, 6.0) + 0.05
     s_carleson = float(cfg["carleson_s"])
     t_fixed = RationalTime(int(cfg["carleson_q"]))
     trans, carl = [], []
@@ -122,7 +124,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
 
     # the ill-posed weighted regime must be rejected: the Cantor atoms
     # labelled with a dimension just below 1 - 2s
-    illposed = AtomicMeasure(1, mu.positions, mu.masses, 1.0 - 2 * s_carleson - 0.01)
+    illposed = AtomicMeasure(1, mu.positions, mu.masses, illposed_dimension(1, s_carleson) - 0.01)
     rejected = 0.0
     try:
         carleson_l2_ratio(_dirichlet_datum(16), illposed, s_carleson, [4, 8, 16], t_fixed)

@@ -359,6 +359,18 @@ def maximal_lp_norm(
 DEFAULT_FROSTMAN_RADII = tuple(2.0 ** (-m) * TAU for m in range(1, 13))
 
 
+def transfer_regularity(d: int, alpha: float, p: float) -> float:
+    """(d - alpha)/p + d/(d+2): above this regularity the Lebesgue-measure
+    maximal bound transfers to alpha-dimensional weights."""
+    return (d - alpha) / p + d / (d + 2.0)
+
+
+def illposed_dimension(d: int, s: float) -> float:
+    """d - 2s: at or below this dimension the weighted L^2 problem for H^s
+    data is ill posed."""
+    return d - 2 * s
+
+
 def transference_ratio(
     f: FourierData,
     mu: AtomicMeasure,
@@ -372,8 +384,7 @@ def transference_ratio(
     Requires s > (d - alpha)/p + d/(d+2), the regularity at which the
     Lebesgue-measure maximal bound transfers to alpha-dimensional weights.
     """
-    d = f.d
-    s_min = (d - mu.alpha) / p + d / (d + 2.0)
+    s_min = transfer_regularity(f.d, mu.alpha, p)
     if s <= s_min:
         raise ValueError(f"need s > {s_min:.4f} for the transfer, got s={s}")
     num = maximal_lp_norm(f, mu, p, plan)
@@ -404,10 +415,9 @@ def carleson_l2_ratio(
     alpha = mu.alpha
     if not 0 < s <= d / 2:
         raise ValueError(f"s must lie in (0, d/2], got {s}")
-    if alpha <= d - 2 * s:
-        raise ValueError(
-            f"alpha={alpha} is in the ill-posed regime alpha <= d - 2s = {d - 2 * s}"
-        )
+    boundary = illposed_dimension(d, s)
+    if alpha <= boundary:
+        raise ValueError(f"alpha={alpha} is in the ill-posed regime alpha <= d - 2s = {boundary}")
     n = f.bandwidth
     truncs = sorted({int(m) for m in n_trunc_set if int(m) <= n})
     if not truncs:

@@ -49,7 +49,10 @@ class RationalTime:
 class SamplePoint:
     """Point x = 2 pi (p/q + eps), anchored to the rational lattice p/q.
 
-    The anchor is stored reduced, 0 <= p_i < q.
+    The anchor is stored reduced, 0 <= p_i < q.  q is capped at
+    MODULUS_LIMIT = 2^31, as for RationalTime: then every residue product
+    (k_i mod q) p_i stays below q^2 <= 2^62, so the exact reduction of k.p
+    in partial_sum_direct fits int64 at any d.
     """
 
     p: tuple[int, ...]
@@ -59,6 +62,8 @@ class SamplePoint:
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError(f"q must be positive, got {self.q}")
+        if self.q > MODULUS_LIMIT:
+            raise ValueError(f"q={self.q} exceeds limit {MODULUS_LIMIT}")
         if len(self.p) != len(self.eps):
             raise ValueError("anchor and offset dimensions differ")
         if not self.p:
@@ -183,59 +188,29 @@ def _dot_into(cols: np.ndarray, v: Sequence, out: np.ndarray) -> None:
         out += np.multiply(cols[:, i], v[i], dtype=out.dtype)
 
 
-def _residues(ks: np.ndarray, q: int, dot: np.ndarray) -> np.ndarray:
-    """k_i mod q, one row per coordinate: at d = 1 the row is the int64 buffer dot."""
-    if ks.shape[1] == 1:
-        np.remainder(ks[:, 0], q, out=dot)
-        return dot[None]
-    return np.remainder(ks.T, q, out=np.empty(ks.T.shape, dtype=np.int64))
+def _anchored_fraction(res: np.ndarray, x: SamplePoint, frac: np.ndarray) -> None:
+    """Write (k.p mod q)/q into frac, from the residues res = k mod q, one row per coordinate.
 
-
-def _table_fraction(res: np.ndarray, x: SamplePoint, dot: np.ndarray, frac: np.ndarray) -> None:
-    """Write (k.p mod q)/q into frac, read from tables indexed by res = k mod q.
-
-    Coordinate i's table holds r p_i mod q for r < q.  At d = 1 the table is
-    divided by q and read once; otherwise the entries are summed into the
-    int64 buffer dot (each below q) and index a table of (s mod q)/q, s < d q.
-    mode="clip" writes straight into the output, where "raise" buffers it.
+    Each term r p_i mod q is read from a table of the q residues when q <= nnz
+    and multiplied out in int64 otherwise: r p_i < q^2 <= 2^62 either way.
+    At d = 1 the table is divided by q and read straight into frac; mode="clip"
+    writes straight into the output, where "raise" buffers it.  Otherwise the
+    d terms, each below q, are summed and reduced once.
     """
     q, p = x.q, x.p
-    r = np.arange(q, dtype=np.int64)
-    if len(p) == 1:
-        np.take(r * p[0] % q / q, res[0], out=frac, mode="clip")
-        return
-    np.take(r * p[0] % q, res[0], out=dot, mode="clip")
-    for row, p_i in zip(res[1:], p[1:]):
-        dot += np.take(r * p_i % q, row, mode="clip")
-    np.take(np.arange(len(p) * q) % q / q, dot, out=frac, mode="clip")
-
-
-def _phase_fraction_x(
-    ks: np.ndarray,
-    x: SamplePoint | Sequence[float],
-    res: np.ndarray | None,
-    dot: np.ndarray,
-    frac: np.ndarray,
-    term: np.ndarray,
-) -> None:
-    """Write k.x as a fraction of a full turn (cycles) into frac, exactly reduced when anchored.
-
-    res holds k mod q for the anchor's modulus, or is None to reduce k.p per
-    point; dot (int64) and term (float64) are work buffers.  The float
-    products cast k from int64 exactly, as |k| <= FREQ_LIMIT.
-    """
-    if isinstance(x, SamplePoint):
-        if res is None:
-            _dot_into(ks, x.p, dot)
-            np.remainder(dot, x.q, out=dot)
-            np.true_divide(dot, x.q, out=frac)
-        else:
-            _table_fraction(res, x, dot, frac)
-        _dot_into(ks, x.eps, term)
-        np.add(frac, term, out=frac)
+    if q <= res.shape[1]:
+        r = np.arange(q, dtype=np.int64)
+        if len(p) == 1:
+            np.take(r * p[0] % q / q, res[0], out=frac, mode="clip")
+            return
+        terms = (np.take(r * p_i % q, row, mode="clip") for row, p_i in zip(res, p))
     else:
-        _dot_into(ks, x, frac)
-        np.true_divide(frac, TAU, out=frac)
+        terms = (row * p_i % q for row, p_i in zip(res, p))
+    dot = next(terms)
+    for term in terms:
+        dot += term
+    np.remainder(dot, q, out=dot)
+    np.true_divide(dot, q, out=frac)
 
 
 def _phase_fraction_t(ksq: np.ndarray, t: RationalTime | float) -> np.ndarray:
@@ -256,30 +231,21 @@ def partial_sum_direct(
     One time, many points: returns a complex array with one entry per point
     of xs, each a SamplePoint or a sequence of d float coordinates.  The
     truncation, |k|^2 and the time phase are computed once per call, and
-    every point is evaluated into the same four work buffers, which are
+    every point is evaluated into the same three work buffers, which are
     locals of the call.  At d = 1 each entry equals a per-point evaluation
     with a fresh array per step bit for bit; at d >= 2 k.x is summed one
     coordinate at a time, so its float part may differ from a matrix
     product in the last bit.
 
     Phases are reduced modulo one full turn; the reduction is exact in
-    integer arithmetic when t is a RationalTime and x a SamplePoint.  A
-    SamplePoint whose modulus has d q <= nnz (nnz the truncated support)
-    reads k.p mod q from tables indexed by k_i mod q, computed once for each
-    run of points with that modulus; float points and larger moduli reduce
-    k.p per point.  Both give the same integers.  For
+    integer arithmetic when t is a RationalTime and x a SamplePoint.  Every
+    SamplePoint reads the residues k mod q, computed once for each run of
+    points with one modulus, and reduces k.p mod q one coordinate at a time,
+    so no int64 product passes q^2 <= 2^62 whatever d, N and q are.  |k|^2
+    fits int64 because FourierData admits only d N^2 < 2^63.  For
     floating-point times the reduction happens in double precision, which
-    degrades once N^2 t approaches 2^53.  The int64 phases |k|^2 <= d N^2
-    and |k.p| < d N q (N the truncated bandwidth, q the largest anchor
-    modulus in xs) must stay below 2^63; a ValueError is raised otherwise.
+    degrades once N^2 t approaches 2^53.
     """
-    bandwidth = int(min(n, f.bandwidth))
-    anchor_q = max((int(x.q) for x in xs if isinstance(x, SamplePoint)), default=1)
-    if f.d * bandwidth * max(bandwidth, anchor_q) >= 2**63:
-        raise ValueError(
-            f"d={f.d}, N={bandwidth}, q={anchor_q}: d N^2 or d N q reaches 2^63, "
-            "so the exact int64 phases would wrap"
-        )
     out = np.zeros(len(xs), dtype=complex)
     ks, coeffs = f.ks, f.coeffs
     if f.bandwidth > n:
@@ -289,22 +255,24 @@ def partial_sum_direct(
     if nnz == 0:
         return out
     tphase = _phase_fraction_t((ks * ks).sum(axis=1), t)
-    dot = np.empty(nnz, dtype=np.int64)
     frac = np.empty(nnz)
     term = np.empty(nnz)
     wave = np.empty(nnz, dtype=complex)
-    res_q = 0  # the modulus whose residues res holds; 0 for none
+    res_q = None  # the modulus whose residues res holds
     for i, x in enumerate(xs):
         d = x.d if isinstance(x, SamplePoint) else len(x)
         if d != f.d:
             raise ValueError(f"dimension mismatch: point d={d}, data d={f.d}")
-        if isinstance(x, SamplePoint) and d * x.q <= nnz:
+        if isinstance(x, SamplePoint):
             if x.q != res_q:
-                res, res_q = _residues(ks, x.q, dot), x.q
-            _phase_fraction_x(ks, x, res, dot, frac, term)
+                res, res_q = np.remainder(ks.T, x.q, order="C"), x.q
+            _anchored_fraction(res, x, frac)
+            # the float products cast k from int64 exactly, as |k| <= FREQ_LIMIT
+            _dot_into(ks, x.eps, term)
+            np.add(frac, term, out=frac)
         else:
-            _phase_fraction_x(ks, x, None, dot, frac, term)
-            res_q = 0  # at d = 1 dot held the residues
+            _dot_into(ks, x, frac)
+            np.true_divide(frac, TAU, out=frac)
         np.subtract(frac, tphase, out=frac)
         _unit_phasor(frac, wave)
         np.multiply(coeffs, wave, out=wave)

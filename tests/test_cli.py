@@ -145,6 +145,8 @@ class TestCliContract:
             ("claims", "alpha = 0.5\n"),
             # j_list = 2 leaves the one pair (2, 1) in the second-derivative band
             ("claims", "j_list = 2\n"),
+            # no level at all: rejected by name before any stage runs
+            ("claims", "j_list = \n"),
         ],
     )
     def test_empty_or_degenerate_sweep_exits_two_without_report(

@@ -132,6 +132,28 @@ def test_two_dimensional_input_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: Cube((1,), 0, Fraction(0), Fraction(1)), "denominator must be positive"),
+        (lambda: Cube((1,), 8, Fraction(1), Fraction(1)), "lo < hi"),
+        (lambda: CubeFamily(1, [1, 2], [3], 0, 1, 0), "2 numerators for 1 denominators"),
+        (lambda: CubeFamily(1, [1], [0], 0, 1, 0), "denominator must be positive"),
+        (lambda: CubeFamily(1, [1], [3], 1, 0, 0), "lo < hi"),
+        (lambda: CubeFamily(1, [1], [3], 0, 1, -1), "nonnegative"),
+        (lambda: CantorPlan(1, 2.0, 2, (4,), (4, 4), (0.1, 0.01)), "level count"),
+        (lambda: CantorPlan(1, 2.0, 2, (4, 16), (4, 4), (0.1, 0.1)), "strictly decreasing"),
+        (lambda: CantorPlan(1, 2.0, 2, (4, 16), (4, 4), (0.1, 0.0)), "positive"),
+    ],
+    ids=["cube_denominator", "cube_empty", "family_lengths", "family_denominator",
+         "family_empty", "family_exponent", "plan_levels", "plan_separations",
+         "plan_separation_zero"],
+)
+def test_malformed_construction_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestSeparatedCubes:
     def test_reference_window(self):
         fam = separated_cubes(E0, 256, 2, beta=4)

@@ -313,17 +313,20 @@ class TestBatchedDirect:
         with pytest.raises(ValueError, match="dimension mismatch"):
             partial_sum_direct(f, 5, 0.1, [[0.1], [0.2, 0.3]])
 
-    def test_guard_checks_the_largest_anchor(self):
-        top = FourierData(4, np.array([[FREQ_LIMIT] * 4]), np.array([1.0]))
+    def test_largest_anchor_modulus_evaluates(self):
+        # d N q reaches 2^63 at the last two anchors; each is reduced per coordinate
+        ks, coeffs = [[FREQ_LIMIT] * 4], [1.0]
+        top = FourierData(4, np.array(ks), np.array(coeffs))
         xs = [SamplePoint((1,) * 4, 5, (0.0,) * 4), SamplePoint((2,) * 4, 9, (0.0,) * 4),
-              SamplePoint((1,) * 4, MODULUS_LIMIT, (0.0,) * 4)]
-        assert partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), xs[:-1]).shape == (2,)
-        with pytest.raises(ValueError, match="q=2147483648: d N\\^2 or d N q reaches 2\\^63"):
-            partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), xs)
+              SamplePoint((1,) * 4, MODULUS_LIMIT, (0.0,) * 4),
+              SamplePoint((MODULUS_LIMIT - 1,) * 4, MODULUS_LIMIT, (0.0,) * 4)]
+        values = partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), xs)
+        for x, value in zip(xs, values):
+            assert abs(value - _python_int_sum(ks, coeffs, 3, x.p, x.q, x.eps)) <= 1e-9
 
 
 class TestResidueTables:
-    """Anchors with d q <= nnz read k.p mod q from residue tables; the bits stay the same."""
+    """Anchors with q <= nnz read each r p_i mod q from residue tables; the bits stay the same."""
 
     def test_block_datum_bit_for_bit(self):
         params = CounterexampleParams(d=1, alpha=1.0, lam=16, delta=0.05, kappa=0.25)
@@ -331,7 +334,7 @@ class TestResidueTables:
         for q in (64, 132, 256):
             t = RationalTime(q)
             xs = sample_points(params, 4, t, 3, seed=q)
-            assert f.d * q <= f.nnz
+            assert q <= f.nnz
             assert partial_sum_direct(f, 16**4, t, xs).tolist() == _reference_values(
                 f, 16**4, t, xs)
 
@@ -352,8 +355,8 @@ class TestResidueTables:
         rng = np.random.default_rng(61 + d)
         f = _random_data(rng, d, 50, 12 * d)
         nnz = f.nnz
-        q_in, q_out = nnz // d, nnz // d + 1
-        assert d * q_in <= nnz < d * q_out
+        # q_in = nnz reads the residue tables, q_out multiplies the residues out
+        q_in, q_out = nnz, nnz + 1
         xs = [SamplePoint(tuple(int(v) for v in rng.integers(0, q, d)), q,
                           tuple(float(e) for e in rng.uniform(-1e-3, 1e-3, d)))
               for q in (q_in, q_out, q_in, 5, 5, q_in)]
@@ -364,15 +367,17 @@ class TestResidueTables:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_table_fraction_is_the_reduced_product(self, d):
+        # q <= 64 reads the residue tables, larger q multiplies the residues out
         rng = np.random.default_rng(71 + d)
         ks = rng.integers(-FREQ_LIMIT, FREQ_LIMIT + 1, size=(64, d))
-        dot, frac = np.empty(64, dtype=np.int64), np.empty(64)
-        for q in (1, 5, 64 // d):
-            p = tuple(int(v) for v in rng.integers(0, q, d))
-            res = schrodinger._residues(ks, q, dot)
-            schrodinger._table_fraction(res, SamplePoint(p, q, (0.0,) * d), dot, frac)
-            expected = [(sum(k_i * p_i for k_i, p_i in zip(k, p)) % q) / q for k in ks.tolist()]
-            assert frac.tolist() == expected
+        frac = np.empty(64)
+        for q in (1, 5, 64 // d, 64, 65, 1 << 20, MODULUS_LIMIT - 1, MODULUS_LIMIT):
+            for p in (tuple(int(v) for v in rng.integers(0, q, d)), (q - 1,) * d):
+                schrodinger._anchored_fraction(np.remainder(ks.T, q),
+                                               SamplePoint(p, q, (0.0,) * d), frac)
+                expected = [(sum(k_i * p_i for k_i, p_i in zip(k, p)) % q) / q
+                            for k in ks.tolist()]
+                assert frac.tolist() == expected
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_higher_dimensions_match_the_python_int_oracle(self, d):
@@ -481,8 +486,11 @@ def _python_int_sum(ks, coeffs, t_q, p, q, eps):
 
 @st.composite
 def anchored_inputs(draw):
-    """Frequencies near FREQ_LIMIT, moduli near MODULUS_LIMIT, d = 1..4."""
-    d = draw(st.integers(1, 4))
+    """Frequencies near FREQ_LIMIT, moduli up to MODULUS_LIMIT, d = 1..7.
+
+    FourierData admits d <= 7 at N = FREQ_LIMIT, where d N^2 < 2^63.
+    """
+    d = draw(st.integers(1, 7))
     coord = st.integers(FREQ_LIMIT - (1 << 12), FREQ_LIMIT).flatmap(
         lambda k: st.sampled_from([k, -k])
     )
@@ -491,8 +499,10 @@ def anchored_inputs(draw):
                            max_size=len(ks)))
     t_q = draw(st.integers(MODULUS_LIMIT - (1 << 12), MODULUS_LIMIT))
     q = draw(st.one_of(st.integers(1, 1 << 20),
-                       st.integers(MODULUS_LIMIT - (1 << 12), MODULUS_LIMIT - 1)))
-    p = draw(st.tuples(*[st.integers(0, q - 1)] * d))
+                       st.integers(MODULUS_LIMIT - (1 << 12), MODULUS_LIMIT)))
+    # near the top modulus, p_i = q - 1 makes each residue product about 2^61,
+    # so at d >= 5 their unreduced sum passes 2^63
+    p = draw(st.tuples(*[st.one_of(st.just(q - 1), st.integers(0, q - 1))] * d))
     eps = draw(st.tuples(*[st.floats(-1e-6, 1e-6)] * d))
     return d, ks, coeffs, t_q, p, q, eps
 
@@ -522,12 +532,18 @@ class TestInt64Contract:
     def test_negative_anchor_is_reduced(self):
         assert SamplePoint((13, -3), 5, (0.0, 0.0)).p == (3, 2)
 
-    def test_products_reaching_int64_rejected(self):
-        top = FourierData(4, np.array([[FREQ_LIMIT] * 4]), np.array([1.0]))
-        x = SamplePoint((1,) * 4, MODULUS_LIMIT, (0.0,) * 4)
-        with pytest.raises(ValueError, match="2\\^63"):
-            partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), [x])
-        # truncation below the limit keeps the evaluation legal
+    def test_products_past_int64_agree_with_python_ints(self):
+        # at d = 7 with p_i = q - 1, k.p and the sum of the unreduced residue
+        # products pass 2^63; an odd q keeps a wrap from vanishing mod q
+        for d in (4, 7):
+            ks, coeffs = [[FREQ_LIMIT] * d, [-FREQ_LIMIT] * d], [1.0, 0.5j]
+            top = FourierData(d, np.array(ks), np.array(coeffs))
+            for q in (MODULUS_LIMIT - 1, MODULUS_LIMIT):
+                for p_i in (1, q - 1):
+                    x = SamplePoint((p_i,) * d, q, (0.0,) * d)
+                    value = partial_sum_direct(top, FREQ_LIMIT, RationalTime(3), [x])[0]
+                    assert abs(value - _python_int_sum(ks, coeffs, 3, x.p, x.q, x.eps)) <= 1e-9
+        # truncation below the limit leaves no term
         assert partial_sum_direct(top, FREQ_LIMIT - 1, RationalTime(3), [x])[0] == 0
 
 
@@ -540,11 +556,32 @@ class TestInt64Contract:
         lambda: RationalTime(MODULUS_LIMIT + 1),
         lambda: gauss_sum_table(MODULUS_LIMIT + 1, 1),
         lambda: gauss_sum_magnitudes(MODULUS_LIMIT + 1, 1),
+        lambda: SamplePoint((1,), 0, (0.0,)),
+        lambda: SamplePoint((1,), MODULUS_LIMIT + 1, (0.0,)),
+        lambda: DirichletBlock(1, 2, 31),
     ],
     ids=["frequency", "block_range", "time_zero", "time_modulus", "gauss_table",
-         "gauss_magnitudes"],
+         "gauss_magnitudes", "anchor_zero", "anchor_modulus", "block_top"],
 )
 def test_input_past_a_limit_rejected(call):
     # every guard raises before any array of the limit's size is built
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SamplePoint((1, 2), 5, (0.0,)), "dimensions differ"),
+        (lambda: SamplePoint((), 5, ()), "at least one coordinate"),
+        (lambda: FourierData(1, np.array([1, 2]), np.array([1.0])), "counts differ"),
+        (lambda: DirichletBlock(0, 16, 1), "d >= 1"),
+        (lambda: DirichletBlock(1, 1, 1), "lam >= 2"),
+        (lambda: DirichletBlock(1, 16, 0), "j >= 1"),
+    ],
+    ids=["anchor_offset_dims", "anchor_empty", "coefficient_count", "block_dimension",
+         "block_base", "block_level"],
+)
+def test_malformed_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
         call()
