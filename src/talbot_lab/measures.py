@@ -19,8 +19,8 @@ from .schrodinger import TAU, FourierData, RationalTime, dirichlet_kernel_1d, so
 
 _ATOM_CAP = 1 << 22
 
-# Points of the convolution grid: two complex arrays of this length are
-# 512 MiB, and 2 * 3^L stays below it for Cantor levels L <= 14.
+# Points of the convolution grid: a real grid and two half spectra of this
+# length are 384 MiB, and 2 * 3^L stays below it for Cantor levels L <= 14.
 GRID_CAP = 1 << 24
 
 # Complex entries in one atom block's exponential in the dense maximal
@@ -187,37 +187,33 @@ def dirichlet_abs_max_envelope(n: int, x: np.ndarray, plain: np.ndarray) -> np.n
     return np.maximum(env, plain)
 
 
-def _dirichlet_grid_into(n: int, m: int, out: np.ndarray, env: np.ndarray | None = None) -> None:
+def _dirichlet_grid_into(n: int, m: int, out: np.ndarray) -> None:
     """Write |D_N(2 pi i / m)| for i < len(out) into out, one _BLOCK_ENTRIES
-    block of grid points at a time; with env given, also write the maximal
-    envelope there.
+    block of grid points at a time.
 
     Each block builds x = TAU * i / m from the integer i, the same float as
-    in the whole grid, and the kernel and envelope act element by element,
-    so every entry has the bits of a whole-grid evaluation.
+    in the whole grid, and the kernel acts element by element, so every
+    entry has the bits of a whole-grid evaluation.
     """
     for i0 in range(0, len(out), _BLOCK_ENTRIES):
         i1 = min(i0 + _BLOCK_ENTRIES, len(out))
-        x = TAU * np.arange(i0, i1) / m
-        plain = out[i0:i1]
-        np.abs(dirichlet_kernel_1d(n, x), out=plain)
-        if env is not None:
-            env[i0:i1] = dirichlet_abs_max_envelope(n, x, plain)
+        np.abs(dirichlet_kernel_1d(n, TAU * np.arange(i0, i1) / m), out=out[i0:i1])
 
 
 def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) -> list[float]:
     """For each N in ns, the max over the grid 2 pi i / m, i = 0..m-1 with
     m = x_grid, of the sum over atoms of mass * |D_N(x - y)|, computed by a
-    circular FFT.
+    circular real-input FFT.
 
     One-dimensional only, every atom must sit on the grid, and the grid may
     hold at most 2^24 points; otherwise ValueError.  The grid must
     resolve the kernel oscillation of every N: spacing 2 pi / m <= 1/(10 N).
     All of this is checked before any grid array exists, so a bad N anywhere
-    in ns returns nothing.  The weight spectrum is built once and shared by
-    every N; each N streams its kernel into one reused complex buffer, which
-    is transformed, multiplied and inverted in place, so two complex arrays
-    of m entries are the whole working set.
+    in ns returns nothing.  The weight half spectrum is built once and shared
+    by every N; each N streams its kernel into one reused real grid, whose
+    half spectrum of m // 2 + 1 points is multiplied in place and inverted
+    back into the grid, so one real grid and two half spectra are the whole
+    working set.
     """
     ns = [int(n) for n in ns]
     if not ns:
@@ -242,24 +238,30 @@ def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) ->
     if not np.max(np.abs(pos - TAU * idx / m)) < 1e-9 * TAU / m:
         raise ValueError(f"an atom lies off the {m}-point grid")
     idx %= m
-    # fft of a real array is the complex transform of (x + 0j), so filling
-    # .real of zeroed complex arrays keeps every bit
-    spectrum = np.zeros(m, dtype=complex)
-    np.add.at(spectrum.real, idx, mu.masses)
-    np.fft.fft(spectrum, out=spectrum)
-    buf = np.empty(m, dtype=complex)
+    grid = np.zeros(m)
+    np.add.at(grid, idx, mu.masses)
+    spectrum = np.fft.rfft(grid)
+    half = np.empty_like(spectrum)
     out = []
     for n in ns:
-        buf.imag = 0.0
-        _dirichlet_grid_into(n, m, buf.real)
-        np.fft.fft(buf, out=buf)
-        # operand order moves the low bits of a complex product; this is the
-        # order numpy takes for `spectrum * np.fft.fft(kern)` on grids of 2^14
-        # points and more, where it writes into the temporary transform
-        np.multiply(buf, spectrum, out=buf)
-        np.fft.ifft(buf, out=buf)
-        out.append(float(buf.real.max()))
+        _dirichlet_grid_into(n, m, grid)
+        np.fft.rfft(grid, out=half)
+        half *= spectrum
+        np.fft.irfft(half, n=m, out=grid)
+        out.append(float(grid.max()))
     return out
+
+
+def _simpson(f: np.ndarray, m: int) -> float:
+    """Composite Simpson sum of f over the m intervals of the circle.  The
+    weights 4 and 2 are powers of two, so weighting f in place and dividing
+    them back out leaves every value as it was."""
+    f[1:-1:2] *= 4.0
+    f[2:-1:2] *= 2.0
+    total = float(f.sum() * (TAU / m) / 3.0)
+    f[1:-1:2] /= 4.0
+    f[2:-1:2] /= 2.0
+    return total
 
 
 def dirichlet_l1(n: int, num_points: int | None = None) -> tuple[float, float]:
@@ -272,21 +274,20 @@ def dirichlet_l1(n: int, num_points: int | None = None) -> tuple[float, float]:
     Accuracy is limited by the kernel's |.| kinks: against an 8x
     refined grid the default stays within 2e-4 relative across N <= 2^16
     (documented error control); raise num_points where more is needed.
-    The kernel and envelope are streamed into two arrays of m + 1 values,
-    and Simpson's weights are applied to them in place.
+    The kernel is streamed into one array of m + 1 values, summed, and
+    then overwritten block by block with its envelope and summed again.
     """
     if n < 1:
         raise ValueError(f"bandwidth must be >= 1, got {n}")
     m = num_points if num_points is not None else max(40 * n, 2000)
     m += m % 2  # Simpson needs an even interval count
-    plain = np.empty(m + 1)
-    maxi = np.empty(m + 1)
-    _dirichlet_grid_into(n, m, plain, maxi)
-    for f in (plain, maxi):
-        f[1:-1:2] *= 4.0
-        f[2:-1:2] *= 2.0
-    plain_l1, max_l1 = (float(f.sum() * (TAU / m) / 3.0) for f in (plain, maxi))
-    return plain_l1, max_l1
+    f = np.empty(m + 1)
+    _dirichlet_grid_into(n, m, f)
+    plain_l1 = _simpson(f, m)
+    for i0 in range(0, m + 1, _BLOCK_ENTRIES):
+        block = f[i0 : i0 + _BLOCK_ENTRIES]
+        block[:] = dirichlet_abs_max_envelope(n, TAU * np.arange(i0, i0 + len(block)) / m, block)
+    return plain_l1, _simpson(f, m)
 
 
 @dataclass(frozen=True)

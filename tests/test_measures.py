@@ -362,30 +362,36 @@ class TestExponentFit:
 # every value must come out with the same bits.
 
 
+def _grid_weights(mu, m):
+    idx = np.rint(mu.positions[:, 0] / TAU * m).astype(np.int64) % m
+    weights = np.zeros(m)
+    np.add.at(weights, idx, mu.masses)
+    return weights
+
+
 def _convolve_reference(mu, n, m):
-    pos = mu.positions[:, 0]
-    idx = np.rint(pos / TAU * m).astype(np.int64) % m
-    weights = np.zeros(m)
-    np.add.at(weights, idx, mu.masses)
+    # the real-input formula; a complex product rounds by operand order, and
+    # the code multiplies the kernel spectrum by the weight spectrum
     kern = np.abs(dirichlet_kernel_1d(n, TAU * np.arange(m) / m))
-    return float(np.fft.ifft(np.fft.fft(weights) * np.fft.fft(kern)).real.max())
+    spectrum = np.fft.rfft(_grid_weights(mu, m))
+    return float(np.fft.irfft(np.fft.rfft(kern) * spectrum, n=m).max())
 
 
-def _convolve_whole_grid(mu, ns, m):
-    # the whole-grid body that the streamed convolution replaced; for m >= 2^14
-    # numpy reuses the fft temporary as the output of `spectrum * ...` and swaps
-    # the operands, which moves low bits against _convolve_reference
-    pos = mu.positions[:, 0]
-    idx = np.rint(pos / TAU * m).astype(np.int64) % m
-    weights = np.zeros(m)
-    np.add.at(weights, idx, mu.masses)
-    spectrum = np.fft.fft(weights)
+def _convolve_complex(mu, ns, m):
+    # the complex-transform formula the real-input one replaced, for a
+    # relative check: the two round differently in the last bits
     x = TAU * np.arange(m) / m
-    out = []
-    for n in ns:
-        kern = np.abs(dirichlet_kernel_1d(n, x))
-        out.append(float(np.fft.ifft(spectrum * np.fft.fft(kern)).real.max()))
-    return out
+    spectrum = np.fft.fft(_grid_weights(mu, m))
+    return [
+        float(np.fft.ifft(spectrum * np.fft.fft(np.abs(dirichlet_kernel_1d(n, x)))).real.max())
+        for n in ns
+    ]
+
+
+def _assert_convolution_keeps_bits(mu, ns, m):
+    got = convolve_dirichlet_sup(mu, ns, m)
+    assert got == [_convolve_reference(mu, n, m) for n in ns]
+    np.testing.assert_allclose(got, _convolve_complex(mu, ns, m), rtol=1e-14, atol=0)
 
 
 def _dirichlet_l1_reference(n, maximal, num_points=None):
@@ -531,9 +537,7 @@ class TestSharedKernelsKeepEveryBit:
     def test_convolution_list_matches_per_n(self):
         mu = cantor_measure(1 / 3, 8)
         grid = 2 * 3**8
-        ns = [64, 32, 64, 128]
-        got = convolve_dirichlet_sup(mu, ns, grid)
-        assert got == [_convolve_reference(mu, n, grid) for n in ns]
+        _assert_convolution_keeps_bits(mu, [64, 32, 64, 128], grid)
 
     @pytest.mark.parametrize("n, num_points", [(1, None), (4, None), (64, None), (512, None), (37, 3001)])
     def test_dirichlet_l1_pair(self, n, num_points):
@@ -561,14 +565,12 @@ class TestStreamedGridsKeepEveryBit:
     @pytest.mark.parametrize("m", [_B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1])
     def test_convolution_across_block_edges(self, m):
         mu = _on_grid_measure(m, m)
-        ns = [1, 9, 1000]
-        assert convolve_dirichlet_sup(mu, ns, m) == _convolve_whole_grid(mu, ns, m)
+        _assert_convolution_keeps_bits(mu, [1, 9, 1000], m)
 
     def test_convolution_default_grid_and_bandwidths(self):
         mu = cantor_measure(1 / 3, 12)
         grid = 2 * 3**12
-        ns = [2**e for e in range(6, 14)]
-        assert convolve_dirichlet_sup(mu, ns, grid) == _convolve_whole_grid(mu, ns, grid)
+        _assert_convolution_keeps_bits(mu, [2**e for e in range(6, 14)], grid)
 
     @pytest.mark.parametrize(
         "n, num_points, d",
@@ -603,27 +605,29 @@ def _traced_peak(fn, *args):
 class TestStreamedGridMemory:
     # pocketfft's own scratch is not traced; the whole-grid temporaries were
 
-    def test_convolution_holds_two_complex_grids(self):
+    def test_convolution_holds_one_real_grid_and_two_half_spectra(self):
         mu = cantor_measure(1 / 3, 12)
         m = 2 * 3**12
-        assert _traced_peak(convolve_dirichlet_sup, mu, [64, 512, 4096], m) < 3 * 16 * m
+        assert _traced_peak(convolve_dirichlet_sup, mu, [64, 512, 4096], m) < 3.5 * 8 * m
 
-    def test_dirichlet_l1_holds_two_real_grids(self):
+    def test_dirichlet_l1_holds_one_real_grid(self):
         m = 40 * 2**16
-        assert _traced_peak(dirichlet_l1, 2**16) < 3 * 8 * (m + 1)
+        assert _traced_peak(dirichlet_l1, 2**16) < 1.5 * 8 * (m + 1)
 
 
 class TestConvolutionValidatesFirst:
     def test_last_bandwidth_under_resolving_raises_before_any_fft(self, monkeypatch):
         ffts = []
-        real_fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: ffts.append(1) or real_fft(*a, **k))
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=real, **k: ffts.append(1) or _f(*a, **k))
         mu = cantor_measure(1 / 3, 6)
         grid = 2 * 3**6  # resolves N = 4 and 8, not 512
         with pytest.raises(ValueError, match="resolve"):
             convolve_dirichlet_sup(mu, [4, 8, 512], grid)
         assert ffts == []
         assert len(convolve_dirichlet_sup(mu, [4, 8], grid)) == 2
+        assert ffts  # the counter sees the transforms the code does use
 
     def test_empty_bandwidth_list_rejected(self):
         mu = cantor_measure(1 / 3, 4)
