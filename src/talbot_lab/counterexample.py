@@ -2,8 +2,7 @@
 
 Lacunary product data f_j, reciprocal-time windows T^j, anchored sample
 families X_t^j, and numerical verification of the three magnitude claims
-(growth at level j, control below j, decay above j) together with the
-blow-up trajectory t_j -> 0.
+(growth at level j, control below j, decay above j).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import ExponentFit, exponent_fit
 from .schrodinger import RationalTime, SamplePoint, block_factor_fast, block_split
 
 
@@ -289,55 +287,3 @@ def verify_claim_iii(
     ratios = np.maximum(values / denom, 1e-300)
     return ClaimReport("iii", "incoherent", values, ratios, mags, mags / target_factor, boundary)
 
-
-def full_datum_value(
-    params: CounterexampleParams, j_max: int, t: RationalTime, x: SamplePoint, n: int
-) -> complex:
-    """S_N(t) applied to the truncated datum sum of f_1..f_jmax, by blocks."""
-    total = 0.0 + 0.0j
-    for k in range(1, j_max + 1):
-        if params.lam ** (k - 1) > n:
-            break
-        factor = 1.0 + 0.0j
-        for p_i, eps_i in zip(x.p, x.eps):
-            factor *= block_factor_fast(params.lam, k, t, p_i, eps_i, n)
-        total += params.amplitude(k) * factor
-    return total
-
-
-def make_blowup_ladder(
-    params: CounterexampleParams, j_max: int, seed: int
-) -> list[SamplePoint]:
-    """One sample per level j = 1..j_max, each drawn from its own window at
-    the top-of-window time (matched relative position across levels)."""
-    ladder = []
-    for j in range(1, j_max + 1):
-        t = time_set(params, j)[-1]
-        ladder.append(sample_points(params, j, t, 1, seed + j)[0])
-    return ladder
-
-
-def blowup_trajectory(
-    params: CounterexampleParams,
-    ladder: Sequence[SamplePoint],
-    j_max: int,
-) -> list[tuple[int, float, float]]:
-    """Magnitude of the full truncated datum along the ladder times.
-
-    Entry j evaluates S_N(t_j) (f_1 + ... + f_jmax) at the level-j sample,
-    with N = lam^jmax covering every block.
-    """
-    n = params.lam**j_max
-    out = []
-    for j, x in enumerate(ladder, start=1):
-        t = RationalTime(x.q)
-        val = abs(full_datum_value(params, j_max, t, x, n))
-        out.append((j, t.t, val))
-    return out
-
-
-def trajectory_growth_fit(params: CounterexampleParams, traj: Sequence[tuple[int, float, float]]) -> ExponentFit:
-    """Fit of log-magnitude against level: slope is the growth exponent in
-    units of ln(lam), to compare with delta."""
-    samples = [(float(params.lam) ** j, val) for j, _, val in traj]
-    return exponent_fit(samples)

@@ -1,14 +1,16 @@
 """Periodic free-Schrodinger evolution of band-limited data.
 
-Sparse Fourier data on the integer lattice, Dirichlet kernels, truncated
-flow evaluation S_N(t)f(x) with exact phase reduction at rational times
-t = 2 pi / q, and a fast block-decomposition path for product data whose
+Sparse Fourier data on the integer lattice, Dirichlet kernels, the direct
+oracle S_N(t)f(x), which takes only exact inputs (rational times t = 2 pi / q
+and anchored points x = 2 pi (p/q + eps)) and reduces every integer phase
+exactly, and a fast block-decomposition path for product data whose
 one-dimensional factors are full frequency blocks [lam^(j-1), lam^j - 1].
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,13 +30,22 @@ _SING_TOL = 1e-8
 _BLOCK_COEFF_CAP = 1 << 24
 
 
+def _check_integer(name: str, value) -> int:
+    """value as an int; a float or any other non-integer raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RationalTime:
-    """Time t = 2 pi / q represented by the exact integer q."""
+    """Time t = 2 pi / q represented by the exact integer q; t = 0 is q = 1."""
 
     q: int
 
     def __post_init__(self) -> None:
+        _check_integer("q", self.q)
         if self.q < 1:
             raise ValueError(f"q must be a positive integer, got {self.q}")
         if self.q > MODULUS_LIMIT:
@@ -60,6 +71,7 @@ class SamplePoint:
     eps: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _check_integer("q", self.q)
         if self.q < 1:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.q > MODULUS_LIMIT:
@@ -69,7 +81,7 @@ class SamplePoint:
         if not self.p:
             raise ValueError("sample point needs at least one coordinate")
         # p only matters mod q; reducing it keeps the anchored phase k.p in int64
-        object.__setattr__(self, "p", tuple(int(v) % self.q for v in self.p))
+        object.__setattr__(self, "p", tuple(_check_integer("p", v) % self.q for v in self.p))
 
     @property
     def d(self) -> int:
@@ -87,7 +99,10 @@ class FourierData:
     def __init__(self, d: int, ks: np.ndarray, coeffs: np.ndarray):
         if d < 1:
             raise ValueError(f"dimension d = {d} must be at least 1")
-        ks = np.asarray(ks, dtype=np.int64).reshape(-1, d)
+        ks = np.asarray(ks)
+        if ks.size and ks.dtype.kind not in "iu":
+            raise ValueError(f"frequencies must be integers, got dtype {ks.dtype}")
+        ks = ks.astype(np.int64, copy=False).reshape(-1, d)
         coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
         if ks.shape[0] != coeffs.shape[0]:
             raise ValueError("frequency and coefficient counts differ")
@@ -213,38 +228,25 @@ def _anchored_fraction(res: np.ndarray, x: SamplePoint, frac: np.ndarray) -> Non
     np.true_divide(dot, q, out=frac)
 
 
-def _phase_fraction_t(ksq: np.ndarray, t: RationalTime | float) -> np.ndarray:
-    """|k|^2 t as a fraction of a full turn, exact for rational times."""
-    if isinstance(t, RationalTime):
-        return (ksq % t.q) / t.q
-    return ksq * (float(t) / TAU)
-
-
 def partial_sum_direct(
-    f: FourierData,
-    n: int,
-    t: RationalTime | float,
-    xs: Sequence[SamplePoint | Sequence[float]],
+    f: FourierData, n: int, t: RationalTime, xs: Sequence[SamplePoint]
 ) -> np.ndarray:
     """Evaluate S_N(t)f(x) = sum over |k_l| <= N of fhat(k) e^{i k.x - i |k|^2 t} at each x in xs.
 
     One time, many points: returns a complex array with one entry per point
-    of xs, each a SamplePoint or a sequence of d float coordinates.  The
-    truncation, |k|^2 and the time phase are computed once per call, and
-    every point is evaluated into the same three work buffers, which are
-    locals of the call.  At d = 1 each entry equals a per-point evaluation
-    with a fresh array per step bit for bit; at d >= 2 k.x is summed one
-    coordinate at a time, so its float part may differ from a matrix
-    product in the last bit.
+    of xs.  The truncation and the time phase (|k|^2 mod q)/q are computed
+    once per call, and every point is evaluated into the same three work
+    buffers, which are locals of the call.  At d = 1 each entry equals a
+    per-point evaluation with a fresh array per step bit for bit; at d >= 2
+    k.eps is summed one coordinate at a time, so it may differ from a matrix
+    product in the last bit.  A float point y is the anchored point
+    SamplePoint((0,) * d, 1, y / (2 pi)).
 
-    Phases are reduced modulo one full turn; the reduction is exact in
-    integer arithmetic when t is a RationalTime and x a SamplePoint.  Every
-    SamplePoint reads the residues k mod q, computed once for each run of
-    points with one modulus, and reduces k.p mod q one coordinate at a time,
-    so no int64 product passes q^2 <= 2^62 whatever d, N and q are.  |k|^2
-    fits int64 because FourierData admits only d N^2 < 2^63.  For
-    floating-point times the reduction happens in double precision, which
-    degrades once N^2 t approaches 2^53.
+    Every integer phase is reduced modulo one full turn exactly.  The
+    residues k mod q are computed once for each run of points with one
+    modulus, and k.p mod q is reduced one coordinate at a time, so no int64
+    product passes q^2 <= 2^62 whatever d, N and q are.  |k|^2 fits int64
+    because FourierData admits only d N^2 < 2^63.
     """
     out = np.zeros(len(xs), dtype=complex)
     ks, coeffs = f.ks, f.coeffs
@@ -254,25 +256,20 @@ def partial_sum_direct(
     nnz = ks.shape[0]
     if nnz == 0:
         return out
-    tphase = _phase_fraction_t((ks * ks).sum(axis=1), t)
+    tphase = ((ks * ks).sum(axis=1) % t.q) / t.q
     frac = np.empty(nnz)
     term = np.empty(nnz)
     wave = np.empty(nnz, dtype=complex)
     res_q = None  # the modulus whose residues res holds
     for i, x in enumerate(xs):
-        d = x.d if isinstance(x, SamplePoint) else len(x)
-        if d != f.d:
-            raise ValueError(f"dimension mismatch: point d={d}, data d={f.d}")
-        if isinstance(x, SamplePoint):
-            if x.q != res_q:
-                res, res_q = np.remainder(ks.T, x.q, order="C"), x.q
-            _anchored_fraction(res, x, frac)
-            # the float products cast k from int64 exactly, as |k| <= FREQ_LIMIT
-            _dot_into(ks, x.eps, term)
-            np.add(frac, term, out=frac)
-        else:
-            _dot_into(ks, x, frac)
-            np.true_divide(frac, TAU, out=frac)
+        if x.d != f.d:
+            raise ValueError(f"dimension mismatch: point d={x.d}, data d={f.d}")
+        if x.q != res_q:
+            res, res_q = np.remainder(ks.T, x.q, order="C"), x.q
+        _anchored_fraction(res, x, frac)
+        # the float products cast k from int64 exactly, as |k| <= FREQ_LIMIT
+        _dot_into(ks, x.eps, term)
+        np.add(frac, term, out=frac)
         np.subtract(frac, tphase, out=frac)
         _unit_phasor(frac, wave)
         np.multiply(coeffs, wave, out=wave)

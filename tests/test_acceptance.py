@@ -14,14 +14,20 @@ project notes:
    (the uncorrected slope lands well inside it).
 """
 
+import hashlib
+import json
 import math
+import platform
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from talbot_lab.counterexample import CounterexampleParams
 from talbot_lab.experiments import CRITERION_TO_EXPERIMENT, RUNNERS
-from talbot_lab.experiments.config import load_config
+from talbot_lab.experiments.config import config_for_json, load_config
+from talbot_lab.experiments.report import emit_plotdata, write_report
 from talbot_lab.fractal import covering_exponent, level_cube_count
 
 
@@ -252,3 +258,39 @@ def test_criterion_14_transfer_sweeps(maximal_run):
         f"N=2^5..2^9: transference max/median {tr.value:.3f}, truncation-maximal "
         f"max/median {ca.value:.3f} (<= 2); ill-posed regime rejected",
     )
+
+
+DIGESTS = Path(__file__).resolve().parent / "digests.json"
+
+
+def _toolchain():
+    libc, version = platform.libc_ver()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "libc": f"{libc} {version}"}
+
+
+def test_default_outputs_match_digest_manifest(
+    gauss_run, evolve_run, claims_run, dimension_run, maximal_run, tmp_path
+):
+    """Every file the five default runs write, run_timing.txt excepted, keeps
+    the sha256 in tests/digests.json, which holds the output of
+    `talbot-lab <experiment> --config configs/<experiment>.cfg --out <experiment>`.
+    The fixtures run the schema defaults, which those configs equal, so a
+    drift between the two also shows here.  The float bits depend on Python,
+    numpy and libc, so on another toolchain the test skips and its reason
+    names both toolchains."""
+    manifest = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    if manifest["toolchain"] != _toolchain():
+        pytest.skip(f"digests recorded under {manifest['toolchain']}, running {_toolchain()}")
+    runs = {"gauss": gauss_run, "evolve": evolve_run, "claims": claims_run,
+            "dimension": dimension_run, "maximal": maximal_run}
+    for name, (report, _) in runs.items():
+        report.config = config_for_json(load_config(name, None))
+        write_report(report, tmp_path / name)
+        if report.sweeps:
+            emit_plotdata(report, tmp_path / name)
+    actual = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in tmp_path.rglob("*") if path.is_file()}
+    expected = manifest["files"]
+    differ = sorted(f for f in expected.keys() | actual.keys() if expected.get(f) != actual.get(f))
+    assert differ == [], {f: (expected.get(f), actual.get(f)) for f in differ}

@@ -13,9 +13,6 @@ CALL_SITES = ("src", "perfbench")
 
 # Public names whose callers in src/ are scheduled, each with its ROADMAP item.
 SCHEDULED = {
-    "make_blowup_ladder": "ROADMAP item 3: the blow-up trajectory sweep in claims",
-    "blowup_trajectory": "ROADMAP item 3: the blow-up trajectory sweep in claims",
-    "trajectory_growth_fit": "ROADMAP item 3: the blow-up trajectory sweep in claims",
     "audit_separated_maximal": "ROADMAP item 2: maximality audits of uncapped families",
 }
 

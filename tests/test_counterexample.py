@@ -6,13 +6,9 @@ import pytest
 
 from talbot_lab.counterexample import (
     CounterexampleParams,
-    blowup_trajectory,
     claim_regime,
-    full_datum_value,
-    make_blowup_ladder,
     sample_points,
     time_set,
-    trajectory_growth_fit,
     verify_claim_i,
     verify_claim_ii,
     verify_claim_iii,
@@ -381,26 +377,6 @@ class TestClaimColumnsKeepEveryBit:
 
 
 class TestBlowup:
-    def test_trajectory_times_and_positivity(self):
-        p = CounterexampleParams(**BLOWUP)
-        ladder = make_blowup_ladder(p, 3, seed=2)
-        traj = blowup_trajectory(p, ladder, 3)
-        lam = float(p.lam)
-        for j, t_j, value in traj:
-            assert value > 0 and math.isfinite(value)
-            assert 2 * math.pi * lam ** (-j / p.tau) <= t_j + 1e-12
-            assert t_j <= 2 * math.pi / p.kappa * lam ** (-j / p.tau) + 1e-12
-        assert traj[0][1] > traj[1][1] > traj[2][1]
-
-    def test_growth_slope_within_band(self):
-        p = CounterexampleParams(**BLOWUP)
-        slopes = []
-        for seed in range(5):
-            traj = blowup_trajectory(p, make_blowup_ladder(p, 3, seed=100 + seed), 3)
-            slopes.append(trajectory_growth_fit(p, traj).slope)
-        median = float(np.median(slopes))
-        assert abs(median - p.delta) / p.delta <= 0.30
-
     def test_triangle_ledger_on_accepted_samples(self):
         # the off-level blocks stay below half of the main term
         p = CounterexampleParams(**BLOWUP)
@@ -424,13 +400,3 @@ class TestBlowup:
             ratio = sobolev_norm(f, s) / (16.0 ** (-j * (p.s_alpha - p.delta - s)))
             assert 0.25 <= ratio <= 4.0
 
-    def test_full_datum_splits_into_blocks(self):
-        p = CounterexampleParams(**DESK)
-        t = time_set(p, 2)[-1]
-        x = sample_points(p, 2, t, 1, seed=8)[0]
-        n = p.lam**3
-        total = full_datum_value(p, 3, t, x, n)
-        direct = sum(
-            partial_sum_direct(block_datum(p, k), n, t, [x])[0] for k in (1, 2, 3)
-        )
-        assert total == pytest.approx(direct, rel=1e-9)

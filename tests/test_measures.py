@@ -299,9 +299,10 @@ class TestCarleson:
         f = dirichlet_datum(n)
         t = RationalTime(8)
         ratio = carleson_l2_ratio(f, mu, 0.4, [n], t)
-        from talbot_lab.schrodinger import partial_sum_direct
+        from talbot_lab.schrodinger import SamplePoint, partial_sum_direct
 
-        values = partial_sum_direct(f, n, t, mu.positions)
+        xs = [SamplePoint((0,), 1, (y / (2 * math.pi),)) for y in mu.positions[:, 0].tolist()]
+        values = partial_sum_direct(f, n, t, xs)
         weighted = math.sqrt(float((mu.masses * np.abs(values) ** 2).sum()))
         denom = (
             math.sqrt(frostman_constant(mu, DEFAULT_FROSTMAN_RADII))

@@ -73,6 +73,11 @@ class TestDirichletKernel:
         assert [dirichlet_kernel_1d(n, x) for x in xs[:8]] == list(ref[:8])
 
 
+def _at(*ys):
+    """The point with float coordinates ys, anchored at 0 over q = 1."""
+    return SamplePoint((0,) * len(ys), 1, tuple(float(y) / TAU for y in ys))
+
+
 def _random_data(rng, d, bandwidth, count):
     ks = rng.integers(-bandwidth, bandwidth + 1, size=(count, d))
     ks = np.unique(ks, axis=0)
@@ -135,19 +140,19 @@ class TestFourierData:
 class TestPartialSumDirect:
     def test_constant_datum(self):
         f = FourierData(1, [0], [1.0])
-        for t in (0.0, 0.3, RationalTime(7)):
-            assert partial_sum_direct(f, 5, t, [[1.234]])[0] == pytest.approx(1.0, rel=1e-12)
+        for t in (RationalTime(1), RationalTime(21), RationalTime(7)):
+            assert partial_sum_direct(f, 5, t, [_at(1.234)])[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_single_mode(self):
         k0 = 3
         f = FourierData(1, [k0], [1.0])
-        t, x = 0.21, 1.7
-        expected = cmath.exp(1j * (k0 * x - k0 * k0 * t))
-        assert partial_sum_direct(f, 5, t, [[x]])[0] == pytest.approx(expected, rel=1e-12)
+        t, x = RationalTime(30), 1.7
+        expected = cmath.exp(1j * (k0 * x - k0 * k0 * t.t))
+        assert partial_sum_direct(f, 5, t, [_at(x)])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_truncation_below_support_is_zero(self):
         f = FourierData(1, [7], [1.0])
-        assert partial_sum_direct(f, 5, 0.1, [[0.3]])[0] == 0.0
+        assert partial_sum_direct(f, 5, RationalTime(63), [_at(0.3)])[0] == 0.0
 
     def test_time_zero_matches_kernel_convolution(self):
         # band-limited quadrature oracle: trapezoid is exact for trig
@@ -164,7 +169,7 @@ class TestPartialSumDirect:
         )
         kernel = dirichlet_kernel_1d(n, x - ys)
         conv = (kernel * fvals).mean()
-        assert partial_sum_direct(f, n, 0.0, [[x]])[0] == pytest.approx(conv, rel=1e-10)
+        assert partial_sum_direct(f, n, RationalTime(1), [_at(x)])[0] == pytest.approx(conv, rel=1e-10)
 
     def test_conjugate_symmetric_data_is_real_at_t0(self):
         rng = np.random.default_rng(11)
@@ -173,7 +178,7 @@ class TestPartialSumDirect:
         coeffs.update(half)
         coeffs.update({-k: c.conjugate() for k, c in half.items()})
         f = FourierData(1, list(coeffs), list(coeffs.values()))
-        values = partial_sum_direct(f, 6, 0.0, [[0.1], [2.2], [5.5]])
+        values = partial_sum_direct(f, 6, RationalTime(1), [_at(0.1), _at(2.2), _at(5.5)])
         assert np.all(np.abs(values.imag) <= 1e-10)
 
     def test_plancherel_on_dft_grid_1d(self):
@@ -182,7 +187,7 @@ class TestPartialSumDirect:
         f = _random_data(rng, 1, n, 9)
         t = RationalTime(7)
         m = 2 * n + 1
-        grid = [[TAU * i / m] for i in range(m)]
+        grid = [SamplePoint((i,), m, (0.0,)) for i in range(m)]
         mean_sq = np.mean(np.abs(partial_sum_direct(f, n, t, grid)) ** 2)
         assert mean_sq == pytest.approx(float((np.abs(f.coeffs) ** 2).sum()), rel=1e-6)
 
@@ -192,7 +197,7 @@ class TestPartialSumDirect:
         f = _random_data(rng, 2, n, 10)
         t = RationalTime(5)
         m = 2 * n + 1
-        grid = [[TAU * i / m, TAU * j / m] for i in range(m) for j in range(m)]
+        grid = [SamplePoint((i, j), m, (0.0, 0.0)) for i in range(m) for j in range(m)]
         total = (np.abs(partial_sum_direct(f, n, t, grid)) ** 2).sum()
         assert total / m**2 == pytest.approx(float((np.abs(f.coeffs) ** 2).sum()), rel=1e-6)
 
@@ -200,18 +205,9 @@ class TestPartialSumDirect:
         rng = np.random.default_rng(31)
         f = _random_data(rng, 1, 12, 15)
         bound = np.abs(f.coeffs).sum()
-        for t in (0.0, 0.11, RationalTime(9)):
-            values = partial_sum_direct(f, 12, t, [[0.0], [1.0], [4.4]])
+        for t in (RationalTime(1), RationalTime(57), RationalTime(9)):
+            values = partial_sum_direct(f, 12, t, [_at(0.0), _at(1.0), _at(4.4)])
             assert np.all(np.abs(values) <= bound + 1e-12)
-
-    def test_exact_reduction_matches_float_path(self):
-        f = FourierData(1, np.arange(3, 40), np.ones(37))
-        t = RationalTime(12)
-        x = SamplePoint((5,), 12, (1e-3,))
-        radians = [TAU * ((5 / 12 + 1e-3) % 1.0)]
-        exact = partial_sum_direct(f, 64, t, [x])[0]
-        floaty = partial_sum_direct(f, 64, t.t, [radians])[0]
-        assert exact == pytest.approx(floaty, rel=1e-9)
 
 
 def _reference_direct(f, n, t, x):
@@ -222,16 +218,9 @@ def _reference_direct(f, n, t, x):
         ks, coeffs = ks[keep], coeffs[keep]
     if ks.shape[0] == 0:
         return 0.0 + 0.0j
-    ksq = (ks * ks).sum(axis=1)
-    if isinstance(x, SamplePoint):
-        frac_x = ((ks @ np.asarray(x.p, dtype=np.int64)) % x.q) / x.q
-        frac_x = frac_x + ks @ np.asarray(x.eps, dtype=float)
-    else:
-        frac_x = (ks @ np.asarray(x, dtype=float)) / TAU
-    if isinstance(t, RationalTime):
-        frac_t = (ksq % t.q) / t.q
-    else:
-        frac_t = ksq * (float(t) / TAU)
+    frac_x = ((ks @ np.asarray(x.p, dtype=np.int64)) % x.q) / x.q
+    frac_x = frac_x + ks @ np.asarray(x.eps, dtype=float)
+    frac_t = ((ks * ks).sum(axis=1) % t.q) / t.q
     return complex((coeffs * np.exp(2j * math.pi * (frac_x - frac_t))).sum())
 
 
@@ -265,15 +254,6 @@ class TestBatchedDirect:
         values = partial_sum_direct(f, 300, t, xs)
         assert values.tolist() == _reference_values(f, 300, t, xs)
 
-    def test_float_time_and_positions_bit_for_bit(self):
-        rng = np.random.default_rng(43)
-        f = _random_data(rng, 1, 500, 300)
-        # an integer coordinate whose products with k pass 2^63 is taken as a float
-        xs = [[float(v)] for v in rng.uniform(0, TAU, 12)] + [np.array([2.5]), [2**60]]
-        for t in (0.0, 0.37, RationalTime(20).t):
-            values = partial_sum_direct(f, 500, t, xs)
-            assert values.tolist() == _reference_values(f, 500, t, xs)
-
     def test_truncation_below_bandwidth_bit_for_bit(self):
         rng = np.random.default_rng(47)
         f = _random_data(rng, 1, 64, 80)
@@ -290,14 +270,14 @@ class TestBatchedDirect:
         xs = [SamplePoint((int(a), int(b)), 24, (float(e1), float(e2)))
               for a, b, e1, e2 in zip(rng.integers(0, 24, 6), rng.integers(0, 24, 6),
                                       rng.uniform(-1e-3, 1e-3, 6), rng.uniform(-1e-3, 1e-3, 6))]
-        xs += [list(rng.uniform(0, TAU, 2)) for _ in range(6)]
-        for t in (RationalTime(24), 0.29):
+        xs += [_at(*rng.uniform(0, TAU, 2)) for _ in range(6)]
+        for t in (RationalTime(24), RationalTime(22)):
             values = partial_sum_direct(f, 200, t, xs)
             expected = np.array(_reference_values(f, 200, t, xs))
             assert np.all(np.abs(values - expected) <= 1e-12 * np.abs(f.coeffs).sum())
 
     def test_empty_support_gives_zeros(self):
-        xs = [SamplePoint((1,), 8, (0.0,)), [0.5]]
+        xs = [SamplePoint((1,), 8, (0.0,)), _at(0.5)]
         empty = FourierData(1, [], [])
         assert partial_sum_direct(empty, 10, RationalTime(8), xs).tolist() == [0j, 0j]
         above = FourierData(1, [7], [1.0])
@@ -311,7 +291,7 @@ class TestBatchedDirect:
     def test_dimension_mismatch_rejected(self):
         f = FourierData(1, [3], [1.0])
         with pytest.raises(ValueError, match="dimension mismatch"):
-            partial_sum_direct(f, 5, 0.1, [[0.1], [0.2, 0.3]])
+            partial_sum_direct(f, 5, RationalTime(63), [_at(0.1), _at(0.2, 0.3)])
 
     def test_largest_anchor_modulus_evaluates(self):
         # d N q reaches 2^63 at the last two anchors; each is reduced per coordinate
@@ -344,9 +324,9 @@ class TestResidueTables:
         n = f.nnz
         xs = [SamplePoint((7,), n, (1e-4,)), SamplePoint((8,), n + 1, (-3e-5,)),
               SamplePoint((n - 1,), n, (2e-6,)), SamplePoint((3,), 9, (0.0,)),
-              [1.25], SamplePoint((4,), 9, (-1e-5,)), SamplePoint((n // 2,), n, (0.0,)),
+              _at(1.25), SamplePoint((4,), 9, (-1e-5,)), SamplePoint((n // 2,), n, (0.0,)),
               SamplePoint((n,), n + 1, (1e-7,))]
-        for t in (RationalTime(n), RationalTime(n + 1), 0.41):
+        for t in (RationalTime(n), RationalTime(n + 1), RationalTime(15)):
             values = partial_sum_direct(f, 400, t, xs)
             assert values.tolist() == _reference_values(f, 400, t, xs)
 
@@ -578,10 +558,24 @@ def test_input_past_a_limit_rejected(call):
         (lambda: DirichletBlock(0, 16, 1), "d >= 1"),
         (lambda: DirichletBlock(1, 1, 1), "lam >= 2"),
         (lambda: DirichletBlock(1, 16, 0), "j >= 1"),
+        # a float is never truncated to the integer below it
+        (lambda: SamplePoint((2.5,), 8, (0.0,)), "integer"),
+        (lambda: SamplePoint((1,), 7.5, (0.0,)), "integer"),
+        (lambda: RationalTime(7.5), "integer"),
+        (lambda: FourierData(1, [2.7], [1.0]), "integer"),
     ],
     ids=["anchor_offset_dims", "anchor_empty", "coefficient_count", "block_dimension",
-         "block_base", "block_level"],
+         "block_base", "block_level", "anchor_float_numerator", "anchor_float_modulus",
+         "time_float_modulus", "float_frequency"],
 )
 def test_malformed_input_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_numpy_integers_accepted():
+    x = SamplePoint((np.int64(10), np.uint8(3)), np.int32(8), (0.0, 0.0))
+    assert x.p == (2, 3) and x.q == 8
+    assert RationalTime(np.int64(8)).q == 8
+    f = FourierData(1, np.array([3, -2], dtype=np.int32), [1.0, 2.0])
+    assert f.ks.dtype == np.int64 and f.ks[:, 0].tolist() == [3, -2]
