@@ -3,7 +3,8 @@
     talbot-lab <experiment-id> --config <path> [--out <dir>] [--seed <u64>]
                [--jobs <n>]
 
-Writes report.json, sweep_*.csv, and plot_*.dat into the output directory;
+Writes report.json, sweep_*.csv and plot_*.dat into the output directory
+through experiments.report.write_report, the one writer of a run's files;
 exit status 0 when every configured check passes, 1 on check failure (the
 report is still written), 2 on configuration errors, including values the
 schema accepts but a layer rejects (nothing is written).
@@ -21,8 +22,8 @@ import time
 from pathlib import Path
 
 from .experiments import RUNNERS
-from .experiments.config import ConfigError, EXPERIMENTS, config_for_json, load_config
-from .experiments.report import emit_plotdata, write_report
+from .experiments.config import ConfigError, EXPERIMENTS, load_config
+from .experiments.report import write_report
 
 USAGE_EXIT = 2
 CHECK_FAIL_EXIT = 1
@@ -70,12 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     elapsed = time.monotonic() - start
-    report.config = config_for_json(cfg)
 
     out_dir = Path(args.out)
     write_report(report, out_dir)
-    if report.sweeps:
-        emit_plotdata(report, out_dir)
     (out_dir / "run_timing.txt").write_text(
         f"{args.experiment} wall_seconds={elapsed:.3f}\n", encoding="utf-8"
     )

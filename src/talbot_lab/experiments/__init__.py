@@ -14,21 +14,3 @@ RUNNERS: dict[str, Callable[[dict, int], RunReport]] = {
     "dimension": dimension.run,
     "maximal": maximal.run,
 }
-
-# Each numbered acceptance criterion is executable by exactly one experiment.
-CRITERION_TO_EXPERIMENT: dict[int, str] = {
-    1: "gauss",
-    2: "evolve",
-    3: "claims",
-    4: "claims",
-    5: "claims",
-    6: "gauss",
-    7: "gauss",
-    8: "dimension",
-    9: "dimension",
-    10: "dimension",
-    11: "dimension",
-    12: "maximal",
-    13: "maximal",
-    14: "maximal",
-}

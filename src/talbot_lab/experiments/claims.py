@@ -48,7 +48,7 @@ def _require_claim2_regimes(params: CounterexampleParams, j_list) -> None:
 
 
 def run(cfg: dict, jobs: int) -> RunReport:
-    report = RunReport("claims", {})
+    report = RunReport("claims", cfg)
     params = counterexample_params(cfg)
     lam = float(params.lam)
     seed = int(cfg["seed"])
@@ -90,7 +90,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
             "claim1_growth",
             ["lam_pow_j", "geomean_magnitude"],
             [[s, v] for s, v in growth_pts],
-            fit={"slope": fit.slope, "intercept": fit.intercept, "polylog": False},
+            fit=fit,
         )
     )
     report.sweeps.append(

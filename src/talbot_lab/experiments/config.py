@@ -260,19 +260,27 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
         if int(cfg["conv_exp_max"]) - int(cfg["conv_exp_min"]) < 2:
             raise ConfigError("the convolution exponent fit needs at least 3 bandwidths")
     if experiment == "dimension":
-        for case in str(cfg["cov_cases"]).split(";"):
-            parts = case.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"covering case {case!r} is not alpha:lam:kappa")
-            try:
-                Fraction(parts[0]), int(parts[1]), Fraction(parts[2])
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"cannot parse covering case {case!r}") from None
+        covering_cases(cfg["cov_cases"])
         if len(cfg["meas_j_list"]) < 2:
             raise ConfigError(
                 "meas_j_list needs at least two levels for the consecutive-level ratios,"
                 f" got {list(cfg['meas_j_list'])}"
             )
+
+
+def covering_cases(text: str) -> list[tuple[Fraction, int, Fraction]]:
+    """The exact (alpha, lam, kappa) triples of a cov_cases value,
+    "alpha:lam:kappa" cases joined by ";"."""
+    cases = []
+    for case in text.split(";"):
+        parts = case.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"covering case {case!r} is not alpha:lam:kappa")
+        try:
+            cases.append((Fraction(parts[0]), int(parts[1]), Fraction(parts[2])))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"cannot parse covering case {case!r}") from None
+    return cases
 
 
 def counterexample_params(cfg: dict[str, object]) -> CounterexampleParams:
@@ -287,15 +295,3 @@ def counterexample_params(cfg: dict[str, object]) -> CounterexampleParams:
         c2=cfg["c2"],
     )
 
-
-def config_for_json(cfg: dict[str, object]) -> dict[str, object]:
-    """Echoable form: exact rationals as strings, tuples as lists."""
-    out = {}
-    for key, value in sorted(cfg.items()):
-        if isinstance(value, Fraction):
-            out[key] = f"{value.numerator}/{value.denominator}"
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out

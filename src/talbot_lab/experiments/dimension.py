@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..counterexample import CounterexampleParams
 from ..fractal import (
     ROOT_CUBE,
@@ -11,35 +9,31 @@ from ..fractal import (
     audit_separated_family,
     build_nested_levels,
     cantor_lower_bound,
-    covering_exponent,
     level_cube_count,
     level_volume_lower_bound,
     idealized_plan,
     separated_cubes,
 )
 from ..measures import exponent_fit
+from .config import covering_cases
 from .report import RunReport, Sweep
 
 
 def run(cfg: dict, jobs: int) -> RunReport:
-    report = RunReport("dimension", {})
+    report = RunReport("dimension", cfg)
 
     # covering exponents of the generation families, one case per alpha
     worst_cov = 0.0
     cov_rows = []
-    for case in str(cfg["cov_cases"]).split(";"):
-        a_str, lam_str, kappa_str = case.split(":")
-        alpha = Fraction(a_str)
-        lam = int(lam_str)
-        kappa = Fraction(kappa_str)
+    for alpha, lam, kappa in covering_cases(cfg["cov_cases"]):
         params = CounterexampleParams(
             d=1, alpha=float(alpha), lam=lam, delta=0.01, kappa=float(kappa)
         )
-        counts = [
-            (j, level_cube_count(params, j))
+        # ln(count) against j ln(lam): the covering exponent of the generation sequence
+        slope = exponent_fit([
+            (float(lam) ** j, level_cube_count(params, j))
             for j in range(int(cfg["cov_j_min"]), int(cfg["cov_j_max"]) + 1)
-        ]
-        slope, _ = covering_exponent(counts, lam=lam)
+        ]).slope
         err = abs(slope - float(alpha))
         worst_cov = max(worst_cov, err)
         cov_rows.append([float(alpha), slope, float(lam)])
@@ -63,7 +57,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
             "packing_counts",
             ["n", "count"],
             [[s, v] for s, v in pts],
-            fit={"slope": fit.slope, "intercept": fit.intercept, "polylog": False},
+            fit=fit,
         )
     )
 

@@ -24,7 +24,7 @@ def _worst_error_at_time(args) -> tuple[int, int, float]:
 
 
 def run(cfg: dict, jobs: int) -> RunReport:
-    report = RunReport("evolve", {})
+    report = RunReport("evolve", cfg)
     params = counterexample_params(cfg)
     tasks = []
     seed = int(cfg["seed"])

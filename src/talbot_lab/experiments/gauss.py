@@ -27,7 +27,7 @@ def _coprime_sample(rng: np.random.Generator, q: int, count: int) -> list[int]:
 
 
 def run(cfg: dict, jobs: int) -> RunReport:
-    report = RunReport("gauss", {})
+    report = RunReport("gauss", cfg)
     rng = np.random.default_rng(cfg["seed"])
     q_max = int(cfg["q_max"])
     tol = float(cfg["tol"])

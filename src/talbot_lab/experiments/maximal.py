@@ -32,7 +32,7 @@ def _dirichlet_datum(n: int) -> FourierData:
 
 
 def run(cfg: dict, jobs: int) -> RunReport:
-    report = RunReport("maximal", {})
+    report = RunReport("maximal", cfg)
     level = int(cfg["cantor_level"])
     mu = cantor_measure(1.0 / 3.0, level)
     alpha = mu.alpha
@@ -58,7 +58,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
             "convolution_growth",
             ["n", "sup_value"],
             [[s, v] for s, v in conv_pts],
-            fit={"slope": fit_plain.slope, "intercept": fit_plain.intercept, "polylog": False},
+            fit=fit_plain,
         )
     )
 
@@ -84,13 +84,14 @@ def run(cfg: dict, jobs: int) -> RunReport:
     # weighted maximal norm of the full-band datum against uniform weight
     plan = TimeSamplingPlan(q_max=int(cfg["plan_q_max"]), grid=int(cfg["plan_grid"]))
     mu_uniform = uniform_measure(512)
+    lp_exponent = transfer_regularity(1, mu_uniform.alpha, 6.0) + 0.01
     lp_ratios = []
     lp_rows = []
     for e in range(int(cfg["lp_exp_min"]), int(cfg["lp_exp_max"]) + 1):
         n = 2**e
         f = _dirichlet_datum(n)
         value = maximal_lp_norm(f, mu_uniform, 6.0, plan)
-        ratio = value / (n ** (1.0 / 3.0 + 0.01) * f.l2())
+        ratio = value / (n**lp_exponent * f.l2())
         lp_ratios.append(ratio)
         lp_rows.append([float(n), ratio, value])
     report.add_check(

@@ -1,13 +1,21 @@
-"""Run reports: deterministic JSON, CSV sweeps, and plot-ready data."""
+"""Run reports and every file a run writes.
+
+write_report is the one writer: report.json, then per sweep its CSV, its
+two-column plot data and, for a fitted sweep, the fitted model line.  The
+CLI and the byte-identity gate both call it, so the gate checks the bytes
+users get.
+"""
 
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from .. import __version__
+from ..measures import ExponentFit
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits: round-trip exact for doubles
 
@@ -39,7 +47,7 @@ class Sweep:
     name: str
     columns: list[str]
     rows: list[list[float]]
-    fit: dict | None = None  # {"slope":, "intercept":, "polylog": False}: a plain power law
+    fit: ExponentFit | None = None  # a plain power law, fitted without the polylog term
 
 
 @dataclass
@@ -54,10 +62,23 @@ class GoldenDiff:
         return abs(self.actual - self.golden) / scale
 
 
+def config_for_json(cfg: dict[str, object]) -> dict[str, object]:
+    """Echoable form: exact rationals as strings, tuples as lists."""
+    out = {}
+    for key, value in sorted(cfg.items()):
+        if isinstance(value, Fraction):
+            out[key] = f"{value.numerator}/{value.denominator}"
+        elif isinstance(value, tuple):
+            out[key] = list(value)
+        else:
+            out[key] = value
+    return out
+
+
 @dataclass
 class RunReport:
     experiment: str
-    config: dict
+    config: dict  # the typed config the runner ran; echoed through config_for_json
     checks: list[Check] = field(default_factory=list)
     sweeps: list[Sweep] = field(default_factory=list)
     golden_diffs: list[GoldenDiff] = field(default_factory=list)
@@ -76,7 +97,7 @@ class RunReport:
         return {
             "experiment": self.experiment,
             "version": __version__,
-            "config": self.config,
+            "config": config_for_json(self.config),
             "checks": [
                 {
                     "name": c.name,
@@ -92,7 +113,14 @@ class RunReport:
                 for g in self.golden_diffs
             ],
             "sweeps": [
-                {"name": s.name, "columns": s.columns, "rows": s.rows, "fit": s.fit}
+                {
+                    "name": s.name,
+                    "columns": s.columns,
+                    "rows": s.rows,
+                    "fit": None if s.fit is None else {
+                        "slope": s.fit.slope, "intercept": s.fit.intercept, "polylog": False
+                    },
+                }
                 for s in self.sweeps
             ],
             "all_passed": self.all_passed(),
@@ -108,50 +136,35 @@ def _fmt_cell(value: float) -> str:
     return _FLOAT_FMT % value
 
 
-def write_report(report: RunReport, out_dir: str | Path) -> list[Path]:
-    """Write report.json plus one CSV per sweep; returns the paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    report_path = out / "report.json"
-    report_path.write_text(report.to_json(), encoding="utf-8")
-    paths.append(report_path)
-    for sweep in report.sweeps:
-        path = out / f"sweep_{sweep.name}.csv"
-        lines = [",".join(sweep.columns)]
-        lines += [",".join(_fmt_cell(v) for v in row) for row in sweep.rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(path)
-    return paths
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def emit_plotdata(report: RunReport, out_dir: str | Path) -> list[Path]:
-    """Two-column (scale, value) text files per sweep, plus fit lines.
+def write_report(report: RunReport, out_dir: str | Path) -> None:
+    """Write every file of a run into out_dir, byte-stable for a fixed config.
 
-    Byte-stable across reruns with the same config; refuses reports
-    without sweeps.
+    report.json, then for each sweep sweep_<name>.csv and, if it has rows,
+    the two-column (scale, value) plot_<name>.dat, plus plot_<name>_fit.dat
+    of the fitted power law if it has a fit.
     """
-    if not report.sweeps:
-        raise ValueError("report carries no sweeps; nothing to plot")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
+    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     for sweep in report.sweeps:
+        _write_lines(
+            out / f"sweep_{sweep.name}.csv",
+            [",".join(sweep.columns)] + [",".join(_fmt_cell(v) for v in row) for row in sweep.rows],
+        )
         if not sweep.rows:
             continue
-        path = out / f"plot_{sweep.name}.dat"
-        lines = [f"{_FLOAT_FMT % row[0]} {_FLOAT_FMT % row[1]}" for row in sweep.rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(path)
+        _write_lines(
+            out / f"plot_{sweep.name}.dat",
+            [f"{_FLOAT_FMT % row[0]} {_FLOAT_FMT % row[1]}" for row in sweep.rows],
+        )
         if sweep.fit is not None:
-            slope = sweep.fit["slope"]
-            intercept = sweep.fit["intercept"]
-            fit_path = out / f"plot_{sweep.name}_fit.dat"
-            fit_lines = []
-            for row in sweep.rows:
-                scale = row[0]
-                model = math.exp(intercept) * scale**slope
-                fit_lines.append(f"{_FLOAT_FMT % scale} {_FLOAT_FMT % model}")
-            fit_path.write_text("\n".join(fit_lines) + "\n", encoding="utf-8")
-            paths.append(fit_path)
-    return paths
+            amplitude = math.exp(sweep.fit.intercept)
+            _write_lines(
+                out / f"plot_{sweep.name}_fit.dat",
+                [f"{_FLOAT_FMT % row[0]} {_FLOAT_FMT % (amplitude * row[0]**sweep.fit.slope)}"
+                 for row in sweep.rows],
+            )

@@ -1,14 +1,16 @@
 """Rational-anchor cube families and dimension machinery.
 
-Enumeration of the level-j anchored cube families, covering-exponent
-regression, greedy separated-cube packings with their exact audits, nested
-Cantor-type constructions, and the mass-distribution dimension bound.
+Enumeration and exact counts of the level-j anchored cube families,
+greedy separated-cube packings with their exact audits, nested Cantor-type
+constructions, and the mass-distribution dimension bound.
 
 A CubeFamily is one-dimensional and holds no cubes: its members are exact
 integer anchors (p, q) and one exact offset rule shared by all of them,
 member = p/q + [lo/q^t, hi/q^t].  The packings use (-1, 1, tau), the nested
 twins (1/200, 1/100, tau), the level-j families (c1 lam^-j, c2 lam^-j, 0).
-The audits read corners as integers straight from anchors and rule; a Cube
+Anchors are integers: Cube and CubeFamily take Python or numpy integers,
+store Python ints and reject anything else with ValueError.  The audits read
+corners as integers straight from anchors and rule; a Cube
 is built only when a caller iterates or indexes a family.  The nested build
 has one fixed shape: it packs the root cube [1/8, 1/4], its twins sit at
 offsets (1/200, 1/100), and its denominator bound grows x4096 per level,
@@ -20,6 +22,7 @@ d >= 2; cubes, level counts and Cantor plans stay d-general.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
@@ -28,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .counterexample import CounterexampleParams, anchor_range
-from .measures import exponent_fit
 
 # largest dense slot store of the 1-D packing: two int64 arrays of 32 MiB
 _DENSE_SLOTS = 1 << 22
@@ -38,6 +40,14 @@ _DENSE_RUN = 1 << 12
 
 # most cubes level_cube_family builds
 _LEVEL_CUBES = 1 << 20
+
+
+def _integers(name: str, values) -> list[int]:
+    """values as Python ints; a float or any other non-integer raises ValueError."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{name} must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,10 @@ class Cube:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        if self.q < 1:
+        *p, q = _integers("cube anchors", (*self.p, self.q))
+        object.__setattr__(self, "p", tuple(p))
+        object.__setattr__(self, "q", q)
+        if q < 1:
             raise ValueError("anchor denominator must be positive")
         if not self.lo < self.hi:
             raise ValueError("cube needs lo < hi")
@@ -76,7 +89,7 @@ class Cube:
 
 @dataclass
 class CubeFamily:
-    """Finite 1-D cube family at one generation level, with provenance.
+    """Finite 1-D cube family, with provenance.
 
     Member i is the cube p[i]/q[i] + [lo/q[i]^t, hi/q[i]^t]: exact integer
     anchors, unreduced ones allowed, and one exact offset rule (lo, hi, t)
@@ -84,7 +97,6 @@ class CubeFamily:
     Cube((p,), q, lo/q^t, hi/q^t); nothing else does.
     """
 
-    level: int
     p: list[int]
     q: list[int]
     lo: Fraction
@@ -94,6 +106,7 @@ class CubeFamily:
 
     def __post_init__(self) -> None:
         self.lo, self.hi = Fraction(self.lo), Fraction(self.hi)
+        self.p, self.q = _integers("anchors p", self.p), _integers("anchors q", self.q)
         if len(self.p) != len(self.q):
             raise ValueError(f"{len(self.p)} numerators for {len(self.q)} denominators")
         if self.q and min(self.q) < 1:
@@ -170,18 +183,7 @@ def level_cube_family(params: CounterexampleParams, j: int) -> CubeFamily:
         anchors = anchor_range(q)
         ps.extend(anchors)
         qs.extend([q] * len(anchors))
-    return CubeFamily(j, ps, qs, params.c1 * scale, params.c2 * scale, 0)
-
-
-def covering_exponent(counts: Sequence[tuple[int, int]], lam: int) -> tuple[float, float]:
-    """Regression of ln(count) against level * ln(lam), over (level, count) pairs.
-
-    Returns (slope, residual); the slope is the covering exponent of the
-    generation sequence, (d+1)/tau for the anchored families.  Fewer than 3
-    levels, or an empty level, raise ValueError.
-    """
-    fit = exponent_fit([(float(lam) ** level, count) for level, count in counts])
-    return fit.slope, fit.residual
+    return CubeFamily(ps, qs, params.c1 * scale, params.c2 * scale, 0)
 
 
 def _tau_exponent(tau) -> int:
@@ -454,14 +456,8 @@ def separated_cubes(
     lo_b, hi_b, margin, gap, q_lo = _packing_window(c, n, beta)
     ps, qs, store = _pack_1d(lo_b, hi_b, gap, q_lo, n, max_cubes)
     return CubeFamily(
-        0, ps, qs, Fraction(-1), Fraction(1), t,
-        meta={
-            "n": n,
-            "margin": margin,
-            "anchor_gap": gap,
-            "maximal": max_cubes is None,
-            "store": store,
-        },
+        ps, qs, Fraction(-1), Fraction(1), t,
+        meta={"n": n, "margin": margin, "anchor_gap": gap, "store": store},
     )
 
 
@@ -651,7 +647,7 @@ def build_nested_levels(
                     f"children; the growth condition on n_k is violated (m_k >= 2 fails)"
                 )
             m_k = len(fam) if m_k is None else min(m_k, len(fam))
-            order, found_gap = _twin_order(CubeFamily(k, fam.p, fam.q, _TWIN_C1, _TWIN_C2, t))
+            order, found_gap = _twin_order(CubeFamily(fam.p, fam.q, _TWIN_C1, _TWIN_C2, t))
             gap_k = found_gap if gap_k is None else min(gap_k, found_gap)
             if len(order) > retain:
                 idx = np.linspace(0, len(order) - 1, retain).round().astype(int)
@@ -659,7 +655,7 @@ def build_nested_levels(
             ps.extend(fam.p[i] for i in order)
             qs.extend(fam.q[i] for i in order)
         e_k = min(gap_k, eps[-1] * (1 - 1e-12)) if eps else gap_k
-        parents = CubeFamily(k, ps, qs, _TWIN_C1, _TWIN_C2, t)
+        parents = CubeFamily(ps, qs, _TWIN_C1, _TWIN_C2, t)
         families.append(parents)
         ns.append(n_k)
         ms.append(int(m_k))

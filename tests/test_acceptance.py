@@ -25,10 +25,29 @@ import numpy as np
 import pytest
 
 from talbot_lab.counterexample import CounterexampleParams
-from talbot_lab.experiments import CRITERION_TO_EXPERIMENT, RUNNERS
-from talbot_lab.experiments.config import config_for_json, load_config
-from talbot_lab.experiments.report import emit_plotdata, write_report
-from talbot_lab.fractal import covering_exponent, level_cube_count
+from talbot_lab.experiments import RUNNERS
+from talbot_lab.experiments.config import load_config
+from talbot_lab.experiments.report import write_report
+from talbot_lab.fractal import level_cube_count
+from talbot_lab.measures import exponent_fit
+
+# Each numbered acceptance criterion is executable by exactly one experiment.
+CRITERION_TO_EXPERIMENT = {
+    1: "gauss",
+    2: "evolve",
+    3: "claims",
+    4: "claims",
+    5: "claims",
+    6: "gauss",
+    7: "gauss",
+    8: "dimension",
+    9: "dimension",
+    10: "dimension",
+    11: "dimension",
+    12: "maximal",
+    13: "maximal",
+    14: "maximal",
+}
 
 
 def _run(name):
@@ -69,6 +88,11 @@ def _check(report, name):
         if c.name == name:
             return c
     raise KeyError(f"check {name!r} missing from {report.experiment} report")
+
+
+def test_every_criterion_has_exactly_one_runner():
+    assert sorted(CRITERION_TO_EXPERIMENT) == list(range(1, 15))
+    assert set(CRITERION_TO_EXPERIMENT.values()) == set(RUNNERS)
 
 
 def _emit(num, ok, detail):
@@ -163,8 +187,7 @@ def test_criterion_08_covering_exponent(dimension_run):
     start = time.monotonic()
     for alpha, lam, kappa in ((1.0, 64, 1 / 8), (2 / 3, 343, 1 / 7), (0.5, 625, 1 / 5), (1 / 3, 729, 1 / 3)):
         params = CounterexampleParams(d=1, alpha=alpha, lam=lam, delta=0.01, kappa=kappa)
-        counts = [(j, level_cube_count(params, j)) for j in range(2, 7)]
-        covering_exponent(counts, lam=lam)
+        exponent_fit([(float(lam) ** j, level_cube_count(params, j)) for j in range(2, 7)])
     elapsed = time.monotonic() - start
     ok = check.passed and elapsed <= 10.0
     assert _emit(
@@ -285,10 +308,7 @@ def test_default_outputs_match_digest_manifest(
     runs = {"gauss": gauss_run, "evolve": evolve_run, "claims": claims_run,
             "dimension": dimension_run, "maximal": maximal_run}
     for name, (report, _) in runs.items():
-        report.config = config_for_json(load_config(name, None))
         write_report(report, tmp_path / name)
-        if report.sweeps:
-            emit_plotdata(report, tmp_path / name)
     actual = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
               for path in tmp_path.rglob("*") if path.is_file()}
     expected = manifest["files"]

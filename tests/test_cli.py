@@ -4,13 +4,13 @@ from pathlib import Path
 import pytest
 
 from talbot_lab.cli import main
-from talbot_lab.experiments import CRITERION_TO_EXPERIMENT, RUNNERS
 from talbot_lab.experiments.config import (
     ConfigError,
     load_config,
     parse_config_text,
 )
-from talbot_lab.experiments.report import RunReport, Sweep, emit_plotdata, write_report
+from talbot_lab.experiments.report import RunReport, Sweep, write_report
+from talbot_lab.measures import ExponentFit
 
 
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> Path:
@@ -210,31 +210,36 @@ class TestCliContract:
 
 
 class TestReportPlumbing:
-    def test_every_criterion_has_exactly_one_runner(self):
-        assert sorted(CRITERION_TO_EXPERIMENT) == list(range(1, 15))
-        assert set(CRITERION_TO_EXPERIMENT.values()) == set(RUNNERS)
-
     def test_duplicate_check_names_rejected(self):
         report = RunReport("gauss", {})
         report.add_check("x", 1.0, 2.0, "<=")
         with pytest.raises(ValueError, match="duplicate"):
             report.add_check("x", 1.0, 2.0, "<=")
 
-    def test_emit_plotdata_requires_sweeps(self, tmp_path):
-        report = RunReport("gauss", {})
-        with pytest.raises(ValueError, match="no sweeps"):
-            emit_plotdata(report, tmp_path)
-
     def test_plot_files_have_two_columns(self, tmp_path):
         report = RunReport("gauss", {})
         report.sweeps.append(
             Sweep("demo", ["n", "value"], [[2.0, 4.0], [4.0, 16.0], [8.0, 64.0]],
-                  fit={"slope": 2.0, "intercept": 0.0, "polylog": False})
+                  fit=ExponentFit(2.0, 0.0, 0.0))
         )
-        paths = emit_plotdata(report, tmp_path)
-        assert {p.name for p in paths} == {"plot_demo.dat", "plot_demo_fit.dat"}
-        for line in (tmp_path / "plot_demo.dat").read_text().splitlines():
-            assert len(line.split()) == 2
+        write_report(report, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "plot_demo.dat", "plot_demo_fit.dat", "report.json", "sweep_demo.csv"
+        ]
+        for name in ("plot_demo.dat", "plot_demo_fit.dat"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert [[float(v) for v in line.split()] for line in lines] == [
+                [2.0, 4.0], [4.0, 16.0], [8.0, 64.0]
+            ]
+        fit = json.loads((tmp_path / "report.json").read_text())["sweeps"][0]["fit"]
+        assert fit == {"slope": 2.0, "intercept": 0.0, "polylog": False}
+
+    def test_sweep_without_rows_writes_csv_and_no_plot(self, tmp_path):
+        report = RunReport("gauss", {})
+        report.sweeps.append(Sweep("empty", ["n", "value"], [], fit=ExponentFit(2.0, 0.0, 0.0)))
+        write_report(report, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "sweep_empty.csv"]
+        assert (tmp_path / "sweep_empty.csv").read_text() == "n,value\n"
 
     def test_csv_headers_match_columns(self, tmp_path):
         report = RunReport("gauss", {})

@@ -1,12 +1,15 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from talbot_lab import fractal
 from talbot_lab.counterexample import CounterexampleParams, anchor_range
 from talbot_lab.experiments.config import load_config
 from talbot_lab.fractal import (
+    ROOT_CUBE,
     CantorPlan,
     Cube,
     CubeFamily,
@@ -15,13 +18,13 @@ from talbot_lab.fractal import (
     audit_separated_maximal,
     build_nested_levels,
     cantor_lower_bound,
-    covering_exponent,
     level_cube_count,
     level_cube_family,
     level_volume_lower_bound,
     idealized_plan,
     separated_cubes,
 )
+from talbot_lab.measures import exponent_fit
 
 E0 = Cube((1,), 8, Fraction(0), Fraction(1, 8))
 
@@ -79,32 +82,24 @@ class TestLevelCubeFamily:
             level_cube_family(desk_params(), 7)
 
 
+def covering_fit(params, levels):
+    """ln(count) against j ln(lam) over the levels, as the dimension run fits it."""
+    return exponent_fit([(float(params.lam) ** j, level_cube_count(params, j)) for j in levels])
+
+
 class TestCoveringExponent:
     def test_exact_on_synthetic_counts(self):
-        counts = [(j, 3 * 4**j) for j in range(1, 7)]
-        slope, residual = covering_exponent(counts, lam=2)
-        assert slope == pytest.approx(2.0, abs=1e-12)
-        assert residual <= 1e-12
+        fit = exponent_fit([(2.0**j, 3 * 4**j) for j in range(1, 7)])
+        assert fit.slope == pytest.approx(2.0, abs=1e-12)
+        assert fit.residual <= 1e-12
 
     def test_full_dimension_family(self):
         params = CounterexampleParams(d=1, alpha=1.0, lam=64, delta=0.01, kappa=1 / 8)
-        counts = [(j, level_cube_count(params, j)) for j in range(2, 7)]
-        slope, _ = covering_exponent(counts, lam=64)
-        assert slope == pytest.approx(1.0, abs=0.05)
+        assert covering_fit(params, range(2, 7)).slope == pytest.approx(1.0, abs=0.05)
 
     def test_two_thirds_family(self):
         params = CounterexampleParams(d=1, alpha=2 / 3, lam=343, delta=0.01, kappa=1 / 7)
-        counts = [(j, level_cube_count(params, j)) for j in range(2, 7)]
-        slope, _ = covering_exponent(counts, lam=343)
-        assert slope == pytest.approx(2 / 3, abs=0.05)
-
-    def test_needs_three_levels(self):
-        with pytest.raises(ValueError, match="3"):
-            covering_exponent([(1, 10), (2, 100)], lam=4)
-
-    def test_empty_level_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            covering_exponent([(1, 10), (2, 0), (3, 1000)], lam=4)
+        assert covering_fit(params, range(2, 7)).slope == pytest.approx(2 / 3, abs=0.05)
 
 
 E0_2D = Cube((1, 1), 8, Fraction(0), Fraction(1, 8))
@@ -132,26 +127,48 @@ def test_two_dimensional_input_rejected(call):
         call()
 
 
+def _float_numerators(family):
+    return replace(family, p=[float(v) for v in family.p])
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
         (lambda: Cube((1,), 0, Fraction(0), Fraction(1)), "denominator must be positive"),
         (lambda: Cube((1,), 8, Fraction(1), Fraction(1)), "lo < hi"),
-        (lambda: CubeFamily(1, [1, 2], [3], 0, 1, 0), "2 numerators for 1 denominators"),
-        (lambda: CubeFamily(1, [1], [0], 0, 1, 0), "denominator must be positive"),
-        (lambda: CubeFamily(1, [1], [3], 1, 0, 0), "lo < hi"),
-        (lambda: CubeFamily(1, [1], [3], 0, 1, -1), "nonnegative"),
+        (lambda: CubeFamily([1, 2], [3], 0, 1, 0), "2 numerators for 1 denominators"),
+        (lambda: CubeFamily([1], [0], 0, 1, 0), "denominator must be positive"),
+        (lambda: CubeFamily([1], [3], 1, 0, 0), "lo < hi"),
+        (lambda: CubeFamily([1], [3], 0, 1, -1), "nonnegative"),
         (lambda: CantorPlan(1, 2.0, 2, (4,), (4, 4), (0.1, 0.01)), "level count"),
         (lambda: CantorPlan(1, 2.0, 2, (4, 16), (4, 4), (0.1, 0.1)), "strictly decreasing"),
         (lambda: CantorPlan(1, 2.0, 2, (4, 16), (4, 4), (0.1, 0.0)), "positive"),
+        # anchors must be integers, wherever a family or cube is made
+        (lambda: Cube((1.5,), 8, Fraction(0), Fraction(1, 8)), "must be integers"),
+        (lambda: CubeFamily([2], [8.0], -1, 1, 2), "must be integers"),
+        (lambda: audit_nesting(
+            CubeFamily([1.0], [8], Fraction(0), Fraction(1, 8), 0),
+            CubeFamily([3.25], [16], Fraction(1, 200), Fraction(1, 100), 2),
+        ), "must be integers"),
+        (lambda: audit_separated_family(
+            ROOT_CUBE, _float_numerators(separated_cubes(ROOT_CUBE, 64, 2)), 2
+        ), "must be integers"),
     ],
     ids=["cube_denominator", "cube_empty", "family_lengths", "family_denominator",
          "family_empty", "family_exponent", "plan_levels", "plan_separations",
-         "plan_separation_zero"],
+         "plan_separation_zero", "cube_float_numerator", "family_float_denominator",
+         "nesting_float_anchors", "separated_audit_float_anchors"],
 )
 def test_malformed_construction_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_numpy_integer_anchors_stored_as_ints():
+    cube = Cube((np.int64(1),), np.int32(8), Fraction(0), Fraction(1, 8))
+    family = CubeFamily(np.array([1, 3]), np.array([4, 8], dtype=np.uint16), 0, 1, 1)
+    assert cube == E0 and type(cube.p) is tuple
+    assert [type(v) for v in (*cube.p, cube.q, *family.p, *family.q)] == [int] * 6
 
 
 class TestSeparatedCubes:
@@ -185,7 +202,6 @@ class TestSeparatedCubes:
         full = separated_cubes(E0, 256, 2, beta=4)
         capped = separated_cubes(E0, 256, 2, beta=4, max_cubes=10)
         assert [(c.p, c.q) for c in capped] == [(c.p, c.q) for c in list(full)[:10]]
-        assert not capped.meta["maximal"]
 
     @pytest.mark.parametrize("n", [0, -8])
     def test_window_without_denominators_rejected(self, n):
@@ -241,12 +257,12 @@ class TestNestedConstruction:
 
 def one_child(p, q, lo, hi):
     """A one-member level-2 family p/q + [lo, hi] (offset exponent 0)."""
-    return CubeFamily(2, [p], [q], lo, hi, 0)
+    return CubeFamily([p], [q], lo, hi, 0)
 
 
 class TestAuditNesting:
     # the rule (0, 1/2, t = 1): [1/4, 3/8] and [3/8, 7/16]
-    PARENTS = CubeFamily(1, [1, 3], [4, 8], Fraction(0), Fraction(1, 2), 1)
+    PARENTS = CubeFamily([1, 3], [4, 8], Fraction(0), Fraction(1, 2), 1)
 
     def test_parent_corners(self):
         assert [(c.lo_corner(0), c.hi_corner(0)) for c in self.PARENTS] == [
@@ -257,7 +273,7 @@ class TestAuditNesting:
         # the rule (0, 16, t = 2) at q = 16: [5/16, 3/8] inside [1/4, 3/8], and,
         # cubes being closed, the unreduced 6/16 gives [3/8, 7/16], equal to
         # its parent
-        children = CubeFamily(2, [5, 6], [16, 16], Fraction(0), Fraction(16), 2)
+        children = CubeFamily([5, 6], [16, 16], Fraction(0), Fraction(16), 2)
         audit_nesting(self.PARENTS, children)
 
     @pytest.mark.parametrize(
@@ -275,7 +291,7 @@ class TestAuditNesting:
 
     def test_child_in_two_overlapping_parents_raises(self):
         # the child [3/8, 13/32] lies in [3/8, 7/16] and in the added [1/3, 1/2]
-        parents = CubeFamily(1, [1, 3, 1], [4, 8, 3], Fraction(0), Fraction(1, 2), 1)
+        parents = CubeFamily([1, 3, 1], [4, 8, 3], Fraction(0), Fraction(1, 2), 1)
         with pytest.raises(AssertionError, match="contained in 2 parents"):
             audit_nesting(parents, one_child(3, 8, Fraction(0), Fraction(1, 32)))
 

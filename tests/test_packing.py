@@ -348,7 +348,7 @@ def test_window_below_zero_rejected(parent, n):
     with pytest.raises(ValueError, match="below 0"):
         separated_cubes(parent, n, 2)
     with pytest.raises(ValueError, match="below 0"):
-        audit_separated_maximal(parent, n, 2, 4, CubeFamily(0, [], [], -1, 1, 2))
+        audit_separated_maximal(parent, n, 2, 4, CubeFamily([], [], -1, 1, 2))
 
 
 def test_denominator_window_is_exact():
@@ -379,7 +379,7 @@ def test_maximality_audit_of_uncapped_level_one_parent():
     families, _ = build_nested_levels(1, 2, 64, 1)
     parent, n = families[0][3], 1 << 15
     fam = separated_cubes(parent, n, 2)
-    assert len(fam) == 279 and fam.meta["maximal"]
+    assert len(fam) == 279
     audit_separated_maximal(parent, n, 2, 4, fam)
     dropped = replace(fam, p=fam.p[:-1], q=fam.q[:-1])
     with pytest.raises(AssertionError, match="not maximal"):
@@ -452,7 +452,7 @@ def test_twin_order_and_gap_match_fraction_oracle(base, scales, t, c1, width, da
     if len(anchors) < 2:
         anchors = anchors + anchors
     c2 = c1 + width
-    twins = CubeFamily(1, [p for p, _ in anchors], [q for _, q in anchors], c1, c2, t)
+    twins = CubeFamily([p for p, _ in anchors], [q for _, q in anchors], c1, c2, t)
     assert fractal._twin_order(twins) == _oracle_twin_order(anchors, t, c1, c2)
 
 
@@ -489,7 +489,7 @@ def test_materialized_cubes_match_old_construction(base, scales, rule, t, c1, wi
         "nested": (c1, c2, t),
         "level": (c1 * scale, c2 * scale, 0),
     }
-    family = CubeFamily(0, ps, qs, *offsets[rule])
+    family = CubeFamily(ps, qs, *offsets[rule])
     members = list(family)
     assert len(members) == len(family) == len(anchors)
     for i, (p, q) in enumerate(anchors):
@@ -531,7 +531,7 @@ class TestIntegerAudit:
     def test_one_quarter_and_two_eighths_raise(self):
         parent = Cube((0,), 1, Fraction(0), Fraction(1))
         meta = {"n": 64, "margin": Fraction(1, 4096), "anchor_gap": Fraction(3, 4096)}
-        fam = CubeFamily(0, [1, 2], [4, 8], -1, 1, 2, meta)
+        fam = CubeFamily([1, 2], [4, 8], -1, 1, 2, meta)
         with pytest.raises(AssertionError, match="too close"):
             audit_separated_family(parent, fam, 2)
 
@@ -594,7 +594,7 @@ class TestIntegerAudit:
         assert float(keys[0]) == float(keys[1])
         for anchor_gap, passes in [(gap * Fraction(9, 10), True), (gap, False)]:
             meta = {"n": 2 * q, "margin": Fraction(1, 2 * q), "anchor_gap": anchor_gap}
-            fam = CubeFamily(0, [q - 1, q - 2], [q, q - 1], Fraction(-1, 8), Fraction(1, 8), 2,
+            fam = CubeFamily([q - 1, q - 2], [q, q - 1], Fraction(-1, 8), Fraction(1, 8), 2,
                              meta)
             if passes:
                 audit_separated_family(parent, fam, 2)
@@ -624,7 +624,7 @@ def test_separation_at_the_int64_edge(monkeypatch, q, dtype):
     # the cubes are (q - 2)/q^2 apart: at least n^-2 for n = 235, not for 234
     for n, passes in [(235, True), (234, False)]:
         meta = {"n": n, "margin": Fraction(0), "anchor_gap": Fraction(1, 2 * q)}
-        fam = CubeFamily(0, [1, 2], [q, q], -1, 1, 2, meta)
+        fam = CubeFamily([1, 2], [q, q], -1, 1, 2, meta)
         chosen.clear()
         if passes:
             audit_separated_family(parent, fam, 2)
