@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .expsum import _integers
 from .schrodinger import RationalTime, SamplePoint, block_factor_fast, block_split
 
 
@@ -39,8 +40,10 @@ class CounterexampleParams:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if not 0 < self.alpha <= self.d:
             raise ValueError(f"alpha must be in (0, d], got {self.alpha}")
-        if self.lam < 2 or int(self.lam) != self.lam:
-            raise ValueError(f"lam must be an integer >= 2, got {self.lam}")
+        (lam,) = _integers("lam", (self.lam,))
+        if lam < 2:
+            raise ValueError(f"lam must be an integer >= 2, got {lam}")
+        object.__setattr__(self, "lam", lam)
         if not 0 < self.kappa < 1:
             raise ValueError(f"kappa must be in (0, 1), got {self.kappa}")
         object.__setattr__(self, "c1", Fraction(self.c1))

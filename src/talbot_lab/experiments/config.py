@@ -211,7 +211,7 @@ def load_config(
 
 def _validate(experiment: str, cfg: dict[str, object]) -> None:
     for name, value in cfg.items():
-        if name.endswith(("tol", "band", "cap")) and isinstance(value, float) and value <= 0:
+        if name.endswith(("tol", "band", "cap", "frac")) and isinstance(value, float) and value <= 0:
             raise ConfigError(f"{name} must be positive, got {value}")
     if cfg.get("seed") is not None and int(cfg["seed"]) < 0:
         raise ConfigError("seed must be nonnegative")

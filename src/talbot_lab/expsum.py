@@ -2,12 +2,14 @@
 
 Exact evaluation of complete and incomplete quadratic sums, a perturbed
 complete-sum check, the first-derivative-test bound and a
-summation-by-parts checker.
+summation-by-parts checker.  _integers and _modulus are the package's one
+rule for exact integer inputs and moduli.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -18,6 +20,28 @@ MODULUS_LIMIT = 2**31
 _CHUNK = 1 << 20
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _integers(name: str, values: Sequence) -> list[int]:
+    """values as Python ints, in one pass; Python and numpy integers pass,
+    and the first float or other non-integer raises ValueError naming it.
+    Every exact entry point of the package reads its integers through here."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"{name} must be integers, got {v!r}") from None
+
+
+def _modulus(q) -> int:
+    """q as a Python int in 1..MODULUS_LIMIT; anything else raises ValueError."""
+    (q,) = _integers("modulus q", (q,))
+    if not 1 <= q <= MODULUS_LIMIT:
+        raise ValueError(f"modulus q = {q} out of range 1..{MODULUS_LIMIT}")
+    return q
 
 
 def _unit_phasor(frac: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -47,10 +71,10 @@ def quadratic_sum(a2: int, a1: int, q: int, eps: float, lo: int, hi: int) -> com
     q <= MODULUS_LIMIT, and each is reduced mod q before the two are
     added, so the sum stays below 2q.  Only eps*k is handled in floating
     point.  The range is summed in chunks of _CHUNK terms from lo; an
-    empty range (hi < lo) sums to 0.
+    empty range (hi < lo) sums to 0.  q, a2, a1, lo and hi must be integers.
     """
-    if q < 1 or q > MODULUS_LIMIT:
-        raise ValueError(f"modulus {q} out of range")
+    q = _modulus(q)
+    a2, a1, lo, hi = _integers("a2, a1, lo and hi", (a2, a1, lo, hi))
     a2m = a2 % q
     a1m = a1 % q
     total = 0.0 + 0.0j
@@ -71,10 +95,9 @@ def gauss_sum_table(q: int, r: int | Sequence[int]) -> np.ndarray:
     A single r gives shape (q,); a sequence of r gives one row per r, all
     transformed by one call, each row bit for bit the table of its r alone.
     """
-    if q < 1 or q > MODULUS_LIMIT:
-        raise ValueError(f"modulus {q} out of range")
+    q = _modulus(q)
     single = np.ndim(r) == 0
-    rs = np.array([v % q for v in ([r] if single else r)], dtype=np.int64)
+    rs = np.array([v % q for v in _integers("r", [r] if single else r)], dtype=np.int64)
     k = np.arange(q, dtype=np.int64)
     v = _unit_phasor(rs[:, None] * (k * k % q) % q / q)
     # sum_k v_k e^{2 pi i p k / q} = q * ifft(v)[p]
@@ -89,8 +112,8 @@ def gauss_sum_magnitudes(q: int, r: int) -> np.ndarray:
     gcd(r, q) = 1; the magnitude is sqrt(q) for odd q, sqrt(2q) when
     q = 0 (mod 4) with even p or q = 2 (mod 4) with odd p, and 0 otherwise.
     """
-    if q < 1 or q > MODULUS_LIMIT:
-        raise ValueError(f"modulus {q} out of range")
+    q = _modulus(q)
+    (r,) = _integers("r", (r,))
     if math.gcd(r, q) != 1:
         raise ValueError(f"closed form needs gcd(r, q) = 1, got r={r}, q={q}")
     if q % 2 == 1:

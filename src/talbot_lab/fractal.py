@@ -22,7 +22,6 @@ d >= 2; cubes, level counts and Cantor plans stay d-general.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
@@ -31,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .counterexample import CounterexampleParams, anchor_range
+from .expsum import _integers
 
 # largest dense slot store of the 1-D packing: two int64 arrays of 32 MiB
 _DENSE_SLOTS = 1 << 22
@@ -40,14 +40,6 @@ _DENSE_RUN = 1 << 12
 
 # most cubes level_cube_family builds
 _LEVEL_CUBES = 1 << 20
-
-
-def _integers(name: str, values) -> list[int]:
-    """values as Python ints; a float or any other non-integer raises ValueError."""
-    try:
-        return list(map(operator.index, values))
-    except TypeError:
-        raise ValueError(f"{name} must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -132,12 +124,6 @@ def _require_1d(d: int) -> None:
         raise ValueError(f"the exact packings and audits are one-dimensional; got d = {d}")
 
 
-def _anchor_count(q: int) -> int:
-    """len(anchor_range(q)) for any q >= 1: the even integers in [q/4, q/2]
-    number floor(q/4) - ceil(q/8) + 1 (q // 8 + 1 when 4 divides q)."""
-    return q // 4 + (-q) // 8 + 1
-
-
 def _power_sum(n: int, e: int) -> int:
     """Sum of v^e over v = 1..n, exactly, from (n+1)^(k+1) - 1 = sum over i <= k
     of C(k+1, i) times the power sum of exponent i, solved for k = 0..e in turn."""
@@ -159,7 +145,7 @@ def level_cube_count(params: CounterexampleParams, j: int) -> int:
     if not qs:
         return 0
     d = params.d
-    lo, hi = _anchor_count(qs[0]), _anchor_count(qs[-1])
+    lo, hi = len(anchor_range(qs[0])), len(anchor_range(qs[-1]))
     total = 2 * (_power_sum(hi, d) - _power_sum(lo - 1, d))
     return total - (lo**d if qs[0] % 8 else 0) - (0 if qs[-1] % 8 else hi**d)
 

@@ -10,13 +10,12 @@ one-dimensional factors are full frequency blocks [lam^(j-1), lam^j - 1].
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .expsum import MODULUS_LIMIT, _unit_phasor, perturbed_gauss_sum_value, quadratic_sum
+from .expsum import _integers, _modulus, _unit_phasor, perturbed_gauss_sum_value, quadratic_sum
 
 TAU = 2.0 * math.pi
 
@@ -30,14 +29,6 @@ _SING_TOL = 1e-8
 _BLOCK_COEFF_CAP = 1 << 24
 
 
-def _check_integer(name: str, value) -> int:
-    """value as an int; a float or any other non-integer raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class RationalTime:
     """Time t = 2 pi / q represented by the exact integer q; t = 0 is q = 1."""
@@ -45,11 +36,7 @@ class RationalTime:
     q: int
 
     def __post_init__(self) -> None:
-        _check_integer("q", self.q)
-        if self.q < 1:
-            raise ValueError(f"q must be a positive integer, got {self.q}")
-        if self.q > MODULUS_LIMIT:
-            raise ValueError(f"q={self.q} exceeds limit {MODULUS_LIMIT}")
+        object.__setattr__(self, "q", _modulus(self.q))
 
     @property
     def t(self) -> float:
@@ -71,17 +58,13 @@ class SamplePoint:
     eps: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_integer("q", self.q)
-        if self.q < 1:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if self.q > MODULUS_LIMIT:
-            raise ValueError(f"q={self.q} exceeds limit {MODULUS_LIMIT}")
+        object.__setattr__(self, "q", _modulus(self.q))
         if len(self.p) != len(self.eps):
             raise ValueError("anchor and offset dimensions differ")
         if not self.p:
             raise ValueError("sample point needs at least one coordinate")
         # p only matters mod q; reducing it keeps the anchored phase k.p in int64
-        object.__setattr__(self, "p", tuple(_check_integer("p", v) % self.q for v in self.p))
+        object.__setattr__(self, "p", tuple(v % self.q for v in _integers("anchor p", self.p)))
 
     @property
     def d(self) -> int:

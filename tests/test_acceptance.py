@@ -26,7 +26,7 @@ import pytest
 
 from talbot_lab.counterexample import CounterexampleParams
 from talbot_lab.experiments import RUNNERS
-from talbot_lab.experiments.config import load_config
+from talbot_lab.experiments.config import covering_cases, load_config
 from talbot_lab.experiments.report import write_report
 from talbot_lab.fractal import level_cube_count
 from talbot_lab.measures import exponent_fit
@@ -183,16 +183,23 @@ def test_criterion_07_summation_by_parts(gauss_run):
 def test_criterion_08_covering_exponent(dimension_run):
     report, _ = dimension_run
     check = _check(report, "covering_exponent_worst_error")
-    # re-time the counting sweep alone against the stated budget
+    # re-time the run's counting sweep alone against the stated budget
+    cfg = load_config("dimension", None)
+    cases = covering_cases(cfg["cov_cases"])
+    levels = range(int(cfg["cov_j_min"]), int(cfg["cov_j_max"]) + 1)
     start = time.monotonic()
-    for alpha, lam, kappa in ((1.0, 64, 1 / 8), (2 / 3, 343, 1 / 7), (0.5, 625, 1 / 5), (1 / 3, 729, 1 / 3)):
-        params = CounterexampleParams(d=1, alpha=alpha, lam=lam, delta=0.01, kappa=kappa)
-        exponent_fit([(float(lam) ** j, level_cube_count(params, j)) for j in range(2, 7)])
+    for alpha, lam, kappa in cases:
+        params = CounterexampleParams(
+            d=1, alpha=float(alpha), lam=lam, delta=0.01, kappa=float(kappa)
+        )
+        exponent_fit([(float(lam) ** j, level_cube_count(params, j)) for j in levels])
     elapsed = time.monotonic() - start
     ok = check.passed and elapsed <= 10.0
     assert _emit(
         8, ok,
-        f"alpha in {{1/3,1/2,2/3,1}}, j=2..6: worst exponent error {check.value:.3f} "
+        f"alpha in {{{','.join(str(alpha) for alpha, _, _ in cases)}}}, "
+        f"j={levels[0]}..{levels[-1]}: "
+        f"worst exponent error {check.value:.3f} "
         f"(tol 0.05), counting runtime {elapsed:.1f}s <= 10s",
     )
 

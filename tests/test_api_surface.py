@@ -2,7 +2,8 @@
 public method and property of a public class, has a caller in the package
 itself: a name that only tests reach is dead weight.  Every default a public
 function, method or dataclass offers is set by some call in the program or
-its benchmark: a setting that only tests turn is a knob no run covers."""
+its benchmark: a setting that only tests turn is a knob no run covers.
+What an exact integer or modulus is, expsum alone decides."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,32 @@ def _is_public(stmt: ast.stmt) -> bool:
 def _modules():
     for path in sorted(SRC.rglob("*.py")):
         yield str(path.relative_to(SRC)), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _sites(matches) -> set[tuple[str, str | None]]:
+    """(module, innermost enclosing function or None) of every node where matches holds."""
+    out = set()
+
+    def visit(module, node, function):
+        if matches(node):
+            out.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    for module, tree in _modules():
+        visit(module, tree, None)
+    return out
+
+
+def test_expsum_owns_the_integer_rule():
+    # one helper converts exact integers and one bounds a modulus; a second
+    # copy anywhere else could drift from them
+    index = _sites(lambda n: isinstance(n, ast.Attribute) and n.attr == "index"
+                   and getattr(n.value, "id", None) == "operator")
+    limit = _sites(lambda n: isinstance(n, ast.Compare)
+                   and "MODULUS_LIMIT" in _referenced_names(n))
+    assert index == {("expsum.py", "_integers")}
+    assert limit == {("expsum.py", "_modulus")}
 
 
 def _public_api_without_caller() -> list[str]:

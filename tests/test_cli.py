@@ -147,6 +147,9 @@ class TestCliContract:
             ("claims", "j_list = 2\n"),
             # no level at all: rejected by name before any stage runs
             ("claims", "j_list = \n"),
+            # a fraction threshold of 0 or below: the claims check would pass on any samples
+            ("claims", "factor_frac = 0\n"),
+            ("claims", "decay_c_min_frac = -0.5\n"),
         ],
     )
     def test_empty_or_degenerate_sweep_exits_two_without_report(

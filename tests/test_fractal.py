@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from talbot_lab import fractal
 from talbot_lab.counterexample import CounterexampleParams, anchor_range
 from talbot_lab.experiments.config import load_config
 from talbot_lab.fractal import (
@@ -60,10 +59,6 @@ class TestLevelCubeFamily:
         for j in (2, 3, 4):
             assert level_cube_count(params, j) == len(level_cube_family(params, j))
 
-    def test_anchor_count_matches_anchor_range(self):
-        # the closed form holds for every q >= 1, not only q = 0 (mod 4)
-        assert all(fractal._anchor_count(q) == len(anchor_range(q)) for q in range(1, 10**4 + 1))
-
     @pytest.mark.parametrize("d", [1, 2])
     def test_count_matches_the_window_sum(self, d):
         # the closed form against the per-denominator sum, over every shipped covering case
@@ -73,7 +68,7 @@ class TestLevelCubeFamily:
             params = CounterexampleParams(d=d, alpha=float(alpha), lam=int(lam), delta=0.01,
                                           kappa=float(kappa))
             for j in range(0, 9):
-                old = sum(fractal._anchor_count(q) ** d for q in params.q_window(j))
+                old = sum(len(anchor_range(q)) ** d for q in params.q_window(j))
                 assert level_cube_count(params, j) == old
 
     def test_cap_rejects_large_families(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from talbot_lab import schrodinger
 from talbot_lab.counterexample import CounterexampleParams, sample_points, time_set
-from talbot_lab.expsum import MODULUS_LIMIT, gauss_sum_magnitudes, gauss_sum_table
+from talbot_lab.expsum import MODULUS_LIMIT, gauss_sum_magnitudes, gauss_sum_table, quadratic_sum
 from talbot_lab.schrodinger import (
     FREQ_LIMIT,
     DirichletBlock,
@@ -563,10 +563,22 @@ def test_input_past_a_limit_rejected(call):
         (lambda: SamplePoint((1,), 7.5, (0.0,)), "integer"),
         (lambda: RationalTime(7.5), "integer"),
         (lambda: FourierData(1, [2.7], [1.0]), "integer"),
+        # the kernels under those types take integers only, too
+        (lambda: quadratic_sum(-1, 3, 7.5, 0.0, 0, 7), "integer"),
+        (lambda: quadratic_sum(-1, 2.5, 8, 0.0, 0, 7), "integer"),
+        (lambda: quadratic_sum(-1, 3, 8, 0.0, 0.5, 7), "integer"),
+        (lambda: gauss_sum_table(7.5, 1), "integer"),
+        (lambda: gauss_sum_table(8, [1, 2.5]), "integer"),
+        (lambda: gauss_sum_magnitudes(8.0, 1), "integer"),
+        (lambda: quad_block_sum(16, 255, 12, 2.5, 1e-4), "integer"),
+        (lambda: CounterexampleParams(d=1, alpha=0.5, lam=16.0, delta=0.1, kappa=0.25),
+         "integer"),
     ],
     ids=["anchor_offset_dims", "anchor_empty", "coefficient_count", "block_dimension",
          "block_base", "block_level", "anchor_float_numerator", "anchor_float_modulus",
-         "time_float_modulus", "float_frequency"],
+         "time_float_modulus", "float_frequency", "sum_float_modulus", "sum_float_coefficient",
+         "sum_float_range", "table_float_modulus", "table_float_coefficient",
+         "magnitudes_float_modulus", "block_sum_float_anchor", "params_float_lam"],
 )
 def test_malformed_input_rejected(call, match):
     with pytest.raises(ValueError, match=match):
@@ -576,6 +588,12 @@ def test_malformed_input_rejected(call, match):
 def test_numpy_integers_accepted():
     x = SamplePoint((np.int64(10), np.uint8(3)), np.int32(8), (0.0, 0.0))
     assert x.p == (2, 3) and x.q == 8
-    assert RationalTime(np.int64(8)).q == 8
+    t = RationalTime(np.int64(8))
+    assert t.q == 8 and type(t.q) is int
+    assert quadratic_sum(np.int64(-1), np.int32(3), np.int64(8), 0.0, np.int16(0), np.uint8(7)) \
+        == quadratic_sum(-1, 3, 8, 0.0, 0, 7)
+    np.testing.assert_array_equal(gauss_sum_table(np.int64(8), np.array([1, 3])),
+                                  gauss_sum_table(8, [1, 3]))
+    np.testing.assert_array_equal(gauss_sum_table(np.uint16(8), np.int8(3)), gauss_sum_table(8, 3))
     f = FourierData(1, np.array([3, -2], dtype=np.int32), [1.0, 2.0])
     assert f.ks.dtype == np.int64 and f.ks[:, 0].tolist() == [3, -2]
