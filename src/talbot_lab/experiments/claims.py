@@ -51,9 +51,9 @@ def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("claims", cfg)
     params = counterexample_params(cfg)
     lam = float(params.lam)
-    seed = int(cfg["seed"])
-    j_list = tuple(cfg["j_list"])
-    band = float(cfg["factor_band"])
+    seed = cfg["seed"]
+    j_list = cfg["j_list"]
+    band = cfg["factor_band"]
     _require_claim2_regimes(params, j_list)
 
     # claim (i): coherent growth at the sample level
@@ -62,9 +62,8 @@ def run(cfg: dict, jobs: int) -> RunReport:
     growth_pts = []
     ratio_rows = []
     for j in j_list:
-        n = params.lam**j + 1
-        samples = _level_samples(params, j, int(cfg["samples_per_j"]), seed + 17 * j)
-        rep = verify_claim_i(params, j, samples, n)
+        samples = _level_samples(params, j, cfg["samples_per_j"], seed + 17 * j)
+        rep = verify_claim_i(params, j, samples)
         fr = rep.factor_ratios
         total += fr.size
         inside += int(np.count_nonzero((1.0 / band <= fr) & (fr <= band)))
@@ -72,17 +71,17 @@ def run(cfg: dict, jobs: int) -> RunReport:
         # matched top-of-window samples pin the growth slope
         top = time_set(params, j)[-1]
         matched = sample_points(params, j, top, 16, seed + 31 * j)
-        rep_top = verify_claim_i(params, j, matched, n)
+        rep_top = verify_claim_i(params, j, matched)
         growth_pts.append(
             (lam**j, rep_top.ratio_geomean * lam ** (j * params.delta))
         )
     frac = inside / total if total else 0.0
-    report.add_check("claim1_factor_band_fraction", frac, float(cfg["factor_frac"]), ">=")
+    report.add_check("claim1_factor_band_fraction", frac, cfg["factor_frac"], ">=")
     fit = exponent_fit(growth_pts)
     report.add_check(
         "claim1_growth_slope_relative_error",
         abs(fit.slope - params.delta) / params.delta,
-        float(cfg["slope_tol"]),
+        cfg["slope_tol"],
         "<=",
     )
     report.sweeps.append(
@@ -100,17 +99,16 @@ def run(cfg: dict, jobs: int) -> RunReport:
     # claim (ii): levels below j, split by regime
     upper_max = 0.0
     vdc_max = 0.0
-    vdc_cap = float(cfg["vdc_mult"]) * vdc_first_derivative_bound(1.0 / 8.0)
+    vdc_cap = cfg["vdc_mult"] * vdc_first_derivative_bound(1.0 / 8.0)
     for j in j_list:
-        n = params.lam**j + 1
         samples = _level_samples(params, j, 16, seed + 53 * j)
         for k in range(1, j):
-            rep = verify_claim_ii(params, j, k, samples, n)
+            rep = verify_claim_ii(params, j, k, samples)
             if rep.regime == "upper":
                 upper_max = max(upper_max, rep.ratio_max)
             elif rep.regime == "first_derivative":
                 vdc_max = max(vdc_max, float(rep.factor_mags.max()))
-    report.add_check("claim2_upper_ratio_max", upper_max, float(cfg["upper_ratio_cap"]), "<=")
+    report.add_check("claim2_upper_ratio_max", upper_max, cfg["upper_ratio_cap"], "<=")
     report.add_check("claim2_vdc_factor_max", vdc_max, vdc_cap, "<=")
 
     # claim (iii): levels above j, incoherent decay
@@ -131,11 +129,11 @@ def run(cfg: dict, jobs: int) -> RunReport:
         c_fits.append(
             (math.log(per_k[j + 1]) - math.log(per_k[j + 2])) / math.log(lam)
         )
-    report.add_check("claim3_factor_ratio_max", factor_max, float(cfg["decay_factor_cap"]), "<=")
+    report.add_check("claim3_factor_ratio_max", factor_max, cfg["decay_factor_cap"], "<=")
     report.add_check(
         "claim3_fitted_decay_rate",
         min(c_fits),
-        float(cfg["decay_c_min_frac"]) * params.s_alpha,
+        cfg["decay_c_min_frac"] * params.s_alpha,
         ">=",
     )
     report.sweeps.append(Sweep("claim3_decay", ["k", "geomean_magnitude", "j"], decay_rows))

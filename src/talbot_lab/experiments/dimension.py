@@ -32,25 +32,25 @@ def run(cfg: dict, jobs: int) -> RunReport:
         # ln(count) against j ln(lam): the covering exponent of the generation sequence
         slope = exponent_fit([
             (float(lam) ** j, level_cube_count(params, j))
-            for j in range(int(cfg["cov_j_min"]), int(cfg["cov_j_max"]) + 1)
+            for j in range(cfg["cov_j_min"], cfg["cov_j_max"] + 1)
         ]).slope
         err = abs(slope - float(alpha))
         worst_cov = max(worst_cov, err)
         cov_rows.append([float(alpha), slope, float(lam)])
-    report.add_check("covering_exponent_worst_error", worst_cov, float(cfg["cov_tol"]), "<=")
+    report.add_check("covering_exponent_worst_error", worst_cov, cfg["cov_tol"], "<=")
     report.sweeps.append(Sweep("covering_exponent", ["alpha", "fitted_exponent", "lam"], cov_rows))
 
     # separated-cube packing counts inside the root cube [1/8, 1/4]
     beta = cfg["sep_beta"]
     pts = []
-    for e in range(int(cfg["sep_exp_min"]), int(cfg["sep_exp_max"]) + 1):
+    for e in range(cfg["sep_exp_min"], cfg["sep_exp_max"] + 1):
         n = 2**e
         fam = separated_cubes(ROOT_CUBE, n, 2, beta=beta)
         audit_separated_family(ROOT_CUBE, fam, 2)
         pts.append((float(n), float(len(fam))))
     fit = exponent_fit(pts)
     report.add_check(
-        "packing_count_slope_error", abs(fit.slope - 2.0), float(cfg["sep_slope_tol"]), "<="
+        "packing_count_slope_error", abs(fit.slope - 2.0), cfg["sep_slope_tol"], "<="
     )
     report.sweeps.append(
         Sweep(
@@ -62,18 +62,14 @@ def run(cfg: dict, jobs: int) -> RunReport:
     )
 
     # nested construction and the mass-distribution bound
-    families, plan = build_nested_levels(
-        1, 2, int(cfg["nested_n1"]), int(cfg["nested_levels"])
-    )
+    families, plan = build_nested_levels(1, 2, cfg["nested_n1"], cfg["nested_levels"])
     for parents, children in zip(families, families[1:]):
         audit_nesting(parents, children)
     constructed = cantor_lower_bound(plan)
     report.add_check(
         "nested_min_children", min(plan.m), 2, ">="
     )
-    report.add_check(
-        "nested_dimension_bound", constructed, float(cfg["nested_bound_min"]), ">="
-    )
+    report.add_check("nested_dimension_bound", constructed, cfg["nested_bound_min"], ">=")
     report.sweeps.append(
         Sweep(
             "nested_plan",
@@ -82,26 +78,24 @@ def run(cfg: dict, jobs: int) -> RunReport:
         )
     )
 
-    ideal = cantor_lower_bound(
-        idealized_plan(1, int(cfg["ideal_lam"]), 2.0, int(cfg["ideal_levels"]))
-    )
+    ideal = cantor_lower_bound(idealized_plan(1, cfg["ideal_lam"], 2.0, cfg["ideal_levels"]))
     report.add_check(
-        "idealized_bound_relative_error", abs(ideal - 1.0), float(cfg["ideal_tol"]), "<="
+        "idealized_bound_relative_error", abs(ideal - 1.0), cfg["ideal_tol"], "<="
     )
 
     # volume lower bound at alpha = d
     params = CounterexampleParams(
         d=1,
         alpha=1.0,
-        lam=int(cfg["meas_lam"]),
+        lam=cfg["meas_lam"],
         delta=0.05,
         kappa=float(cfg["meas_kappa"]),
     )
     values = []
     for j in cfg["meas_j_list"]:
-        values.append((j, level_volume_lower_bound(params, int(j))))
+        values.append((j, level_volume_lower_bound(params, j)))
     report.add_check("volume_bound_min", min(v for _, v in values), 1e-12, ">=")
-    band = float(cfg["meas_ratio_band"])
+    band = cfg["meas_ratio_band"]
     ratios = [b / a for (_, a), (_, b) in zip(values, values[1:])]
     report.add_check("volume_bound_ratio_max", max(ratios), band, "<=")
     report.add_check("volume_bound_ratio_min", min(ratios), 1.0 / band, ">=")

@@ -27,11 +27,11 @@ def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("evolve", cfg)
     params = counterexample_params(cfg)
     tasks = []
-    seed = int(cfg["seed"])
-    for j in range(1, int(cfg["j_max"]) + 1):
+    seed = cfg["seed"]
+    for j in range(1, cfg["j_max"] + 1):
         data = DirichletBlock(1, params.lam, j).to_fourier_data()
         for t in time_set(params, j):
-            tasks.append((params, j, t, data, int(cfg["samples_per_q"]), seed + 1000 * j + t.q))
+            tasks.append((params, j, t, data, cfg["samples_per_q"], seed + 1000 * j + t.q))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worst_error_at_time, tasks))
@@ -40,5 +40,5 @@ def run(cfg: dict, jobs: int) -> RunReport:
     rows = [[float(q), err, float(j)] for j, q, err in results]
     worst = max(err for _, _, err in results)
     report.sweeps.append(Sweep("fast_vs_direct", ["q", "relative_error", "j"], rows))
-    report.add_check("fast_vs_direct_worst_relative_error", worst, float(cfg["tol"]), "<=")
+    report.add_check("fast_vs_direct_worst_relative_error", worst, cfg["tol"], "<=")
     return report

@@ -29,15 +29,15 @@ def _coprime_sample(rng: np.random.Generator, q: int, count: int) -> list[int]:
 def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("gauss", cfg)
     rng = np.random.default_rng(cfg["seed"])
-    q_max = int(cfg["q_max"])
-    tol = float(cfg["tol"])
+    q_max = cfg["q_max"]
+    tol = cfg["tol"]
 
     mismatches = 0
     worst_rows = []
     worst_overall = 0.0
     for q in range(1, q_max + 1):
         rs = {1, q - 1 if q > 1 else 1}
-        rs.update(_coprime_sample(rng, q, int(cfg["random_r_per_q"])))
+        rs.update(_coprime_sample(rng, q, cfg["random_r_per_q"]))
         scale = max(1.0, math.sqrt(2.0 * q))
         q_worst = 0.0
         rs = sorted(rs)
@@ -57,7 +57,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
     # the table path is a fast DFT of the very sums quadratic_sum adds term
     # by term; keep them honest against each other on a random sample
     spot_worst = 0.0
-    for _ in range(int(cfg["spot_checks"])):
+    for _ in range(cfg["spot_checks"]):
         q = int(rng.integers(1, min(q_max, 512) + 1))
         r = _coprime_sample(rng, q, 1)[0]
         p = int(rng.integers(0, q))
@@ -69,8 +69,8 @@ def run(cfg: dict, jobs: int) -> RunReport:
     # perturbed complete sums: deviation against C sqrt(q)(q|e| + q^2 e^2)
     violations = 0
     dev_rows = []
-    c_dev = float(cfg["perturbed_dev_const"])
-    for q in range(int(cfg["perturbed_q_min"]), int(cfg["perturbed_q_max"]) + 1, 4):
+    c_dev = cfg["perturbed_dev_const"]
+    for q in range(cfg["perturbed_q_min"], cfg["perturbed_q_max"] + 1, 4):
         for p in (0, 2, 2 * (q // 8), q // 2 - (q // 2) % 2):
             for scale in (0.25, 0.5, 1.0):
                 for sign in (1.0, -1.0):
@@ -89,7 +89,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
 
     # randomized summation-by-parts instances: the inequality is exact
     abel_violations = 0
-    for _ in range(int(cfg["abel_instances"])):
+    for _ in range(cfg["abel_instances"]):
         n = int(rng.integers(2, 65))
         a = np.sort(rng.uniform(0.0, 4.0, size=n))
         if rng.integers(0, 2):

@@ -33,13 +33,13 @@ def _dirichlet_datum(n: int) -> FourierData:
 
 def run(cfg: dict, jobs: int) -> RunReport:
     report = RunReport("maximal", cfg)
-    level = int(cfg["cantor_level"])
+    level = cfg["cantor_level"]
     mu = cantor_measure(1.0 / 3.0, level)
     alpha = mu.alpha
 
     # measure-convolution growth exponent on the atom-aligned grid
     grid = 2 * 3**level
-    ns = [2**e for e in range(int(cfg["conv_exp_min"]), int(cfg["conv_exp_max"]) + 1)]
+    ns = [2**e for e in range(cfg["conv_exp_min"], cfg["conv_exp_max"] + 1)]
     conv_pts = [(float(n), v) for n, v in zip(ns, convolve_dirichlet_sup(mu, ns, grid))]
     fit_plain = exponent_fit(conv_pts)
     fit_poly = exponent_fit(conv_pts, polylog=True)
@@ -47,7 +47,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
     report.add_check(
         "convolution_polylog_slope_error",
         abs(fit_poly.slope - target),
-        float(cfg["conv_slope_tol"]),
+        cfg["conv_slope_tol"],
         "<=",
     )
     report.golden_diffs.append(
@@ -66,15 +66,15 @@ def run(cfg: dict, jobs: int) -> RunReport:
     plain_band, max_band = [], []
     l1_rows = []
     dominance_ok = 1.0
-    for e in range(int(cfg["l1_exp_min"]), int(cfg["l1_exp_max"]) + 1):
+    for e in range(cfg["l1_exp_min"], cfg["l1_exp_max"] + 1):
         n = 2**e
         plain, maxi = dirichlet_l1(n)
         dominance_ok = min(dominance_ok, float(maxi >= plain))
         plain_band.append(plain / math.log(n))
         max_band.append(maxi / math.log(n))
         l1_rows.append([float(n), plain, maxi])
-    report.add_check("l1_plain_band", max(plain_band) / min(plain_band), float(cfg["l1_band"]), "<=")
-    report.add_check("l1_maximal_band", max(max_band) / min(max_band), float(cfg["l1_band"]), "<=")
+    report.add_check("l1_plain_band", max(plain_band) / min(plain_band), cfg["l1_band"], "<=")
+    report.add_check("l1_maximal_band", max(max_band) / min(max_band), cfg["l1_band"], "<=")
     report.add_check("l1_maximal_dominates", dominance_ok, 1.0, ">=")
     report.golden_diffs.append(
         GoldenDiff("l1_bandwidth_one", goldens.DIRICHLET_L1_N1, dirichlet_l1(1)[0])
@@ -82,12 +82,12 @@ def run(cfg: dict, jobs: int) -> RunReport:
     report.sweeps.append(Sweep("kernel_l1", ["n", "plain", "maximal"], l1_rows))
 
     # weighted maximal norm of the full-band datum against uniform weight
-    plan = TimeSamplingPlan(q_max=int(cfg["plan_q_max"]), grid=int(cfg["plan_grid"]))
+    plan = TimeSamplingPlan(q_max=cfg["plan_q_max"], grid=cfg["plan_grid"])
     mu_uniform = uniform_measure(512)
     lp_exponent = transfer_regularity(1, mu_uniform.alpha, 6.0) + 0.01
     lp_ratios = []
     lp_rows = []
-    for e in range(int(cfg["lp_exp_min"]), int(cfg["lp_exp_max"]) + 1):
+    for e in range(cfg["lp_exp_min"], cfg["lp_exp_max"] + 1):
         n = 2**e
         f = _dirichlet_datum(n)
         value = maximal_lp_norm(f, mu_uniform, 6.0, plan)
@@ -97,18 +97,18 @@ def run(cfg: dict, jobs: int) -> RunReport:
     report.add_check(
         "maximal_lp_ratio_band",
         max(lp_ratios) / float(np.median(lp_ratios)),
-        float(cfg["sweep_band"]),
+        cfg["sweep_band"],
         "<=",
     )
     report.sweeps.append(Sweep("maximal_lp", ["n", "ratio", "norm"], lp_rows))
 
     # transfer to the fractal weight and the truncation-maximal ratio
     s_transfer = transfer_regularity(1, alpha, 6.0) + 0.05
-    s_carleson = float(cfg["carleson_s"])
-    t_fixed = RationalTime(int(cfg["carleson_q"]))
+    s_carleson = cfg["carleson_s"]
+    t_fixed = RationalTime(cfg["carleson_q"])
     trans, carl = [], []
     trans_rows, carl_rows = [], []
-    for e in range(int(cfg["sweep_exp_min"]), int(cfg["sweep_exp_max"]) + 1):
+    for e in range(cfg["sweep_exp_min"], cfg["sweep_exp_max"] + 1):
         n = 2**e
         f = _dirichlet_datum(n)
         tr = transference_ratio(f, mu, 6.0, s_transfer, plan)
@@ -117,7 +117,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
         carl.append(cr)
         trans_rows.append([float(n), tr])
         carl_rows.append([float(n), cr])
-    band = float(cfg["sweep_band"])
+    band = cfg["sweep_band"]
     report.add_check("transference_max_over_median", max(trans) / float(np.median(trans)), band, "<=")
     report.add_check("carleson_max_over_median", max(carl) / float(np.median(carl)), band, "<=")
     report.sweeps.append(Sweep("transference", ["n", "ratio"], trans_rows))

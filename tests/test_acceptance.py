@@ -305,10 +305,10 @@ def test_default_outputs_match_digest_manifest(
     """Every file the five default runs write, run_timing.txt excepted, keeps
     the sha256 in tests/digests.json, which holds the output of
     `talbot-lab <experiment> --config configs/<experiment>.cfg --out <experiment>`.
-    The fixtures run the schema defaults, which those configs equal, so a
-    drift between the two also shows here.  The float bits depend on Python,
-    numpy and libc, so on another toolchain the test skips and its reason
-    names both toolchains."""
+    The fixtures run the schema defaults, which those configs equal
+    (test_shipped_config_loads_to_the_defaults checks it).  The float bits
+    depend on Python, numpy and libc, so on another toolchain the test skips
+    and its reason names both toolchains."""
     manifest = json.loads(DIGESTS.read_text(encoding="utf-8"))
     if manifest["toolchain"] != _toolchain():
         pytest.skip(f"digests recorded under {manifest['toolchain']}, running {_toolchain()}")

@@ -5,12 +5,16 @@ import pytest
 
 from talbot_lab.cli import main
 from talbot_lab.experiments.config import (
+    EXPERIMENTS,
     ConfigError,
+    counterexample_params,
     load_config,
     parse_config_text,
 )
 from talbot_lab.experiments.report import RunReport, Sweep, write_report
 from talbot_lab.measures import ExponentFit
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> Path:
@@ -52,8 +56,18 @@ class TestConfigParsing:
             load_config("nonsense", None)
 
     def test_cross_validation(self, tmp_path):
-        with pytest.raises(ConfigError, match="c1 < c2"):
-            load_config("claims", write_cfg(tmp_path, "c1 = 1/50\nc2 = 1/100\n"))
+        # the config only parses; CounterexampleParams owns the c1 < c2 rule
+        cfg = load_config("claims", write_cfg(tmp_path, "c1 = 1/50\nc2 = 1/100\n"))
+        with pytest.raises(ValueError, match="c1 < c2"):
+            counterexample_params(cfg)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_shipped_config_loads_to_the_defaults(self, experiment):
+        # the digest gate runs the defaults and stands for configs/<experiment>.cfg
+        shipped = load_config(experiment, CONFIGS / f"{experiment}.cfg")
+        defaults = load_config(experiment, None)
+        assert shipped == defaults
+        assert {k: type(v) for k, v in shipped.items()} == {k: type(v) for k, v in defaults.items()}
 
     def test_frequency_limit_guard(self, tmp_path):
         with pytest.raises(ConfigError, match="frequency limit"):
@@ -150,6 +164,9 @@ class TestCliContract:
             # a fraction threshold of 0 or below: the claims check would pass on any samples
             ("claims", "factor_frac = 0\n"),
             ("claims", "decay_c_min_frac = -0.5\n"),
+            # CounterexampleParams, the first call of claims and evolve, rejects these
+            ("claims", "c1 = 1/50\nc2 = 1/100\n"),
+            ("evolve", "kappa = 1.5\n"),
         ],
     )
     def test_empty_or_degenerate_sweep_exits_two_without_report(

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from talbot_lab.counterexample import (
     verify_claim_iii,
 )
 from talbot_lab.counterexample import _block_columns
+from talbot_lab.experiments.config import covering_cases, load_config
 from talbot_lab.schrodinger import (
     DirichletBlock,
     FourierData,
@@ -108,6 +110,35 @@ class TestTimeSet:
             time_set(p, 1)
 
 
+def integer_q_window(lam, e, kappa):
+    """The level window [kappa top, top] of top = lam^e, e = a/b, decided in
+    integers: q <= top iff q^b <= lam^a, and q >= kappa top iff (q/kappa)^b >= lam^a."""
+    a, b = e.numerator, e.denominator
+    hi = next(q for q in itertools.count(round(lam ** (a / b)) + 1, -1) if q**b <= lam**a)
+    lo = next(
+        q for q in itertools.count(max(1, round(kappa * lam ** (a / b)) - 1))
+        if (q / kappa) ** b >= lam**a
+    )
+    return range(max(4, lo + (-lo) % 4), hi + 1, 4)
+
+
+class TestQWindow:
+    @pytest.mark.parametrize("j", [11, 13, 14])
+    def test_exact_top_kept_at_high_levels(self, j):
+        # top = 64^(j/3) = 4^j exactly, and the float power misses it by a few
+        # ulps: 4194303.999999997 at j = 11
+        p = CounterexampleParams(d=1, alpha=2 / 3, lam=64, delta=0.01, kappa=1 / 4)
+        assert p.q_window(j) == integer_q_window(64, Fraction(j, 3), Fraction(1, 4))
+
+    def test_shipped_cases_match_the_integer_window(self):
+        cases = covering_cases(load_config("dimension", None)["cov_cases"])
+        for alpha, lam, kappa in cases + [(Fraction(1), 16, Fraction(1, 4))]:
+            p = CounterexampleParams(d=1, alpha=float(alpha), lam=lam, delta=0.01,
+                                     kappa=float(kappa))
+            for j in range(9):
+                assert p.q_window(j) == integer_q_window(lam, j * alpha / 2, kappa), (alpha, j)
+
+
 class TestSamplePoints:
     def test_anchor_window_q8(self):
         p = CounterexampleParams(**DESK)
@@ -137,7 +168,7 @@ class TestClaimGrowth:
         p = CounterexampleParams(**DESK)
         for j in (2, 3):
             for t in time_set(p, j):
-                rep = verify_claim_i(p, j, sample_points(p, j, t, 8, seed=5 * j), p.lam**j + 1)
+                rep = verify_claim_i(p, j, sample_points(p, j, t, 8, seed=5 * j))
                 fr = rep.factor_ratios
                 assert np.all((1 / 8 <= fr) & (fr <= 8))  # measured range [1.32, 2.66]
 
@@ -148,7 +179,7 @@ class TestClaimGrowth:
         pts = []
         for j in (2, 3, 4):
             t = time_set(p, j)[-1]
-            rep = verify_claim_i(p, j, sample_points(p, j, t, 12, seed=7), p.lam**j + 1)
+            rep = verify_claim_i(p, j, sample_points(p, j, t, 12, seed=7))
             pts.append((16.0**j, rep.ratio_geomean * 16.0 ** (j * p.delta)))
         fit = exponent_fit(pts)
         assert abs(fit.slope - p.delta) / p.delta <= 0.25
@@ -156,13 +187,8 @@ class TestClaimGrowth:
     def test_degenerate_block_flagged_boundary_only(self):
         p = CounterexampleParams(d=1, alpha=1.0, lam=2, delta=0.05, kappa=0.5 - 1e-9)
         x = SamplePoint((2,), 8, (1e-3,))
-        rep = verify_claim_i(p, 2, [x], 5)
+        rep = verify_claim_i(p, 2, [x])
         assert rep.boundary_only.tolist() == [True]
-
-    def test_requires_large_truncation(self):
-        p = CounterexampleParams(**DESK)
-        with pytest.raises(ValueError, match="N >"):
-            verify_claim_i(p, 2, [SamplePoint((2,), 8, (1e-4,))], 16)
 
     def test_coherence_window_invariant(self):
         # every claim-(i) sample keeps all complete-period phases small
@@ -192,7 +218,7 @@ class TestClaimBelow:
         p = CounterexampleParams(**DESK)
         for j, k in [(3, 2), (4, 3)]:
             t = time_set(p, j)[-1]
-            rep = verify_claim_ii(p, j, k, sample_points(p, j, t, 8, seed=3 * j), p.lam**j + 1)
+            rep = verify_claim_ii(p, j, k, sample_points(p, j, t, 8, seed=3 * j))
             assert rep.regime == "upper"
             assert rep.ratio_max <= 4.0  # frozen: measured max 1.33
 
@@ -200,7 +226,7 @@ class TestClaimBelow:
         p = CounterexampleParams(**DESK)
         t = time_set(p, 4)[-1]
         j, k = 4, 3
-        rep = verify_claim_ii(p, j, k, sample_points(p, j, t, 8, seed=21), p.lam**j + 1)
+        rep = verify_claim_ii(p, j, k, sample_points(p, j, t, 8, seed=21))
         extended = float(p.lam) ** (k * p.delta - (j - k) * p.d * p.alpha / (2.0 * (p.d + 1)))
         assert np.all((1 / 8 <= rep.values / extended) & (rep.values / extended <= 8))
 
@@ -211,7 +237,7 @@ class TestClaimBelow:
         cap = 8 * vdc_first_derivative_bound(1 / 8)
         for j in (3, 4):
             t = time_set(p, j)[-1]
-            rep = verify_claim_ii(p, j, 1, sample_points(p, j, t, 8, seed=4 * j), p.lam**j + 1)
+            rep = verify_claim_ii(p, j, 1, sample_points(p, j, t, 8, seed=4 * j))
             assert rep.regime == "first_derivative"
             assert np.all(rep.factor_mags <= cap)
 
@@ -222,9 +248,8 @@ class TestClaimBelow:
         j, k = 4, 3
         t = time_set(p, j)[-1]
         samples = sample_points(p, j, t, 6, seed=77)
-        n = p.lam**j + 1
-        rep_ii = verify_claim_ii(p, j, k, samples, n)
-        rep_i = verify_claim_i(p, k, samples, n)
+        rep_ii = verify_claim_ii(p, j, k, samples)
+        rep_i = verify_claim_i(p, k, samples)
         lam = float(p.lam)
         v_ii = rep_ii.ratios * lam ** (k * p.delta)
         v_i = rep_i.ratios * lam ** (k * p.delta)
@@ -233,7 +258,7 @@ class TestClaimBelow:
     def test_k_range_validated(self):
         p = CounterexampleParams(**DESK)
         with pytest.raises(ValueError, match="1 <= k < j"):
-            verify_claim_ii(p, 3, 3, [SamplePoint((4,), 16, (1e-4,))], 16**3 + 1)
+            verify_claim_ii(p, 3, 3, [SamplePoint((4,), 16, (1e-4,))])
 
 
 class TestClaimAbove:
@@ -314,8 +339,8 @@ class TestClaimColumnsKeepEveryBit:
             lam = float(p.lam)
             for j in (2, 3):
                 samples = sample_points(p, j, time_set(p, j)[-1], 8, seed=3 * j)
-                n = p.lam**j + 1
-                rep = verify_claim_i(p, j, samples, n)
+                n = p.lam**j + 1  # any N > lam^j keeps the block whole
+                rep = verify_claim_i(p, j, samples)
                 target = lam ** (j * p.delta)
                 self._assert_rows(
                     rep, _rowwise(p, j, samples, n), lambda v: v / target,
@@ -329,7 +354,7 @@ class TestClaimColumnsKeepEveryBit:
             for j, k, regime in ((j_up, k_up, "upper"), (j_fd, k_fd, "first_derivative")):
                 samples = sample_points(p, j, time_set(p, j)[-1], 8, seed=11 * j + k)
                 n = p.lam**j + 1
-                rep = verify_claim_ii(p, j, k, samples, n)
+                rep = verify_claim_ii(p, j, k, samples)
                 assert rep.regime == regime
                 rows = _rowwise(p, k, samples, n)
                 if regime == "upper":
@@ -356,7 +381,7 @@ class TestClaimColumnsKeepEveryBit:
     def test_columns_are_read_only(self):
         p = CounterexampleParams(**DESK)
         samples = sample_points(p, 3, time_set(p, 3)[-1], 4, seed=5)
-        rep = verify_claim_ii(p, 3, 2, samples, p.lam**3 + 1)
+        rep = verify_claim_ii(p, 3, 2, samples)
         # claim (ii) shows one array as raw and normalised factors
         assert np.shares_memory(rep.factor_mags, rep.factor_ratios)
         for column in (rep.values, rep.ratios, rep.factor_mags, rep.factor_ratios,
@@ -365,13 +390,13 @@ class TestClaimColumnsKeepEveryBit:
                 column[0] = 1.0
         # reports compare by identity, not elementwise
         assert rep == rep
-        assert rep != verify_claim_ii(p, 3, 2, samples, p.lam**3 + 1)
+        assert rep != verify_claim_ii(p, 3, 2, samples)
         assert {rep: 1}[rep] == 1
 
     def test_empty_inputs_rejected(self):
         p = CounterexampleParams(**DESK)
         with pytest.raises(ValueError, match="at least one row"):
-            verify_claim_i(p, 2, [], p.lam**2 + 1)
+            verify_claim_i(p, 2, [])
         with pytest.raises(ValueError, match="at least one truncation"):
             verify_claim_iii(p, 2, 3, sample_points(p, 2, RationalTime(16), 1, seed=1), [])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from talbot_lab.counterexample import CounterexampleParams, anchor_range
-from talbot_lab.experiments.config import load_config
+from talbot_lab.experiments.config import covering_cases, load_config
 from talbot_lab.fractal import (
     ROOT_CUBE,
     CantorPlan,
@@ -62,10 +62,9 @@ class TestLevelCubeFamily:
     @pytest.mark.parametrize("d", [1, 2])
     def test_count_matches_the_window_sum(self, d):
         # the closed form against the per-denominator sum, over every shipped covering case
-        cases = str(load_config("dimension", None)["cov_cases"]).split(";")
-        for case in cases + ["1:16:1/4", "1:16:1/64"]:
-            alpha, lam, kappa = (Fraction(v) for v in case.split(":"))
-            params = CounterexampleParams(d=d, alpha=float(alpha), lam=int(lam), delta=0.01,
+        cases = covering_cases(load_config("dimension", None)["cov_cases"])
+        for alpha, lam, kappa in cases + [(1, 16, Fraction(1, 4)), (1, 16, Fraction(1, 64))]:
+            params = CounterexampleParams(d=d, alpha=float(alpha), lam=lam, delta=0.01,
                                           kappa=float(kappa))
             for j in range(0, 9):
                 old = sum(len(anchor_range(q)) ** d for q in params.q_window(j))
