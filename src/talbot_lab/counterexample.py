@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expsum import _integers
+from .expsum import _integers, _modulus
 from .schrodinger import RationalTime, SamplePoint, block_factor_fast, block_split
 
 
@@ -81,11 +81,16 @@ class CounterexampleParams:
         return float(self.c1) * scale, float(self.c2) * scale
 
     def q_window(self, j: int) -> range:
-        """Denominators q >= 4, q = 0 (mod 4), in [kappa lam^(j/tau), lam^(j/tau)]."""
+        """Denominators q >= 4, q = 0 (mod 4), in [kappa lam^(j/tau), lam^(j/tau)].
+
+        The top denominator is a modulus (expsum._modulus), so a level whose
+        window passes 2^31 raises ValueError; below that bound the float
+        slack is under 0.003 of a denominator.
+        """
         top = float(self.lam) ** (j / self.tau)
         # relative slack: the rounding error of the power grows with top
         lo = int(math.ceil(self.kappa * top * (1 - 1e-12)))
-        hi = int(math.floor(top * (1 + 1e-12)))
+        hi = _modulus(math.floor(top * (1 + 1e-12)))
         return range(max(4, lo + (-lo) % 4), hi + 1, 4)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from .. import __version__
 from ..measures import ExponentFit
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits: round-trip exact for doubles
+
+_CHECK_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
 
 @dataclass(frozen=True)
@@ -27,17 +30,15 @@ class Check:
     name: str
     value: float
     threshold: float
-    op: str  # one of <=, >=, ==
+    op: str  # a key of _CHECK_OPS
+
+    def __post_init__(self) -> None:
+        if self.op not in _CHECK_OPS:
+            raise ValueError(f"unknown check operator {self.op!r}")
 
     @property
     def passed(self) -> bool:
-        if self.op == "<=":
-            return self.value <= self.threshold
-        if self.op == ">=":
-            return self.value >= self.threshold
-        if self.op == "==":
-            return self.value == self.threshold
-        raise ValueError(f"unknown check operator {self.op!r}")
+        return _CHECK_OPS[self.op](self.value, self.threshold)
 
 
 @dataclass
@@ -98,20 +99,8 @@ class RunReport:
             "experiment": self.experiment,
             "version": __version__,
             "config": config_for_json(self.config),
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "op": c.op,
-                    "threshold": c.threshold,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-            "golden_diffs": [
-                {"name": g.name, "golden": g.golden, "actual": g.actual, "rel_diff": g.rel_diff}
-                for g in self.golden_diffs
-            ],
+            "checks": [{**asdict(c), "passed": c.passed} for c in self.checks],
+            "golden_diffs": [{**asdict(g), "rel_diff": g.rel_diff} for g in self.golden_diffs],
             "sweeps": [
                 {
                     "name": s.name,

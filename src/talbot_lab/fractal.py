@@ -1,22 +1,22 @@
 """Rational-anchor cube families and dimension machinery.
 
-Enumeration and exact counts of the level-j anchored cube families,
-greedy separated-cube packings with their exact audits, nested Cantor-type
-constructions, and the mass-distribution dimension bound.
+Exact counts of the level-j anchored cube families, read from their
+denominator window and never built, greedy separated-cube packings with
+their exact audits, nested Cantor-type constructions, and the
+mass-distribution dimension bound.
 
 A CubeFamily is one-dimensional and holds no cubes: its members are exact
 integer anchors (p, q) and one exact offset rule shared by all of them,
 member = p/q + [lo/q^t, hi/q^t].  The packings use (-1, 1, tau), the nested
-twins (1/200, 1/100, tau), the level-j families (c1 lam^-j, c2 lam^-j, 0).
-Anchors are integers: Cube and CubeFamily take Python or numpy integers,
-store Python ints and reject anything else with ValueError.  The audits read
-corners as integers straight from anchors and rule; a Cube
-is built only when a caller iterates or indexes a family.  The nested build
-has one fixed shape: it packs the root cube [1/8, 1/4], its twins sit at
-offsets (1/200, 1/100), and its denominator bound grows x4096 per level,
-n_k = 4096^(k-1) n1.  The level families,
-packings, their audits, the nested builds and the volume bound reject
-d >= 2; cubes, level counts and Cantor plans stay d-general.
+twins (1/200, 1/100, tau).  Anchors are integers: Cube and CubeFamily take
+Python or numpy integers, store Python ints and reject anything else with
+ValueError.  The audits read corners as integers straight from anchors and
+rule; a Cube is built only when a caller iterates or indexes a family.  The
+nested build has one fixed shape: it packs the root cube [1/8, 1/4], its
+twins sit at offsets (1/200, 1/100), and its denominator bound grows x4096
+per level, n_k = 4096^(k-1) n1.  The level counts, packings, their audits,
+the nested builds and the volume bound reject d >= 2; cubes and Cantor
+plans stay d-general.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ _DENSE_SLOTS = 1 << 22
 # most candidates one step of the dense 1-D packing checks at once
 _DENSE_RUN = 1 << 12
 
-# most cubes level_cube_family builds
+# most level-j anchors level_volume_lower_bound enumerates
 _LEVEL_CUBES = 1 << 20
 
 
@@ -124,52 +124,21 @@ def _require_1d(d: int) -> None:
         raise ValueError(f"the exact packings and audits are one-dimensional; got d = {d}")
 
 
-def _power_sum(n: int, e: int) -> int:
-    """Sum of v^e over v = 1..n, exactly, from (n+1)^(k+1) - 1 = sum over i <= k
-    of C(k+1, i) times the power sum of exponent i, solved for k = 0..e in turn."""
-    sums: list[int] = []
-    for k in range(e + 1):
-        lower = sum(math.comb(k + 1, i) * s for i, s in enumerate(sums))
-        sums.append(((n + 1) ** (k + 1) - 1 - lower) // (k + 1))
-    return sums[e]
-
-
 def level_cube_count(params: CounterexampleParams, j: int) -> int:
-    """Exact cube count of the level-j cube family, without materializing it.
+    """Exact cube count of the level-j family, read from its window alone.
 
     At q = 4m the anchor count is v = floor(m/2) + 1, taken at m = 2v - 2 and
-    2v - 1, so the window sums each v^d twice, less the ends it takes once:
-    a first q = 4 (mod 8) and a last q = 0 (mod 8).
+    2v - 1, so the window sums each v twice, less the ends it takes once:
+    a first q = 4 (mod 8) and a last q = 0 (mod 8).  One-dimensional only:
+    d >= 2 raises ValueError.
     """
+    _require_1d(params.d)
     qs = params.q_window(j)
     if not qs:
         return 0
-    d = params.d
     lo, hi = len(anchor_range(qs[0])), len(anchor_range(qs[-1]))
-    total = 2 * (_power_sum(hi, d) - _power_sum(lo - 1, d))
-    return total - (lo**d if qs[0] % 8 else 0) - (0 if qs[-1] % 8 else hi**d)
-
-
-def level_cube_family(params: CounterexampleParams, j: int) -> CubeFamily:
-    """Every cube p/q + [c1 lam^-j, c2 lam^-j] of level j, as the anchors
-    (p, q) with q in params.q_window(j) and p in anchor_range(q), in that
-    order, under the offset rule (c1 lam^-j, c2 lam^-j, t = 0).
-
-    One-dimensional only: d >= 2 raises ValueError, as does a family of
-    more than 2^20 cubes.
-    """
-    _require_1d(params.d)
-    count = level_cube_count(params, j)
-    if count > _LEVEL_CUBES:
-        raise ValueError(f"level-{j} family holds {count} cubes, above the cap {_LEVEL_CUBES}")
-    scale = Fraction(1, params.lam**j)
-    ps: list[int] = []
-    qs: list[int] = []
-    for q in params.q_window(j):
-        anchors = anchor_range(q)
-        ps.extend(anchors)
-        qs.extend([q] * len(anchors))
-    return CubeFamily(ps, qs, params.c1 * scale, params.c2 * scale, 0)
+    total = hi * (hi + 1) - (lo - 1) * lo
+    return total - (lo if qs[0] % 8 else 0) - (0 if qs[-1] % 8 else hi)
 
 
 def _tau_exponent(tau) -> int:
@@ -748,13 +717,24 @@ def level_volume_lower_bound(params: CounterexampleParams, j: int) -> float:
     least 8/(q_a q_b) >= 8 lam^-j, as q <= lam^(j/tau) = lam^(j/2), while the
     side is at most lam^-j.  Cubes at distinct anchors are therefore
     pairwise disjoint, and only repeated anchors (p/q and its unreduced
-    multiples) overlap; they are counted once, by reduced (p, q).
+    multiples) overlap; they are counted once, by reduced (p, q), straight
+    from the window: q in params.q_window(j), p in anchor_range(q).
+
+    One-dimensional only: d >= 2 raises ValueError, as do an empty family
+    and one of more than 2^20 cubes, before any anchor is enumerated.
     """
     _require_1d(params.d)
     if abs(params.alpha - params.d) > 1e-12:
         raise ValueError("volume lower bound applies to the case alpha = d only")
-    fam = level_cube_family(params, j)
-    if not fam:
+    count = level_cube_count(params, j)
+    if not count:
         raise ValueError(f"level-{j} family is empty")
-    distinct = {(p // g, q // g) for p, q in zip(fam.p, fam.q) for g in (math.gcd(p, q),)}
-    return len(distinct) * float(fam.hi - fam.lo)
+    if count > _LEVEL_CUBES:
+        raise ValueError(f"level-{j} family holds {count} cubes, above the cap {_LEVEL_CUBES}")
+    distinct = {
+        (p // g, q // g)
+        for q in params.q_window(j)
+        for p in anchor_range(q)
+        for g in (math.gcd(p, q),)
+    }
+    return len(distinct) * float((params.c2 - params.c1) / params.lam**j)

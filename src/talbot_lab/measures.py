@@ -264,7 +264,7 @@ def _simpson(f: np.ndarray, m: int) -> float:
     return total
 
 
-def dirichlet_l1(n: int, num_points: int | None = None) -> tuple[float, float]:
+def dirichlet_l1(n: int) -> tuple[float, float]:
     """Quadratures of the circle integrals of |D_N| and of its maximal
     envelope, as (plain, maximal).
 
@@ -272,15 +272,14 @@ def dirichlet_l1(n: int, num_points: int | None = None) -> tuple[float, float]:
     oscillation by a factor ~20; both share the same grid and the same
     |D_N| values, so the maximal value dominates the plain one exactly.
     Accuracy is limited by the kernel's |.| kinks: against an 8x
-    refined grid the default stays within 2e-4 relative across N <= 2^16
-    (documented error control); raise num_points where more is needed.
+    refined grid it stays within 2e-4 relative across N <= 2^16
+    (documented error control).
     The kernel is streamed into one array of m + 1 values, summed, and
     then overwritten block by block with its envelope and summed again.
     """
     if n < 1:
         raise ValueError(f"bandwidth must be >= 1, got {n}")
-    m = num_points if num_points is not None else max(40 * n, 2000)
-    m += m % 2  # Simpson needs an even interval count
+    m = max(40 * n, 2000)  # even, as Simpson needs
     f = np.empty(m + 1)
     _dirichlet_grid_into(n, m, f)
     plain_l1 = _simpson(f, m)

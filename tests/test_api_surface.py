@@ -3,7 +3,8 @@ public method and property of a public class, has a caller in the package
 itself: a name that only tests reach is dead weight.  Every default a public
 function, method or dataclass offers is set by some call in the program or
 its benchmark: a setting that only tests turn is a knob no run covers.
-What an exact integer or modulus is, expsum alone decides."""
+What an exact integer or modulus is, expsum alone decides.  Every function
+the benchmark traces exists under its traced name."""
 
 import ast
 from pathlib import Path
@@ -21,7 +22,6 @@ SCHEDULED = {
 ALLOWED_SETTINGS = {
     "fractal.py: build_nested_levels(max_children)": "ROADMAP item 2: uncapped nested builds",
     "fractal.py: build_nested_levels(retain)": "ROADMAP item 2: uncapped nested builds",
-    "measures.py: dirichlet_l1(num_points)": "the block-edge bit-identity tests pick the grid",
 }
 
 
@@ -69,6 +69,19 @@ def test_expsum_owns_the_integer_rule():
                    and "MODULUS_LIMIT" in _referenced_names(n))
     assert index == {("expsum.py", "_integers")}
     assert limit == {("expsum.py", "_modulus")}
+
+
+def test_every_traced_function_exists():
+    # the benchmark reads a traced function's counters by name and reports 0
+    # for a name nothing calls, so a rename or fold would go unseen there
+    run = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    (table,) = [node.value for node in run.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    traced = [key.value for key in table.keys]  # "layer.function"
+    public = {f"{module.removesuffix('.py')}.{stmt.name}" for module, tree in _modules()
+              for stmt in tree.body if _is_public(stmt) and isinstance(stmt, ast.FunctionDef)}
+    assert traced
+    assert [name for name in traced if name not in public] == []
 
 
 def _public_api_without_caller() -> list[str]:

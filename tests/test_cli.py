@@ -167,6 +167,8 @@ class TestCliContract:
             # CounterexampleParams, the first call of claims and evolve, rejects these
             ("claims", "c1 = 1/50\nc2 = 1/100\n"),
             ("evolve", "kappa = 1.5\n"),
+            # the level-11 window of case 1:64:1/8 tops out at 2^33, past the modulus limit
+            ("dimension", "cov_j_max = 11\n"),
         ],
     )
     def test_empty_or_degenerate_sweep_exits_two_without_report(
@@ -235,6 +237,13 @@ class TestReportPlumbing:
         report.add_check("x", 1.0, 2.0, "<=")
         with pytest.raises(ValueError, match="duplicate"):
             report.add_check("x", 1.0, 2.0, "<=")
+
+    def test_unknown_check_operator_rejected_when_added(self):
+        # at add_check, not later when the report is serialised
+        report = RunReport("gauss", {})
+        with pytest.raises(ValueError, match="unknown check operator"):
+            report.add_check("x", 1.0, 2.0, "<")
+        assert report.checks == []
 
     def test_plot_files_have_two_columns(self, tmp_path):
         report = RunReport("gauss", {})

@@ -130,6 +130,18 @@ class TestQWindow:
         p = CounterexampleParams(d=1, alpha=2 / 3, lam=64, delta=0.01, kappa=1 / 4)
         assert p.q_window(j) == integer_q_window(64, Fraction(j, 3), Fraction(1, 4))
 
+    def test_window_below_the_modulus_limit_is_exact(self):
+        # top = 64^(10/2) = 2^30: the slack stays under a thousandth of a denominator
+        p = CounterexampleParams(d=1, alpha=1.0, lam=64, delta=0.01, kappa=1 / 8)
+        assert p.q_window(10) == integer_q_window(64, Fraction(10, 2), Fraction(1, 8))
+
+    @pytest.mark.parametrize("j", [11, 14, 15])
+    def test_window_past_the_modulus_limit_raises(self, j):
+        # past 2^31 the slack could take one q too many: 4,398,046,511,108 at j = 14
+        p = CounterexampleParams(d=1, alpha=1.0, lam=64, delta=0.01, kappa=1 / 8)
+        with pytest.raises(ValueError, match="out of range"):
+            p.q_window(j)
+
     def test_shipped_cases_match_the_integer_window(self):
         cases = covering_cases(load_config("dimension", None)["cov_cases"])
         for alpha, lam, kappa in cases + [(Fraction(1), 16, Fraction(1, 4))]:

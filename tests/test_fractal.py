@@ -1,4 +1,3 @@
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from talbot_lab.fractal import (
     build_nested_levels,
     cantor_lower_bound,
     level_cube_count,
-    level_cube_family,
     level_volume_lower_bound,
     idealized_plan,
     separated_cubes,
@@ -36,44 +34,35 @@ def desk_params(**overrides):
 
 class TestLevelCubeFamily:
     def test_hand_enumerated_level_two(self):
-        fam = level_cube_family(desk_params(), 2)
-        assert len(fam) == 8
-        assert Counter(c.q for c in fam) == {4: 1, 8: 2, 12: 2, 16: 3}
-
-    def test_side_is_exact(self):
-        fam = level_cube_family(desk_params(), 2)
-        expected = (Fraction(1, 100) - Fraction(1, 200)) * Fraction(1, 16**2)
-        assert all(c.hi - c.lo == expected for c in fam)
-
-    def test_two_sided_inequality_on_corners(self):
         params = desk_params()
-        scale = Fraction(1, 16**3)
-        for cube in level_cube_family(params, 3):
-            for i in range(cube.d):
-                lo_off = cube.lo_corner(i) - cube.anchor(i)
-                hi_off = cube.hi_corner(i) - cube.anchor(i)
-                assert params.c1 * scale <= lo_off <= hi_off <= params.c2 * scale
+        assert level_cube_count(params, 2) == 8
+        assert {q: len(anchor_range(q)) for q in params.q_window(2)} == {4: 1, 8: 2, 12: 2, 16: 3}
 
     def test_count_matches_enumeration(self):
+        # the closed form against every (q, p) anchor pair listed one by one
         params = desk_params()
         for j in (2, 3, 4):
-            assert level_cube_count(params, j) == len(level_cube_family(params, j))
+            pairs = [(q, p) for q in params.q_window(j) for p in anchor_range(q)]
+            assert level_cube_count(params, j) == len(pairs)
 
-    @pytest.mark.parametrize("d", [1, 2])
+    # the count is one-dimensional; d = 2 is rejected, see
+    # test_two_dimensional_input_rejected[level_cube_count]
+    @pytest.mark.parametrize("d", [1])
     def test_count_matches_the_window_sum(self, d):
-        # the closed form against the per-denominator sum, over every shipped covering case
+        # the closed form against the per-denominator sum, over every shipped
+        # covering case and the desk windows
         cases = covering_cases(load_config("dimension", None)["cov_cases"])
         for alpha, lam, kappa in cases + [(1, 16, Fraction(1, 4)), (1, 16, Fraction(1, 64))]:
             params = CounterexampleParams(d=d, alpha=float(alpha), lam=lam, delta=0.01,
                                           kappa=float(kappa))
             for j in range(0, 9):
-                old = sum(len(anchor_range(q)) ** d for q in params.q_window(j))
+                old = sum(len(anchor_range(q)) for q in params.q_window(j))
                 assert level_cube_count(params, j) == old
 
     def test_cap_rejects_large_families(self):
         # level 7 holds 3,935,745 cubes, above the 2^20 cap; counting them is cheap
         with pytest.raises(ValueError, match="cap"):
-            level_cube_family(desk_params(), 7)
+            level_volume_lower_bound(desk_params(), 7)
 
 
 def covering_fit(params, levels):
@@ -109,12 +98,12 @@ E0_2D = Cube((1, 1), 8, Fraction(0), Fraction(1, 8))
         ),
         lambda: build_nested_levels(2, 2, 64, 1),
         lambda: audit_separated_maximal(E0_2D, 64, 2, 4, separated_cubes(E0, 64, 2)),
-        lambda: level_cube_family(
+        lambda: level_cube_count(
             CounterexampleParams(d=2, alpha=2.0, lam=8, delta=0.05, kappa=1 / 4), 2
         ),
     ],
     ids=["separated_cubes", "audit_separated_family", "level_volume_lower_bound",
-         "build_nested_levels", "audit_separated_maximal", "level_cube_family"],
+         "build_nested_levels", "audit_separated_maximal", "level_cube_count"],
 )
 def test_two_dimensional_input_rejected(call):
     with pytest.raises(ValueError, match="one-dimensional; got d = 2"):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from talbot_lab import measures
 from talbot_lab.measures import (
     _BLOCK_ENTRIES,
     DEFAULT_FROSTMAN_RADII,
@@ -120,7 +121,6 @@ class TestFrostman:
     def test_default_maximal_run_evaluates_twice(self, monkeypatch):
         # once over the default radii, kept on the Cantor measure for all ten
         # transfer ratios, and once over the 3-adic radii of the golden
-        from talbot_lab import measures
         from talbot_lab.experiments import maximal
         from talbot_lab.experiments.config import load_config
 
@@ -206,7 +206,7 @@ class TestKernelIntegral:
     def test_quadrature_is_converged(self):
         for n in (3, 37, 256):
             coarse = dirichlet_l1(n)[0]
-            fine = dirichlet_l1(n, num_points=max(320 * n, 32000))[0]
+            fine = _dirichlet_l1_reference(n, False, max(320 * n, 32000))
             assert coarse == pytest.approx(fine, rel=2e-4 * 1.5)
 
     def test_log_band(self):
@@ -395,9 +395,10 @@ def _assert_convolution_keeps_bits(mu, ns, m):
     np.testing.assert_allclose(got, _convolve_complex(mu, ns, m), rtol=1e-14, atol=0)
 
 
-def _dirichlet_l1_reference(n, maximal, num_points=None):
-    m = num_points if num_points is not None else max(40 * n, 2000)
-    m += m % 2
+def _dirichlet_l1_reference(n, maximal, m=None):
+    """The whole-grid quadrature of dirichlet_l1, on its grid of m intervals
+    by default."""
+    m = max(40 * n, 2000) if m is None else m
     x = TAU * np.arange(m + 1) / m
     f = np.abs(dirichlet_kernel_1d(n, x))
     if maximal:
@@ -540,11 +541,10 @@ class TestSharedKernelsKeepEveryBit:
         grid = 2 * 3**8
         _assert_convolution_keeps_bits(mu, [64, 32, 64, 128], grid)
 
-    @pytest.mark.parametrize("n, num_points", [(1, None), (4, None), (64, None), (512, None), (37, 3001)])
-    def test_dirichlet_l1_pair(self, n, num_points):
-        assert dirichlet_l1(n, num_points=num_points) == (
-            _dirichlet_l1_reference(n, False, num_points),
-            _dirichlet_l1_reference(n, True, num_points),
+    @pytest.mark.parametrize("n", [1, 4, 64, 512])
+    def test_dirichlet_l1_pair(self, n):
+        assert dirichlet_l1(n) == (
+            _dirichlet_l1_reference(n, False), _dirichlet_l1_reference(n, True)
         )
 
 
@@ -574,22 +574,20 @@ class TestStreamedGridsKeepEveryBit:
         _assert_convolution_keeps_bits(mu, [2**e for e in range(6, 14)], grid)
 
     @pytest.mark.parametrize(
-        "n, num_points, d",
+        "n, block",
         [
-            (3, _B - 2, 1),  # m + 1 = B - 1 grid points
-            (3, _B, 1),  # m + 1 = B + 1
-            (1000, 2 * _B - 2, 1),
-            (1000, 2 * _B, 1),
-            (50, _B - 1, 1),  # odd num_points: m = B, m + 1 = B + 1
-            (7, 2 * _B + 1, 1),
-            (2000, None, 1),  # default m = 80000 crosses a block edge
+            (50, 2002),  # m + 1 = 2001 grid points: one below a block edge
+            (50, 2001),  # at it
+            (50, 2000),  # one above it
+            (50, 1000),  # across two edges
+            (2000, _B),  # m = 80000 crosses the shipped block edge
         ],
     )
-    def test_dirichlet_l1_across_block_edges(self, n, num_points, d):
-        # d is the torus dimension, 1: the only one the quadrature has
-        assert dirichlet_l1(n, num_points=num_points) == (
-            _dirichlet_l1_reference(n, False, num_points),
-            _dirichlet_l1_reference(n, True, num_points),
+    def test_dirichlet_l1_across_block_edges(self, monkeypatch, n, block):
+        # the streamed grid and the envelope loop read the block size per call
+        monkeypatch.setattr(measures, "_BLOCK_ENTRIES", block)
+        assert dirichlet_l1(n) == (
+            _dirichlet_l1_reference(n, False), _dirichlet_l1_reference(n, True)
         )
 
 

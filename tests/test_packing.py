@@ -458,7 +458,7 @@ def test_twin_order_and_gap_match_fraction_oracle(base, scales, t, c1, width, da
 
 def _old_member(rule, p, q, t, c1, c2, scale):
     """The Cube each builder made per anchor before families held anchors:
-    separated_cubes' ball, build_nested_levels' twin, level_cube_family's cube."""
+    separated_cubes' ball, build_nested_levels' twin, a level-j family's cube."""
     if rule == "separated":
         r = Fraction(1, q**t)
         return Cube((p,), q, -r, r)
