@@ -84,13 +84,19 @@ class CounterexampleParams:
         """Denominators q >= 4, q = 0 (mod 4), in [kappa lam^(j/tau), lam^(j/tau)].
 
         The top denominator is a modulus (expsum._modulus), so a level whose
-        window passes 2^31 raises ValueError; below that bound the float
-        slack is under 0.003 of a denominator.
+        window passes 2^31 raises ValueError naming the level and (alpha,
+        lam, kappa); below that bound the float slack is under 0.003 of a
+        denominator.
         """
         top = float(self.lam) ** (j / self.tau)
         # relative slack: the rounding error of the power grows with top
         lo = int(math.ceil(self.kappa * top * (1 - 1e-12)))
-        hi = _modulus(math.floor(top * (1 + 1e-12)))
+        try:
+            hi = _modulus(math.floor(top * (1 + 1e-12)))
+        except ValueError as exc:
+            raise ValueError(
+                f"level {j} of alpha = {self.alpha}, lam = {self.lam}, kappa = {self.kappa}: {exc}"
+            ) from None
         return range(max(4, lo + (-lo) % 4), hi + 1, 4)
 
 
@@ -153,7 +159,6 @@ class ClaimReport:
     summaries stay true to them, and reports compare by identity.
     """
 
-    claim_id: str
     regime: str
     values: np.ndarray
     ratios: np.ndarray
@@ -228,9 +233,7 @@ def verify_claim_i(
     target = lam ** (j * params.delta)
     factor_target = lam ** (j - j * params.alpha / (2.0 * (params.d + 1)))
     values, mags, boundary = _block_columns(params, j, samples, None)
-    return ClaimReport(
-        "i", "coherent", values, values / target, mags, mags / factor_target, boundary
-    )
+    return ClaimReport("coherent", values, values / target, mags, mags / factor_target, boundary)
 
 
 def verify_claim_ii(
@@ -253,7 +256,7 @@ def verify_claim_ii(
     regime = claim_regime(params, j, k)
     values, mags, boundary = _block_columns(params, k, samples, None)
     ratios = values / lam ** (k * params.delta) if regime == "upper" else values
-    return ClaimReport("ii", regime, values, np.maximum(ratios, 1e-300), mags, mags, boundary)
+    return ClaimReport(regime, values, np.maximum(ratios, 1e-300), mags, mags, boundary)
 
 
 def verify_claim_iii(
@@ -291,5 +294,5 @@ def verify_claim_iii(
     columns = [_block_columns(params, k, samples, n) for n in n_list]
     values, mags, boundary = (np.concatenate(col) for col in zip(*columns))
     ratios = np.maximum(values / denom, 1e-300)
-    return ClaimReport("iii", "incoherent", values, ratios, mags, mags / target_factor, boundary)
+    return ClaimReport("incoherent", values, ratios, mags, mags / target_factor, boundary)
 

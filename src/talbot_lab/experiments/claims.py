@@ -115,7 +115,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
     factor_max = 0.0
     c_fits = []
     decay_rows = []
-    for j in j_list[: max(1, len(j_list) - 1)]:
+    for j in j_list[:-1]:
         samples = _level_samples(params, j, 8, seed + 71 * j)
         per_k = {}
         for k in (j + 1, j + 2):

@@ -41,8 +41,8 @@ COUNTEREXAMPLE = {
     "alpha": 1.0,  # target dimension
     "delta": 0.05,  # growth exponent
     "kappa": 0.25,  # window ratio
-    "c1": Fraction(1, 200),  # lower offset constant
-    "c2": Fraction(1, 100),  # upper offset constant
+    "c1": CounterexampleParams.c1,  # lower offset constant
+    "c2": CounterexampleParams.c2,  # upper offset constant
 }
 
 SCHEMAS: dict[str, dict[str, object]] = {
@@ -214,8 +214,8 @@ def _validate(experiment: str, cfg: dict[str, object]) -> None:
                 f" got {cfg['perturbed_q_max']}"
             )
     if experiment in ("evolve", "claims"):
-        if experiment == "claims" and not cfg["j_list"]:
-            raise ConfigError("j_list needs at least one level")
+        if experiment == "claims" and len(cfg["j_list"]) < 3:
+            raise ConfigError(f"j_list needs at least three levels, got {list(cfg['j_list'])}")
         top = cfg["j_max"] if experiment == "evolve" else max(cfg["j_list"]) + 2
         if cfg["lam"] ** top > FREQ_LIMIT:
             raise ConfigError(

@@ -5,18 +5,18 @@ denominator window and never built, greedy separated-cube packings with
 their exact audits, nested Cantor-type constructions, and the
 mass-distribution dimension bound.
 
-A CubeFamily is one-dimensional and holds no cubes: its members are exact
-integer anchors (p, q) and one exact offset rule shared by all of them,
-member = p/q + [lo/q^t, hi/q^t].  The packings use (-1, 1, tau), the nested
-twins (1/200, 1/100, tau).  Anchors are integers: Cube and CubeFamily take
-Python or numpy integers, store Python ints and reject anything else with
-ValueError.  The audits read corners as integers straight from anchors and
-rule; a Cube is built only when a caller iterates or indexes a family.  The
-nested build has one fixed shape: it packs the root cube [1/8, 1/4], its
-twins sit at offsets (1/200, 1/100), and its denominator bound grows x4096
-per level, n_k = 4096^(k-1) n1.  The level counts, packings, their audits,
-the nested builds and the volume bound reject d >= 2; cubes and Cantor
-plans stay d-general.
+Cubes are one-dimensional.  A CubeFamily holds no cubes: its members are
+exact integer anchors (p, q) and one exact offset rule shared by all of
+them, member = p/q + [lo/q^t, hi/q^t], whose radius exponent t is an
+integer >= 2.  The packings use (-1, 1, tau), the nested twins
+(1/200, 1/100, tau), CounterexampleParams' offset window.  Anchors are
+integers: Cube and CubeFamily take Python or numpy integers, store Python
+ints and reject anything else with ValueError.  The audits read corners as
+integers straight from anchors and rule; a Cube is built only when a caller
+iterates or indexes a family.  The nested build has one fixed shape: it
+packs the root cube [1/8, 1/4], its twins sit at offsets (1/200, 1/100),
+and its denominator bound grows x4096 per level, n_k = 4096^(k-1) n1.  The
+level counts, the nested builds and the volume bound reject d >= 2.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ _LEVEL_CUBES = 1 << 20
 
 @dataclass(frozen=True)
 class Cube:
-    """Axis-aligned closed cube anchored at the rational p/q.
-
-    Each coordinate spans [p_i/q + lo, p_i/q + hi]; a centered ball of
-    radius r is the case lo = -r, hi = r.  Coordinates live in the unit
-    torus [0, 1]^d (cycle units; multiply by 2 pi for radians).
+    """Closed interval [p/q + lo, p/q + hi] anchored at the rational p/q,
+    with p a one-tuple; a centered ball of radius r is the case lo = -r,
+    hi = r.  Coordinates live in the unit torus [0, 1] (cycle units;
+    multiply by 2 pi for radians).  Any other d raises ValueError.
     """
 
     p: tuple[int, ...]
@@ -60,6 +59,7 @@ class Cube:
         *p, q = _integers("cube anchors", (*self.p, self.q))
         object.__setattr__(self, "p", tuple(p))
         object.__setattr__(self, "q", q)
+        _require_1d(self.d)
         if q < 1:
             raise ValueError("anchor denominator must be positive")
         if not self.lo < self.hi:
@@ -69,14 +69,11 @@ class Cube:
     def d(self) -> int:
         return len(self.p)
 
-    def anchor(self, i: int) -> Fraction:
-        return Fraction(self.p[i], self.q)
-
     def lo_corner(self, i: int) -> Fraction:
-        return self.anchor(i) + self.lo
+        return Fraction(self.p[i], self.q) + self.lo
 
     def hi_corner(self, i: int) -> Fraction:
-        return self.anchor(i) + self.hi
+        return Fraction(self.p[i], self.q) + self.hi
 
 
 @dataclass
@@ -85,8 +82,9 @@ class CubeFamily:
 
     Member i is the cube p[i]/q[i] + [lo/q[i]^t, hi/q[i]^t]: exact integer
     anchors, unreduced ones allowed, and one exact offset rule (lo, hi, t)
-    with lo < hi and t >= 0.  Indexing or iterating builds the member as a
-    Cube((p,), q, lo/q^t, hi/q^t); nothing else does.
+    with lo < hi and t an integer >= 2 (_tau_exponent).  Indexing or
+    iterating builds the member as a Cube((p,), q, lo/q^t, hi/q^t); nothing
+    else does.
     """
 
     p: list[int]
@@ -99,14 +97,13 @@ class CubeFamily:
     def __post_init__(self) -> None:
         self.lo, self.hi = Fraction(self.lo), Fraction(self.hi)
         self.p, self.q = _integers("anchors p", self.p), _integers("anchors q", self.q)
+        self.t = _tau_exponent(self.t)
         if len(self.p) != len(self.q):
             raise ValueError(f"{len(self.p)} numerators for {len(self.q)} denominators")
         if self.q and min(self.q) < 1:
             raise ValueError("anchor denominator must be positive")
         if not self.lo < self.hi:
             raise ValueError("cube family needs lo < hi")
-        if self.t < 0:
-            raise ValueError(f"offset exponent t = {self.t} must be nonnegative")
 
     def __len__(self) -> int:
         return len(self.q)
@@ -121,7 +118,7 @@ class CubeFamily:
 
 def _require_1d(d: int) -> None:
     if d != 1:
-        raise ValueError(f"the exact packings and audits are one-dimensional; got d = {d}")
+        raise ValueError(f"cubes and their constructions are one-dimensional; got d = {d}")
 
 
 def level_cube_count(params: CounterexampleParams, j: int) -> int:
@@ -143,12 +140,11 @@ def level_cube_count(params: CounterexampleParams, j: int) -> int:
 
 def _tau_exponent(tau) -> int:
     """tau as the integer exponent t of the exact radius 1/q^t; tau must be
-    a nonnegative integer (2 and 2.0 both are)."""
+    an integer >= 2 (2, 2.0 and Fraction(2) all are): below 2 a ball of
+    radius 1/q^tau need not fit the packing's margin (beta/n)^2."""
     exponent = Fraction(tau)
-    if exponent.denominator != 1 or exponent < 0:
-        raise ValueError(
-            f"tau = {tau!r} is not a nonnegative integer; 1/q^tau has no exact integer form"
-        )
+    if exponent.denominator != 1 or exponent < 2:
+        raise ValueError(f"tau = {tau!r}: a radius 1/q^tau needs an integer tau >= 2")
     return exponent.numerator
 
 
@@ -294,7 +290,7 @@ def _pack_1d(
     # every int64 product of the dense path below is at most one of these
     # (0 <= a, 0 <= p <= p_max, q <= q_hi, p b - a q >= 0)
     magnitude = max((p_max * b + a * q_hi) * h, q_hi * b * g, p_max * q_hi * h, g * q_hi * q_hi)
-    if magnitude < 2**63 and n_slots <= _DENSE_SLOTS:
+    if _exact_dtype(magnitude) is np.int64 and n_slots <= _DENSE_SLOTS:
         return (*_pack_1d_dense(a, b, g, h, n_slots, ranges, max_cubes), "dense")
     slotted = (
         (p, q, (p * b - a * q) * h // (q * b * g)) for q, p0, p1 in ranges for p in range(p0, p1 + 1)
@@ -387,24 +383,22 @@ def separated_cubes(
 ) -> CubeFamily:
     """Greedy separated family of balls B(p/q, 1/q^tau) inside the interval c.
 
-    One-dimensional only: a cube with d >= 2 raises ValueError, and so
-    does a non-integer tau, before any scan, and a cube whose shrunk window
-    [lo + (beta/n)^2, hi - (beta/n)^2] starts below 0.  Anchors
-    have q in [n/beta, n], sit at distance > (beta/n)^2 from the complement
-    of c, and are pairwise further than 3 (beta/n)^2 apart; the cubes
-    themselves are then separated by at least n^-2.  Greedy order is
-    lexicographic in (q, p).  With max_cubes set the scan stops early,
-    producing a valid (not necessarily maximal) family.
+    A tau that is not an integer >= 2 raises ValueError before any scan,
+    and so does a cube whose shrunk window [lo + (beta/n)^2, hi - (beta/n)^2]
+    starts below 0.  Anchors have q in [n/beta, n], sit at distance
+    > (beta/n)^2 from the complement of c, and are pairwise further than
+    3 (beta/n)^2 apart; the cubes themselves are then separated by at least
+    n^-2.  Greedy order is lexicographic in (q, p).  With max_cubes set the
+    scan stops early, producing a valid (not necessarily maximal) family.
 
     The scan (_pack_1d) is exact integer arithmetic over gap-wide slots,
     gap = 3 (beta/n)^2; where products fit int64 it checks a run of
     denominators per numpy step, O(candidates) work in all.  The result is
     the anchor-by-anchor greedy's list.  meta["store"] ("dense" or
     "sparse") records the store that ran.  The family holds the accepted
-    anchors under the
-    offset rule (-1, 1, t): member p/q + [-1/q^t, 1/q^t], with t = tau.
+    anchors under the offset rule (-1, 1, t): member p/q + [-1/q^t, 1/q^t],
+    with t = tau.
     """
-    _require_1d(c.d)
     t = _tau_exponent(tau)
     if max_cubes is not None and max_cubes < 1:
         raise ValueError(f"max_cubes = {max_cubes} must be at least 1")
@@ -426,7 +420,7 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
     """Exact structural audit of a separated_cubes family: radius exponent
     t = tau, containment with margin, pairwise anchor gap, and cube
     separation at least n^-2; raises AssertionError on any violation, and
-    ValueError for d >= 2 or a tau that is not a nonnegative integer.
+    ValueError for a tau that is not an integer >= 2.
 
     Corners come from the anchors and the family's offset rule
     (_integer_corners), so the audit holds for any rule, not only balls.
@@ -434,7 +428,6 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
     linear.  Every comparison is an integer cross-multiplication, in int64
     where one bound admits it and on object arrays otherwise.
     """
-    _require_1d(c.d)
     t = _tau_exponent(tau)
     if family.t != t:
         raise AssertionError(f"family radius exponent t = {family.t} is not tau = {tau}")
@@ -497,15 +490,14 @@ def audit_separated_family(c: Cube, family: CubeFamily, tau) -> None:
 def audit_separated_maximal(c: Cube, n: int, tau, beta, family: CubeFamily) -> None:
     """Rescan every admissible anchor; each must clash with an accepted one
     (an accepted anchor clashes with itself).  Only meaningful for families
-    built without max_cubes; raises ValueError for d >= 2 and for the
-    windows separated_cubes rejects.
+    built without max_cubes; raises ValueError for the windows
+    separated_cubes rejects.
 
     Accepted anchors are filed under the packer's exact slot
     floor((p/q - lo_b) / gap).  An anchor within gap of a candidate sits in
     the candidate's slot or one beside it, so the audit is linear in the
     candidates.
     """
-    _require_1d(c.d)
     lo_b, hi_b, _, gap, q_lo = _packing_window(c, n, beta)
     a, b, g, h = lo_b.numerator, lo_b.denominator, gap.numerator, gap.denominator
     store: dict[int, list[tuple[int, int]]] = {}
@@ -526,18 +518,18 @@ def audit_separated_maximal(c: Cube, n: int, tau, beta, family: CubeFamily) -> N
 @dataclass(frozen=True)
 class CantorPlan:
     """Per-level data of a nested construction: denominators n_k, child
-    counts m_k >= 2, and separations eps_k (strictly decreasing)."""
+    counts m_k >= 2, and separations eps_k (strictly decreasing); the depth
+    `levels` is their common length."""
 
     d: int
     tau: float
-    levels: int
     n: tuple[int, ...]
     m: tuple[int, ...]
     eps: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (len(self.n) == len(self.m) == len(self.eps) == self.levels):
-            raise ValueError("per-level arrays must match the level count")
+        if not len(self.n) == len(self.m) == len(self.eps):
+            raise ValueError("per-level arrays must have one length, the level count")
         if any(mk < 2 for mk in self.m):
             raise ValueError(f"every level needs m_k >= 2, got {self.m}")
         if any(e2 >= e1 for e1, e2 in zip(self.eps, self.eps[1:])):
@@ -545,13 +537,17 @@ class CantorPlan:
         if any(e <= 0 for e in self.eps):
             raise ValueError("separations must be positive")
 
+    @property
+    def levels(self) -> int:
+        return len(self.n)
 
-# The nested build: root cube [1/8, 1/4], twin offsets (c1, c2), and the
-# per-level growth of n_k.  A fixed geometric ratio keeps every level
-# computable at desk scale while child margins still fit inside parent cubes
-# (ratio >> beta sqrt(2/(c2 - c1))).
+
+# The nested build: root cube [1/8, 1/4], twin offsets (c1, c2) of the
+# counterexample's offset window, and the per-level growth of n_k.  A fixed
+# geometric ratio keeps every level computable at desk scale while child
+# margins still fit inside parent cubes (ratio >> beta sqrt(2/(c2 - c1))).
 ROOT_CUBE = Cube((1,), 8, Fraction(0), Fraction(1, 8))
-_TWIN_C1, _TWIN_C2 = Fraction(1, 200), Fraction(1, 100)
+_TWIN_C1, _TWIN_C2 = CounterexampleParams.c1, CounterexampleParams.c2
 _NESTED_GROWTH = 4096
 
 
@@ -615,7 +611,7 @@ def build_nested_levels(
         ns.append(n_k)
         ms.append(int(m_k))
         eps.append(e_k)
-    plan = CantorPlan(d, float(tau), levels, tuple(ns), tuple(ms), tuple(eps))
+    plan = CantorPlan(d, float(tau), tuple(ns), tuple(ms), tuple(eps))
     return families, plan
 
 
@@ -625,17 +621,15 @@ def _integer_corners(
     """(lo, hi, den): every member's corners p/q + lo/q^t and p/q + hi/q^t
     as lo[i]/den[i] and hi[i]/den[i], numpy arrays of dtype.
 
-    With lo = a1/b and hi = a2/b, the corners over b q^(t+1) are
-    p b q^t + a1 q and p b q^t + a2 q; for t >= 1 q cancels: den = b q^t.
+    With lo = a1/b and hi = a2/b, the corners over den = b q^t are
+    p b q^(t-1) + a1 and p b q^(t-1) + a2.
     """
     b = math.lcm(family.lo.denominator, family.hi.denominator)
     a1 = family.lo.numerator * (b // family.lo.denominator)
     a2 = family.hi.numerator * (b // family.hi.denominator)
     p, q = np.array(family.p, dtype=dtype), np.array(family.q, dtype=dtype)
-    if family.t:
-        scale = b * q ** (family.t - 1)
-        return p * scale + a1, p * scale + a2, scale * q
-    return p * b + a1 * q, p * b + a2 * q, b * q
+    scale = b * q ** (family.t - 1)
+    return p * scale + a1, p * scale + a2, scale * q
 
 
 def _twin_order(family: CubeFamily) -> tuple[list[int], float]:
@@ -705,7 +699,7 @@ def idealized_plan(d: int, lam: int, tau: float, levels: int) -> CantorPlan:
     m = tuple(lam ** (d + 1) for _ in range(levels))
     eps = tuple(float(lam) ** (-k * tau) for k in range(1, levels + 1))
     n = tuple(lam**k for k in range(1, levels + 1))
-    return CantorPlan(d, float(tau), levels, n, m, eps)
+    return CantorPlan(d, float(tau), n, m, eps)
 
 
 def level_volume_lower_bound(params: CounterexampleParams, j: int) -> float:

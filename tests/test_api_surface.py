@@ -3,8 +3,9 @@ public method and property of a public class, has a caller in the package
 itself: a name that only tests reach is dead weight.  Every default a public
 function, method or dataclass offers is set by some call in the program or
 its benchmark: a setting that only tests turn is a knob no run covers.
-What an exact integer or modulus is, expsum alone decides.  Every function
-the benchmark traces exists under its traced name."""
+What an exact integer or modulus is, expsum alone decides, and the offset
+window counterexample alone.  Every function the benchmark traces exists
+under its traced name."""
 
 import ast
 from pathlib import Path
@@ -69,6 +70,16 @@ def test_expsum_owns_the_integer_rule():
                    and "MODULUS_LIMIT" in _referenced_names(n))
     assert index == {("expsum.py", "_integers")}
     assert limit == {("expsum.py", "_modulus")}
+
+
+def test_counterexample_owns_the_offset_window():
+    # the offset window (c1, c2) = (1/200, 1/100) is written once, as the
+    # CounterexampleParams defaults; the config and the nested twins read it
+    def window_call(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+                and [getattr(a, "value", None) for a in node.args] in ([1, 200], [1, 100]))
+
+    assert {module for module, _ in _sites(window_call)} == {"counterexample.py"}
 
 
 def test_every_traced_function_exists():

@@ -16,6 +16,12 @@ from talbot_lab.measures import ExponentFit
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+# what the error of a rejected config must name, where the row checks it
+NAMED_IN_ERROR = {
+    "j_list = 2,3\n": "j_list",
+    "cov_j_max = 11\n": "level 11 of alpha = 1.0, lam = 64, kappa = 0.125: modulus q",
+}
+
 
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> Path:
     path = tmp_path / name
@@ -68,6 +74,11 @@ class TestConfigParsing:
         defaults = load_config(experiment, None)
         assert shipped == defaults
         assert {k: type(v) for k, v in shipped.items()} == {k: type(v) for k, v in defaults.items()}
+
+    def test_fewer_than_three_growth_levels_rejected(self, tmp_path):
+        # the growth-slope fit of claim (i) needs three levels
+        with pytest.raises(ConfigError, match="j_list needs at least three levels"):
+            load_config("claims", write_cfg(tmp_path, "j_list = 2,3\n"))
 
     def test_frequency_limit_guard(self, tmp_path):
         with pytest.raises(ConfigError, match="frequency limit"):
@@ -123,12 +134,12 @@ class TestCliContract:
         assert "seed must be nonnegative" in capsys.readouterr().err
 
     def test_value_a_layer_rejects_exits_two_without_report(self, tmp_path, capsys):
-        # the schema takes two levels, but the growth fit needs three
-        cfg = write_cfg(tmp_path, "j_list = 3,4\nsamples_per_j = 4\n")
+        # the schema takes any Fraction, but the packing needs beta > 1
+        cfg = write_cfg(tmp_path, "sep_beta = 1\n")
         out = tmp_path / "o"
-        assert main(["claims", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["dimension", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: beta must exceed 1")
 
     @pytest.mark.parametrize("q_min", [0, 6])
     def test_perturbed_q_min_off_the_multiples_of_four_exits_two(self, tmp_path, capsys, q_min):
@@ -157,10 +168,11 @@ class TestCliContract:
             ("gauss", "q_max = 60\nabel_instances = 0\n"),
             # no pair k < j in the first-derivative regime: claim (ii) would pass on none
             ("claims", "alpha = 0.5\n"),
-            # j_list = 2 leaves the one pair (2, 1) in the second-derivative band
+            # fewer than three levels, none at all included: the growth fit
+            # needs three, so j_list is rejected by name before any stage runs
             ("claims", "j_list = 2\n"),
-            # no level at all: rejected by name before any stage runs
             ("claims", "j_list = \n"),
+            ("claims", "j_list = 2,3\n"),
             # a fraction threshold of 0 or below: the claims check would pass on any samples
             ("claims", "factor_frac = 0\n"),
             ("claims", "decay_c_min_frac = -0.5\n"),
@@ -178,7 +190,9 @@ class TestCliContract:
         out = tmp_path / "o"
         assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert NAMED_IN_ERROR.get(text, "") in err
 
     def test_single_volume_level_exits_two_naming_the_key(self, tmp_path, capsys, monkeypatch):
         # one level gives no consecutive-level ratio; the config check rejects

@@ -85,25 +85,29 @@ class TestCoveringExponent:
         assert covering_fit(params, range(2, 7)).slope == pytest.approx(2 / 3, abs=0.05)
 
 
-E0_2D = Cube((1, 1), 8, Fraction(0), Fraction(1, 8))
-
-
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: separated_cubes(E0_2D, 64, 2),
-        lambda: audit_separated_family(E0_2D, separated_cubes(E0, 64, 2), 2),
+        # no 2-D cube exists, so no packing or audit ever receives one: the
+        # rows below reject their input as it is built
+        lambda: Cube((1, 1), 8, Fraction(0), Fraction(1, 8)),
+        lambda: separated_cubes(Cube((1, 1), 8, Fraction(0), Fraction(1, 8)), 64, 2),
+        lambda: audit_separated_family(
+            Cube((1, 1), 8, Fraction(0), Fraction(1, 8)), separated_cubes(E0, 64, 2), 2
+        ),
+        lambda: audit_separated_maximal(
+            Cube((1, 1), 8, Fraction(0), Fraction(1, 8)), 64, 2, 4, separated_cubes(E0, 64, 2)
+        ),
         lambda: level_volume_lower_bound(
             CounterexampleParams(d=2, alpha=2.0, lam=8, delta=0.05, kappa=1 / 4), 2
         ),
         lambda: build_nested_levels(2, 2, 64, 1),
-        lambda: audit_separated_maximal(E0_2D, 64, 2, 4, separated_cubes(E0, 64, 2)),
         lambda: level_cube_count(
             CounterexampleParams(d=2, alpha=2.0, lam=8, delta=0.05, kappa=1 / 4), 2
         ),
     ],
-    ids=["separated_cubes", "audit_separated_family", "level_volume_lower_bound",
-         "build_nested_levels", "audit_separated_maximal", "level_cube_count"],
+    ids=["cube", "separated_cubes", "audit_separated_family", "audit_separated_maximal",
+         "level_volume_lower_bound", "build_nested_levels", "level_cube_count"],
 )
 def test_two_dimensional_input_rejected(call):
     with pytest.raises(ValueError, match="one-dimensional; got d = 2"):
@@ -119,18 +123,20 @@ def _float_numerators(family):
     [
         (lambda: Cube((1,), 0, Fraction(0), Fraction(1)), "denominator must be positive"),
         (lambda: Cube((1,), 8, Fraction(1), Fraction(1)), "lo < hi"),
-        (lambda: CubeFamily([1, 2], [3], 0, 1, 0), "2 numerators for 1 denominators"),
-        (lambda: CubeFamily([1], [0], 0, 1, 0), "denominator must be positive"),
-        (lambda: CubeFamily([1], [3], 1, 0, 0), "lo < hi"),
-        (lambda: CubeFamily([1], [3], 0, 1, -1), "nonnegative"),
-        (lambda: CantorPlan(1, 2.0, 2, (4,), (4, 4), (0.1, 0.01)), "level count"),
-        (lambda: CantorPlan(1, 2.0, 2, (4, 16), (4, 4), (0.1, 0.1)), "strictly decreasing"),
-        (lambda: CantorPlan(1, 2.0, 2, (4, 16), (4, 4), (0.1, 0.0)), "positive"),
+        (lambda: CubeFamily([1, 2], [3], 0, 1, 2), "2 numerators for 1 denominators"),
+        (lambda: CubeFamily([1], [0], 0, 1, 2), "denominator must be positive"),
+        (lambda: CubeFamily([1], [3], 1, 0, 2), "lo < hi"),
+        # every radius exponent is an integer >= 2
+        (lambda: CubeFamily([1], [3], 0, 1, 1), "integer tau >= 2"),
+        (lambda: CubeFamily([1], [4], -1, 1, 2.5), "integer tau >= 2"),
+        (lambda: CantorPlan(1, 2.0, (4,), (4, 4), (0.1, 0.01)), "one length"),
+        (lambda: CantorPlan(1, 2.0, (4, 16), (4, 4), (0.1, 0.1)), "strictly decreasing"),
+        (lambda: CantorPlan(1, 2.0, (4, 16), (4, 4), (0.1, 0.0)), "positive"),
         # anchors must be integers, wherever a family or cube is made
         (lambda: Cube((1.5,), 8, Fraction(0), Fraction(1, 8)), "must be integers"),
         (lambda: CubeFamily([2], [8.0], -1, 1, 2), "must be integers"),
         (lambda: audit_nesting(
-            CubeFamily([1.0], [8], Fraction(0), Fraction(1, 8), 0),
+            CubeFamily([1.0], [8], Fraction(0), Fraction(1, 8), 2),
             CubeFamily([3.25], [16], Fraction(1, 200), Fraction(1, 100), 2),
         ), "must be integers"),
         (lambda: audit_separated_family(
@@ -138,7 +144,8 @@ def _float_numerators(family):
         ), "must be integers"),
     ],
     ids=["cube_denominator", "cube_empty", "family_lengths", "family_denominator",
-         "family_empty", "family_exponent", "plan_levels", "plan_separations",
+         "family_empty", "family_exponent", "family_fractional_exponent", "plan_levels",
+         "plan_separations",
          "plan_separation_zero", "cube_float_numerator", "family_float_denominator",
          "nesting_float_anchors", "separated_audit_float_anchors"],
 )
@@ -149,7 +156,7 @@ def test_malformed_construction_rejected(call, match):
 
 def test_numpy_integer_anchors_stored_as_ints():
     cube = Cube((np.int64(1),), np.int32(8), Fraction(0), Fraction(1, 8))
-    family = CubeFamily(np.array([1, 3]), np.array([4, 8], dtype=np.uint16), 0, 1, 1)
+    family = CubeFamily(np.array([1, 3]), np.array([4, 8], dtype=np.uint16), 0, 1, 2)
     assert cube == E0 and type(cube.p) is tuple
     assert [type(v) for v in (*cube.p, cube.q, *family.p, *family.q)] == [int] * 6
 
@@ -163,9 +170,9 @@ class TestSeparatedCubes:
     def test_exact_gap_audit(self):
         fam = separated_cubes(E0, 128, 2, beta=4)
         gap = Fraction(1, 128**2)
-        ordered = sorted(fam, key=lambda c: c.anchor(0))
+        ordered = sorted(fam, key=lambda c: Fraction(c.p[0], c.q))
         for a, b in zip(ordered, ordered[1:]):
-            assert (b.anchor(0) - b.hi) - (a.anchor(0) + a.hi) >= gap
+            assert b.lo_corner(0) - a.hi_corner(0) >= gap
 
     def test_greedy_is_maximal_at_small_n(self):
         fam = separated_cubes(E0, 64, 2, beta=4)
@@ -239,32 +246,32 @@ class TestNestedConstruction:
 
 
 def one_child(p, q, lo, hi):
-    """A one-member level-2 family p/q + [lo, hi] (offset exponent 0)."""
-    return CubeFamily([p], [q], lo, hi, 0)
+    """A one-member level-2 family p/q + [lo/q^2, hi/q^2]."""
+    return CubeFamily([p], [q], lo, hi, 2)
 
 
 class TestAuditNesting:
-    # the rule (0, 1/2, t = 1): [1/4, 3/8] and [3/8, 7/16]
-    PARENTS = CubeFamily([1, 3], [4, 8], Fraction(0), Fraction(1, 2), 1)
+    # the rule (0, 2, t = 2): [1/4, 3/8] and [3/8, 13/32]
+    PARENTS = CubeFamily([1, 3], [4, 8], Fraction(0), Fraction(2), 2)
 
     def test_parent_corners(self):
         assert [(c.lo_corner(0), c.hi_corner(0)) for c in self.PARENTS] == [
-            (Fraction(1, 4), Fraction(3, 8)), (Fraction(3, 8), Fraction(7, 16))
+            (Fraction(1, 4), Fraction(3, 8)), (Fraction(3, 8), Fraction(13, 32))
         ]
 
     def test_child_in_one_parent_passes(self):
-        # the rule (0, 16, t = 2) at q = 16: [5/16, 3/8] inside [1/4, 3/8], and,
-        # cubes being closed, the unreduced 6/16 gives [3/8, 7/16], equal to
-        # its parent
-        children = CubeFamily([5, 6], [16, 16], Fraction(0), Fraction(16), 2)
+        # the rule (0, 8, t = 2) at q = 16: [5/16, 11/32] inside [1/4, 3/8],
+        # and, cubes being closed, the unreduced 6/16 gives [3/8, 13/32], equal
+        # to its parent
+        children = CubeFamily([5, 6], [16, 16], Fraction(0), Fraction(8), 2)
         audit_nesting(self.PARENTS, children)
 
     @pytest.mark.parametrize(
         "child",
         [
-            one_child(1, 8, Fraction(0), Fraction(1, 64)),  # below both parents
-            one_child(3, 8, Fraction(1, 32), Fraction(1, 16) + Fraction(1, 1 << 40)),
-            one_child(3, 8, -Fraction(1, 1 << 40), Fraction(1, 32)),
+            one_child(1, 8, Fraction(0), Fraction(1)),  # [1/8, 9/64], below both parents
+            one_child(3, 8, Fraction(1), Fraction(2) + Fraction(1, 1 << 40)),
+            one_child(3, 8, -Fraction(1, 1 << 40), Fraction(1)),
         ],
         ids=["outside", "past_hi_corner", "before_lo_corner"],
     )
@@ -273,10 +280,10 @@ class TestAuditNesting:
             audit_nesting(self.PARENTS, child)
 
     def test_child_in_two_overlapping_parents_raises(self):
-        # the child [3/8, 13/32] lies in [3/8, 7/16] and in the added [1/3, 1/2]
-        parents = CubeFamily([1, 3, 1], [4, 8, 3], Fraction(0), Fraction(1, 2), 1)
+        # the child [3/8, 25/64] lies in [3/8, 13/32] and in the added [1/3, 5/9]
+        parents = CubeFamily([1, 3, 1], [4, 8, 3], Fraction(0), Fraction(2), 2)
         with pytest.raises(AssertionError, match="contained in 2 parents"):
-            audit_nesting(parents, one_child(3, 8, Fraction(0), Fraction(1, 32)))
+            audit_nesting(parents, one_child(3, 8, Fraction(0), Fraction(1)))
 
 
 class TestCantorLowerBound:
@@ -292,12 +299,12 @@ class TestCantorLowerBound:
 
     def test_single_branch_rejected(self):
         with pytest.raises(ValueError, match="m_k >= 2"):
-            CantorPlan(1, 2.0, 2, (4, 16), (1, 4), (0.1, 0.01))
+            CantorPlan(1, 2.0, (4, 16), (1, 4), (0.1, 0.01))
 
     def test_improving_separation_cannot_decrease_value(self):
         plan = idealized_plan(1, 4, 3.0, 4)
         better = CantorPlan(
-            plan.d, plan.tau, plan.levels, plan.n, plan.m,
+            plan.d, plan.tau, plan.n, plan.m,
             tuple(e * 1.5 for e in plan.eps),
         )
         assert cantor_lower_bound(better) >= cantor_lower_bound(plan)
@@ -308,7 +315,7 @@ class TestCantorLowerBound:
         assert value > 0.0
 
     def test_nonpositive_log_rejected(self):
-        plan = CantorPlan(1, 2.0, 2, (4, 16), (4, 4), (0.5, 0.3))
+        plan = CantorPlan(1, 2.0, (4, 16), (4, 4), (0.5, 0.3))
         with pytest.raises(ValueError, match="log"):
             cantor_lower_bound(plan)
 

@@ -439,15 +439,14 @@ anchor_st = st.one_of(st.integers(1, 64), st.integers(1 << 30, 1 << 40)).flatmap
 @given(
     base=st.lists(anchor_st, min_size=1, max_size=24),
     scales=st.lists(st.integers(1, 4), max_size=24),
-    t=st.integers(0, 4),
+    t=st.integers(2, 4),
     c1=st.fractions(Fraction(1, 1000), 1, max_denominator=1000),
     width=st.fractions(Fraction(1, 1000), 1, max_denominator=1000),
     data=st.data(),
 )
 def test_twin_order_and_gap_match_fraction_oracle(base, scales, t, c1, width, data):
     # unreduced multiples k p/k q beside their anchor (2/8 next to 1/4), and
-    # exact repeats (k = 1) whose ties only a stable sort orders; at t = 0
-    # the twins of 1/4 and 2/8 tie too
+    # exact repeats (k = 1) whose ties only a stable sort orders
     anchors = data.draw(st.permutations(base + [(k * p, k * q) for (p, q), k in zip(base, scales)]))
     if len(anchors) < 2:
         anchors = anchors + anchors
@@ -456,44 +455,36 @@ def test_twin_order_and_gap_match_fraction_oracle(base, scales, t, c1, width, da
     assert fractal._twin_order(twins) == _oracle_twin_order(anchors, t, c1, c2)
 
 
-def _old_member(rule, p, q, t, c1, c2, scale):
+def _old_member(rule, p, q, t, c1, c2):
     """The Cube each builder made per anchor before families held anchors:
-    separated_cubes' ball, build_nested_levels' twin, a level-j family's cube."""
+    separated_cubes' ball, build_nested_levels' twin."""
     if rule == "separated":
         r = Fraction(1, q**t)
         return Cube((p,), q, -r, r)
-    if rule == "nested":
-        q_t = q**t
-        return Cube((p,), q, c1 / q_t, c2 / q_t)
-    return Cube((p,), q, c1 * scale, c2 * scale)
+    q_t = q**t
+    return Cube((p,), q, c1 / q_t, c2 / q_t)
 
 
 @PROPERTY
 @given(
     base=st.lists(anchor_st, min_size=1, max_size=12),
     scales=st.lists(st.integers(1, 4), max_size=12),
-    rule=st.sampled_from(["separated", "nested", "level"]),
-    t=st.integers(0, 4),
+    rule=st.sampled_from(["separated", "nested"]),
+    t=st.integers(2, 4),
     c1=st.fractions(Fraction(1, 1000), 1, max_denominator=1000),
     width=st.fractions(Fraction(1, 1000), 1, max_denominator=1000),
-    lam=st.integers(2, 64),
-    j=st.integers(1, 6),
 )
-def test_materialized_cubes_match_old_construction(base, scales, rule, t, c1, width, lam, j):
+def test_materialized_cubes_match_old_construction(base, scales, rule, t, c1, width):
     # unreduced multiples k p/k q beside their anchors, with q up to 2^42
     anchors = base + [(k * p, k * q) for (p, q), k in zip(base, scales)]
     ps, qs = [p for p, _ in anchors], [q for _, q in anchors]
-    c2, scale = c1 + width, Fraction(1, lam**j)
-    offsets = {
-        "separated": (Fraction(-1), Fraction(1), t),
-        "nested": (c1, c2, t),
-        "level": (c1 * scale, c2 * scale, 0),
-    }
+    c2 = c1 + width
+    offsets = {"separated": (Fraction(-1), Fraction(1), t), "nested": (c1, c2, t)}
     family = CubeFamily(ps, qs, *offsets[rule])
     members = list(family)
     assert len(members) == len(family) == len(anchors)
     for i, (p, q) in enumerate(anchors):
-        old = _old_member(rule, p, q, t, c1, c2, scale)
+        old = _old_member(rule, p, q, t, c1, c2)
         for cube in (members[i], family[i]):
             assert cube == old
             assert (str(cube.lo), str(cube.hi)) == (str(old.lo), str(old.hi))
@@ -568,7 +559,7 @@ class TestIntegerAudit:
             audit_separated_family(E0, family, 3)
         # checked before anything else, so an empty family is rejected too
         with pytest.raises(AssertionError, match="radius exponent"):
-            audit_separated_family(E0, self._with(family, []), 1)
+            audit_separated_family(E0, self._with(family, []), 3)
         with pytest.raises(ValueError, match="tau"):
             audit_separated_family(E0, family, 2.5)
 
@@ -648,6 +639,23 @@ def test_non_integer_tau_rejected():
     # a negative tau has no integer radius 1/q^tau either
     with pytest.raises(ValueError, match="tau"):
         separated_cubes(E0, 64, -1)
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tau: separated_cubes(E0, 256, tau),
+        lambda tau: build_nested_levels(1, tau, 256, 2),
+        lambda tau: audit_separated_family(E0, separated_cubes(E0, 256, 2), tau),
+    ],
+    ids=["separated_cubes", "build_nested_levels", "audit_separated_family"],
+)
+def test_radius_exponent_below_two_rejected(call, tau):
+    # a ball of radius 1/q^tau fits the margin (beta/n)^2 only for tau >= 2:
+    # tau = 0 and 1 would pack cubes that leave their parent
+    with pytest.raises(ValueError, match=f"tau = {tau}: .* integer tau >= 2"):
+        call(tau)
 
 
 def test_integral_float_tau_is_exact():
