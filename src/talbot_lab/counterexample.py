@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .expsum import _integers, _modulus
-from .schrodinger import RationalTime, SamplePoint, block_factor_fast, block_split
+from .schrodinger import RationalTime, SamplePoint, block_factors, block_split
 
 
 @dataclass(frozen=True)
@@ -205,15 +205,8 @@ def _block_columns(
     magnitudes |S_N f_k(x)|, the per-coordinate factor magnitudes
     (samples x d), and flags marking samples with no complete residue period
     (boundary only)."""
-    mags = np.array(
-        [
-            [
-                abs(block_factor_fast(params.lam, k, RationalTime(s.q), p_i, eps_i, n))
-                for p_i, eps_i in zip(s.p, s.eps)
-            ]
-            for s in samples
-        ]
-    ).reshape(len(samples), params.d)
+    factors = block_factors(params.lam, k, samples, n).tolist()
+    mags = np.array([[abs(v) for v in row] for row in factors]).reshape(len(samples), params.d)
     splits = [block_split(params.lam, k, s.q, n) for s in samples]
     boundary = np.array([r <= l for _, _, l, r in splits], dtype=bool)
     return params.amplitude(k) * np.prod(mags, axis=1), mags, boundary

@@ -5,19 +5,17 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 from ..counterexample import sample_points, time_set
-from ..schrodinger import DirichletBlock, evolve_rational_fast, partial_sum_direct
+from ..schrodinger import block_factors, partial_sum_direct, unit_block
 from .config import counterexample_params
 from .report import RunReport, Sweep
 
 
 def _worst_error_at_time(args) -> tuple[int, int, float]:
     params, j, t, data, count, seed = args
-    block = DirichletBlock(1, params.lam, j)
-    n = params.lam**j
     worst = 0.0
     xs = sample_points(params, j, t, count, seed)
-    for x, direct in zip(xs, partial_sum_direct(data, n, t, xs).tolist()):
-        fast = evolve_rational_fast(block, t, x)
+    fasts = block_factors(params.lam, j, xs).prod(axis=1).tolist()
+    for fast, direct in zip(fasts, partial_sum_direct(data, params.lam**j, t, xs).tolist()):
         err = abs(fast - direct) / max(1.0, abs(direct))
         worst = max(worst, err)
     return j, t.q, worst
@@ -29,7 +27,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
     tasks = []
     seed = cfg["seed"]
     for j in range(1, cfg["j_max"] + 1):
-        data = DirichletBlock(1, params.lam, j).to_fourier_data()
+        data = unit_block(1, params.lam ** (j - 1), params.lam**j - 1)
         for t in time_set(params, j):
             tasks.append((params, j, t, data, cfg["samples_per_q"], seed + 1000 * j + t.q))
     if jobs > 1:

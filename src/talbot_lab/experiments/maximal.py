@@ -22,13 +22,8 @@ from ..measures import (
     transference_ratio,
     uniform_measure,
 )
-from ..schrodinger import FourierData, RationalTime
+from ..schrodinger import RationalTime, unit_block
 from .report import GoldenDiff, RunReport, Sweep
-
-
-def _dirichlet_datum(n: int) -> FourierData:
-    ks = np.arange(-n, n + 1, dtype=np.int64).reshape(-1, 1)
-    return FourierData(1, ks, np.ones(ks.shape[0], dtype=complex))
 
 
 def run(cfg: dict, jobs: int) -> RunReport:
@@ -89,7 +84,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
     lp_rows = []
     for e in range(cfg["lp_exp_min"], cfg["lp_exp_max"] + 1):
         n = 2**e
-        f = _dirichlet_datum(n)
+        f = unit_block(1, -n, n)
         value = maximal_lp_norm(f, mu_uniform, 6.0, plan)
         ratio = value / (n**lp_exponent * f.l2())
         lp_ratios.append(ratio)
@@ -110,7 +105,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
     trans_rows, carl_rows = [], []
     for e in range(cfg["sweep_exp_min"], cfg["sweep_exp_max"] + 1):
         n = 2**e
-        f = _dirichlet_datum(n)
+        f = unit_block(1, -n, n)
         tr = transference_ratio(f, mu, 6.0, s_transfer, plan)
         cr = carleson_l2_ratio(f, mu, s_carleson, [2**i for i in range(1, e + 1)], t_fixed)
         trans.append(tr)
@@ -128,7 +123,7 @@ def run(cfg: dict, jobs: int) -> RunReport:
     illposed = AtomicMeasure(1, mu.positions, mu.masses, illposed_dimension(1, s_carleson) - 0.01)
     rejected = 0.0
     try:
-        carleson_l2_ratio(_dirichlet_datum(16), illposed, s_carleson, [4, 8, 16], t_fixed)
+        carleson_l2_ratio(unit_block(1, -16, 16), illposed, s_carleson, [4, 8, 16], t_fixed)
     except ValueError:
         rejected = 1.0
     report.add_check("illposed_regime_rejected", rejected, 1.0, ">=")

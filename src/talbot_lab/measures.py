@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .expsum import _integers
 from .schrodinger import TAU, FourierData, RationalTime, dirichlet_kernel_1d, sobolev_norm
 
 _ATOM_CAP = 1 << 22
@@ -115,10 +116,9 @@ def cantor_measure(ratio: float, level: int) -> AtomicMeasure:
     """
     if not 0 < ratio < 0.5:
         raise ValueError(f"contraction ratio must be in (0, 1/2), got {ratio}")
-    if level < 0 or level > 24:
-        raise ValueError(f"level must be in [0, 24], got {level}")
-    if (1 << level) > _ATOM_CAP:
-        raise ValueError(f"atom count 2^{level} above cap {_ATOM_CAP}")
+    (level,) = _integers("level", (level,))
+    if level < 0 or (1 << level) > _ATOM_CAP:
+        raise ValueError(f"level must be in 0..{_ATOM_CAP.bit_length() - 1}, got {level}")
     pts = np.zeros(1)
     width = 1.0
     for _ in range(level):
@@ -132,6 +132,7 @@ def cantor_measure(ratio: float, level: int) -> AtomicMeasure:
 def uniform_measure(n: int) -> AtomicMeasure:
     """n equally spaced atoms of equal mass on the circle: the grid surrogate
     of the normalized Lebesgue measure."""
+    (n,) = _integers("atom count n", (n,))
     if n < 1:
         raise ValueError("need at least one atom")
     return AtomicMeasure(1, TAU * np.arange(n) / n, np.full(n, 1.0 / n), 1.0)
@@ -215,12 +216,12 @@ def convolve_dirichlet_sup(mu: AtomicMeasure, ns: Sequence[int], x_grid: int) ->
     back into the grid, so one real grid and two half spectra are the whole
     working set.
     """
-    ns = [int(n) for n in ns]
+    ns = _integers("bandwidths ns", ns)
     if not ns:
         raise ValueError("need at least one bandwidth")
     if mu.d != 1:
         raise ValueError("grid convolution is implemented for d = 1")
-    m = int(x_grid)
+    (m,) = _integers("x_grid", (x_grid,))
     if m < 2:
         raise ValueError("grid must contain at least two points")
     if m > GRID_CAP:
@@ -277,6 +278,7 @@ def dirichlet_l1(n: int) -> tuple[float, float]:
     The kernel is streamed into one array of m + 1 values, summed, and
     then overwritten block by block with its envelope and summed again.
     """
+    (n,) = _integers("bandwidth n", (n,))
     if n < 1:
         raise ValueError(f"bandwidth must be >= 1, got {n}")
     m = max(40 * n, 2000)  # even, as Simpson needs
@@ -419,7 +421,7 @@ def carleson_l2_ratio(
     if alpha <= boundary:
         raise ValueError(f"alpha={alpha} is in the ill-posed regime alpha <= d - 2s = {boundary}")
     n = f.bandwidth
-    truncs = sorted({int(m) for m in n_trunc_set if int(m) <= n})
+    truncs = sorted({m for m in _integers("truncations n_trunc_set", n_trunc_set) if m <= n})
     if not truncs:
         raise ValueError("no truncation levels at or below the bandwidth")
     ks, coeffs = f.ks, f.coeffs

@@ -4,7 +4,8 @@ Sparse Fourier data on the integer lattice, Dirichlet kernels, the direct
 oracle S_N(t)f(x), which takes only exact inputs (rational times t = 2 pi / q
 and anchored points x = 2 pi (p/q + eps)) and reduces every integer phase
 exactly, and a fast block-decomposition path for product data whose
-one-dimensional factors are full frequency blocks [lam^(j-1), lam^j - 1].
+one-dimensional factors are full frequency blocks [lam^(j-1), lam^j - 1]:
+unit_block builds such a datum and block_factors evaluates its factors.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ FREQ_LIMIT = 2**30
 
 _SING_TOL = 1e-8
 
-# Coefficients of the largest block datum DirichletBlock builds: 2^24
-# complex entries are 256 MiB.
+# Coefficients of the largest datum unit_block builds: 2^24 complex
+# entries are 256 MiB.
 _BLOCK_COEFF_CAP = 1 << 24
 
 
@@ -115,42 +116,16 @@ class FourierData:
         return float(np.sqrt((np.abs(self.coeffs) ** 2).sum()))
 
 
-@dataclass(frozen=True)
-class DirichletBlock:
-    """Product datum whose factors sum e^{i n x} over n in [lam^(j-1), lam^j - 1].
-
-    Carries no amplitude: every coefficient is 1, and callers scale.
-    """
-
-    d: int
-    lam: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.lam < 2 or self.j < 1:
-            raise ValueError("need d >= 1, lam >= 2, j >= 1")
-        if self.lam**self.j > FREQ_LIMIT:
-            raise ValueError(f"block top {self.lam}^{self.j} exceeds limit {FREQ_LIMIT}")
-
-    @property
-    def n_lo(self) -> int:
-        return self.lam ** (self.j - 1)
-
-    @property
-    def n_hi(self) -> int:
-        return self.lam**self.j - 1
-
-    def coefficient_count(self) -> int:
-        return (self.n_hi - self.n_lo + 1) ** self.d
-
-    def to_fourier_data(self) -> FourierData:
-        count = self.coefficient_count()
-        if count > _BLOCK_COEFF_CAP:
-            raise ValueError(f"block has {count} coefficients, above the cap {_BLOCK_COEFF_CAP}")
-        # rows in the order of a meshgrid with indexing="ij"
-        width = self.n_hi - self.n_lo + 1
-        ks = np.indices((width,) * self.d).reshape(self.d, -1).T + self.n_lo
-        return FourierData(self.d, ks, np.ones(ks.shape[0], dtype=complex))
+def unit_block(d: int, lo: int, hi: int) -> FourierData:
+    """Coefficient 1 at every k in [lo, hi]^d, rows in np.indices order."""
+    d, lo, hi = _integers("d, lo and hi", (d, lo, hi))
+    if d < 1 or hi < lo:
+        raise ValueError(f"need d >= 1 and lo <= hi, got d={d}, [{lo}, {hi}]")
+    count = (hi - lo + 1) ** d
+    if count > _BLOCK_COEFF_CAP:
+        raise ValueError(f"block has {count} coefficients, above the cap {_BLOCK_COEFF_CAP}")
+    ks = np.indices((hi - lo + 1,) * d).reshape(d, -1).T + lo
+    return FourierData(d, ks, np.ones(ks.shape[0], dtype=complex))
 
 
 def dirichlet_kernel_1d(n: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -160,6 +135,7 @@ def dirichlet_kernel_1d(n: int, x: float | np.ndarray) -> float | np.ndarray:
     summation of the cosine series; the result is clamped to |.| <= 2N+1,
     which the exact kernel satisfies.
     """
+    (n,) = _integers("bandwidth n", (n,))
     if n < 0:
         raise ValueError(f"bandwidth must be nonnegative, got {n}")
     xa = np.asarray(x, dtype=float)
@@ -306,21 +282,16 @@ def block_factor_fast(
     return middle + left + right
 
 
-def evolve_rational_fast(block: DirichletBlock, t: RationalTime, x: SamplePoint) -> complex:
-    """Evaluate the pure block datum at rational time t via the fast path.
-
-    Requires the sample anchored to the same modulus as the time; each
-    coordinate factor is computed by block_factor_fast and the results
-    multiplied.
-    """
-    if x.q != t.q:
-        raise ValueError(f"anchor mismatch: sample q={x.q}, time q={t.q}")
-    if x.d != block.d:
-        raise ValueError(f"dimension mismatch: sample d={x.d}, block d={block.d}")
-    out = 1.0 + 0.0j
-    for p_i, eps_i in zip(x.p, x.eps):
-        out *= block_factor_fast(block.lam, block.j, t, p_i, eps_i)
-    return out
+def block_factors(
+    lam: int, j: int, xs: Sequence[SamplePoint], n_hi: int | None = None
+) -> np.ndarray:
+    """block_factor_fast at each coordinate of each point, shape (len(xs), d),
+    at the time 2 pi / q of the point's own modulus q."""
+    rows = []
+    for x in xs:
+        t = RationalTime(x.q)
+        rows.append([block_factor_fast(lam, j, t, p, eps, n_hi) for p, eps in zip(x.p, x.eps)])
+    return np.array(rows)
 
 
 def sobolev_norm(f: FourierData, s: float) -> float:

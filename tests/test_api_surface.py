@@ -5,9 +5,11 @@ function, method or dataclass offers is set by some call in the program or
 its benchmark: a setting that only tests turn is a knob no run covers.
 What an exact integer or modulus is, expsum alone decides, and the offset
 window counterexample alone.  Every function the benchmark traces exists
-under its traced name."""
+under its traced name, and its work counter binds the function's arguments."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +95,28 @@ def test_every_traced_function_exists():
               for stmt in tree.body if _is_public(stmt) and isinstance(stmt, ast.FunctionDef)}
     assert traced
     assert [name for name in traced if name not in public] == []
+
+
+def test_traced_counters_bind_the_traced_signatures():
+    # each work counter is called with the traced call's result and its own
+    # arguments, so a renamed or reordered parameter would break only the benchmark
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer("signature-check")
+    assert tracer.counters
+    failures = []
+    for name, counter in tracer.counters.items():
+        params = inspect.signature(tracer.originals[name]).parameters.values()
+        required = [p.name for p in params if p.default is p.empty]
+        calls = [([p.name for p in params], {})]
+        calls += [(required, {p.name: p.default}) for p in params if p.default is not p.empty]
+        for args, kwargs in calls:
+            try:
+                inspect.signature(counter).bind(None, *args, **kwargs)
+            except TypeError as exc:
+                failures.append(f"{name}{(*args, *kwargs)}: {exc}")
+    assert failures == []
 
 
 def _public_api_without_caller() -> list[str]:

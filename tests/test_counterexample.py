@@ -17,13 +17,13 @@ from talbot_lab.counterexample import (
 from talbot_lab.counterexample import _block_columns
 from talbot_lab.experiments.config import covering_cases, load_config
 from talbot_lab.schrodinger import (
-    DirichletBlock,
     FourierData,
     RationalTime,
     SamplePoint,
     block_factor_fast,
     block_split,
     partial_sum_direct,
+    unit_block,
 )
 
 DESK = dict(d=1, alpha=1.0, lam=16, delta=0.05, kappa=0.25)
@@ -38,7 +38,7 @@ BLOWUP = dict(
 
 def block_datum(p, j):
     """The block datum f_j: (lam^j - lam^(j-1))^d coefficients of height p.amplitude(j)."""
-    f = DirichletBlock(p.d, p.lam, j).to_fourier_data()
+    f = unit_block(p.d, p.lam ** (j - 1), p.lam**j - 1)
     return FourierData(p.d, f.ks, p.amplitude(j) * f.coeffs)
 
 

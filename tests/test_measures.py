@@ -21,14 +21,9 @@ from talbot_lab.measures import (
     transference_ratio,
     uniform_measure,
 )
-from talbot_lab.schrodinger import FourierData, RationalTime, dirichlet_kernel_1d
+from talbot_lab.schrodinger import FourierData, RationalTime, dirichlet_kernel_1d, unit_block
 
 TAU = 2 * math.pi
-
-
-def dirichlet_datum(n):
-    ks = np.arange(-n, n + 1, dtype=np.int64).reshape(-1, 1)
-    return FourierData(1, ks, np.ones(ks.shape[0], dtype=complex))
 
 
 class TestCantorMeasure:
@@ -52,6 +47,11 @@ class TestCantorMeasure:
             cantor_measure(0.5, 3)
         with pytest.raises(ValueError):
             cantor_measure(1 / 3, 30)
+
+    @pytest.mark.parametrize("level", [-1, 23])
+    def test_rejects_level_outside_the_atom_cap(self, level):
+        with pytest.raises(ValueError, match=r"0\.\.22"):
+            cantor_measure(1 / 3, level)
 
 
 class TestAtomicMeasureValue:
@@ -225,7 +225,7 @@ class TestMaximalLpNorm:
 
     def test_monotone_under_plan_refinement(self):
         mu = uniform_measure(128)
-        f = dirichlet_datum(16)
+        f = unit_block(1, -16, 16)
         coarse = TimeSamplingPlan(q_max=16, grid=8)
         fine = TimeSamplingPlan(q_max=32, grid=16)
         assert maximal_lp_norm(f, mu, 6.0, coarse) <= maximal_lp_norm(f, mu, 6.0, fine)
@@ -233,7 +233,7 @@ class TestMaximalLpNorm:
     def test_p_mean_below_atom_maximum(self):
         # probability weights: the p-mean never exceeds the atom maximum
         mu = cantor_measure(1 / 3, 6)
-        f = dirichlet_datum(8)
+        f = unit_block(1, -8, 8)
         plan = TimeSamplingPlan(q_max=16, grid=8)
         sup = float(_time_maxima(f, mu, plan.times()).max())
         for p in (1.0, 2.0, 6.0):
@@ -242,7 +242,7 @@ class TestMaximalLpNorm:
     def test_rejects_bad_p(self):
         mu = uniform_measure(16)
         with pytest.raises(ValueError):
-            maximal_lp_norm(dirichlet_datum(4), mu, 0.5, TimeSamplingPlan(8, 4))
+            maximal_lp_norm(unit_block(1, -4, 4), mu, 0.5, TimeSamplingPlan(8, 4))
 
 
 class TestTransference:
@@ -254,7 +254,7 @@ class TestTransference:
 
     def test_scaling_invariance(self):
         mu = cantor_measure(1 / 3, 8)
-        f = dirichlet_datum(16)
+        f = unit_block(1, -16, 16)
         doubled = FourierData(1, f.ks, 2.0 * f.coeffs)
         plan = TimeSamplingPlan(q_max=16, grid=8)
         s = (1 - mu.alpha) / 6 + 1 / 3 + 0.05
@@ -268,7 +268,7 @@ class TestTransference:
         from talbot_lab.schrodinger import sobolev_norm
 
         mu = cantor_measure(1 / 3, 8)
-        f = dirichlet_datum(16)
+        f = unit_block(1, -16, 16)
         plan = TimeSamplingPlan(q_max=16, grid=8)
         s = (1 - mu.alpha) / 6 + 1 / 3 + 0.05
         ratio = transference_ratio(f, mu, 6.0, s, plan)
@@ -279,14 +279,14 @@ class TestTransference:
     def test_regularity_floor_enforced(self):
         mu = cantor_measure(1 / 3, 6)
         with pytest.raises(ValueError, match="transfer"):
-            transference_ratio(dirichlet_datum(8), mu, 6.0, 0.1, TimeSamplingPlan(8, 4))
+            transference_ratio(unit_block(1, -8, 8), mu, 6.0, 0.1, TimeSamplingPlan(8, 4))
 
     def test_bounded_over_short_sweep(self):
         mu = cantor_measure(1 / 3, 10)
         plan = TimeSamplingPlan(q_max=32, grid=32)
         s = (1 - mu.alpha) / 6 + 1 / 3 + 0.05
         vals = [
-            transference_ratio(dirichlet_datum(2**e), mu, 6.0, s, plan)
+            transference_ratio(unit_block(1, -(2**e), 2**e), mu, 6.0, s, plan)
             for e in range(5, 9)
         ]
         assert max(vals) <= 2.0 * float(np.median(vals))
@@ -296,7 +296,7 @@ class TestCarleson:
     def test_single_truncation_reduces_to_weighted_norm(self):
         mu = cantor_measure(1 / 3, 8)
         n = 16
-        f = dirichlet_datum(n)
+        f = unit_block(1, -n, n)
         t = RationalTime(8)
         ratio = carleson_l2_ratio(f, mu, 0.4, [n], t)
         from talbot_lab.schrodinger import SamplePoint, partial_sum_direct
@@ -316,7 +316,7 @@ class TestCarleson:
         # above it the ratio obeys the coefficient-counting bound shape
         mu = AtomicMeasure(1, np.array([[0.5]]), np.array([1.0]), 0.01)
         n = 32
-        f = dirichlet_datum(n)
+        f = unit_block(1, -n, n)
         ratio = carleson_l2_ratio(f, mu, 0.5, [2, 8, n], RationalTime(4))
         assert math.isfinite(ratio)
         assert ratio * n ** (0.5 * (1 - 0.01) + 0.05) / math.sqrt(2 * n + 1) <= 1.5
@@ -325,7 +325,7 @@ class TestCarleson:
         cantor = cantor_measure(1 / 3, 6)
         mu = AtomicMeasure(1, cantor.positions, cantor.masses, 0.4)
         with pytest.raises(ValueError, match="ill-posed"):
-            carleson_l2_ratio(dirichlet_datum(8), mu, 0.3, [4, 8], RationalTime(4))
+            carleson_l2_ratio(unit_block(1, -8, 8), mu, 0.3, [4, 8], RationalTime(4))
 
     def test_bounded_over_short_sweep(self):
         mu = cantor_measure(1 / 3, 10)
@@ -334,7 +334,7 @@ class TestCarleson:
             n = 2**e
             vals.append(
                 carleson_l2_ratio(
-                    dirichlet_datum(n), mu, 0.3, [2**i for i in range(1, e + 1)], RationalTime(8)
+                    unit_block(1, -n, n), mu, 0.3, [2**i for i in range(1, e + 1)], RationalTime(8)
                 )
             )
         assert max(vals) <= 2.0 * float(np.median(vals))
@@ -501,7 +501,7 @@ class TestSharedKernelsKeepEveryBit:
     def test_carleson_shuffled_frequencies(self):
         rng = np.random.default_rng(5)
         mu = cantor_measure(1 / 3, 10)
-        f = dirichlet_datum(64)
+        f = unit_block(1, -64, 64)
         order = rng.permutation(f.nnz)
         f = FourierData(1, f.ks[order], f.coeffs[order] * (1 + 0.5j * rng.standard_normal(f.nnz)))
         truncs = [2**i for i in range(1, 7)]
@@ -522,7 +522,7 @@ class TestSharedKernelsKeepEveryBit:
         from talbot_lab.schrodinger import sobolev_norm
 
         mu = cantor_measure(1 / 3, 8)
-        f = dirichlet_datum(32)
+        f = unit_block(1, -32, 32)
         plan = TimeSamplingPlan(q_max=16, grid=8)
         truncs = [2, 8, 32]
         num = maximal_lp_norm(f, mu, 6.0, plan)

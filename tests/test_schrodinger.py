@@ -9,19 +9,26 @@ from hypothesis import strategies as st
 from talbot_lab import schrodinger
 from talbot_lab.counterexample import CounterexampleParams, sample_points, time_set
 from talbot_lab.expsum import MODULUS_LIMIT, gauss_sum_magnitudes, gauss_sum_table, quadratic_sum
+from talbot_lab.measures import (
+    cantor_measure,
+    carleson_l2_ratio,
+    convolve_dirichlet_sup,
+    dirichlet_l1,
+    uniform_measure,
+)
 from talbot_lab.schrodinger import (
     FREQ_LIMIT,
-    DirichletBlock,
     FourierData,
     RationalTime,
     SamplePoint,
     block_factor_fast,
+    block_factors,
     block_split,
     dirichlet_kernel_1d,
-    evolve_rational_fast,
     partial_sum_direct,
     quad_block_sum,
     sobolev_norm,
+    unit_block,
 )
 
 TAU = 2 * math.pi
@@ -104,21 +111,21 @@ class TestFourierData:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_frequencies_in_meshgrid_order(self, d):
-        block = DirichletBlock(d, 3, 2)
-        axis = np.arange(block.n_lo, block.n_hi + 1)
+        axis = np.arange(3, 9)
         grids = np.meshgrid(*([axis] * d), indexing="ij")
         expected = np.stack([g.ravel() for g in grids], axis=1)
-        assert np.array_equal(block.to_fourier_data().ks, expected)
+        f = unit_block(d, 3, 8)
+        assert np.array_equal(f.ks, expected)
+        assert f.coeffs.tolist() == [1.0] * len(expected)
 
     def test_block_coefficients(self):
-        block = DirichletBlock(1, 16, 2)
-        f = block.to_fourier_data()
+        f = unit_block(1, 16, 255)
         assert f.nnz == 240
         assert f.ks.min() == 16 and f.ks.max() == 255
 
     def test_block_count_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            DirichletBlock(2, 16, 4).to_fourier_data()  # 61440^2 > 2^24
+            unit_block(2, 4096, 65535)  # 61440^2 > 2^24
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_dimension_below_one_rejected(self, d):
@@ -234,7 +241,7 @@ class TestBatchedDirect:
     def test_block_window_bit_for_bit(self):
         params = CounterexampleParams(d=1, alpha=1.0, lam=16, delta=0.05, kappa=0.25)
         j = 3
-        f = DirichletBlock(1, params.lam, j).to_fourier_data()
+        f = unit_block(1, params.lam ** (j - 1), params.lam**j - 1)
         times = time_set(params, j)
         assert len(times) > 1
         for t in times:
@@ -310,7 +317,7 @@ class TestResidueTables:
 
     def test_block_datum_bit_for_bit(self):
         params = CounterexampleParams(d=1, alpha=1.0, lam=16, delta=0.05, kappa=0.25)
-        f = DirichletBlock(1, 16, 4).to_fourier_data()
+        f = unit_block(1, 16**3, 16**4 - 1)
         for q in (64, 132, 256):
             t = RationalTime(q)
             xs = sample_points(params, 4, t, 3, seed=q)
@@ -388,11 +395,10 @@ class TestFastEvolution:
         assert fast == pytest.approx(direct, rel=1e-12)
 
     def test_reference_example(self):
-        block = DirichletBlock(1, 16, 2)
         t = RationalTime(16)
         x = SamplePoint((8,), 16, (0.003,))
-        fast = evolve_rational_fast(block, t, x)
-        direct = partial_sum_direct(block.to_fourier_data(), 16**2, t, [x])[0]
+        fast = block_factors(16, 2, [x]).prod(axis=1)[0]
+        direct = partial_sum_direct(unit_block(1, 16, 255), 16**2, t, [x])[0]
         assert abs(fast - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_random_sweep_matches_direct(self):
@@ -403,12 +409,29 @@ class TestFastEvolution:
             q = 4 * int(rng.integers(1, max(2, lam**j // 8)))
             p = 2 * int(rng.integers(1, max(2, q // 2)))
             eps = float(rng.uniform(-1, 1)) / (20 * q)
-            block = DirichletBlock(1, lam, j)
             t = RationalTime(q)
             x = SamplePoint((p,), q, (eps,))
-            fast = evolve_rational_fast(block, t, x)
-            direct = partial_sum_direct(block.to_fourier_data(), lam**j, t, [x])[0]
+            fast = block_factors(lam, j, [x]).prod(axis=1)[0]
+            direct = partial_sum_direct(unit_block(1, lam ** (j - 1), lam**j - 1), lam**j, t, [x])[0]
             assert abs(fast - direct) <= 1e-9 * max(1.0, abs(direct))
+
+    def test_two_dimensional_product_matches_direct(self):
+        # 56^2 coefficients, several anchored points of one modulus
+        lam, j, q = 8, 2, 16
+        rng = np.random.default_rng(19)
+        xs = [SamplePoint(tuple(int(v) for v in 2 * rng.integers(2, 5, 2)), q,
+                          tuple(float(v) for v in rng.uniform(1e-4, 2e-4, 2))) for _ in range(4)]
+        xs.append(SamplePoint((4, 8), q, (0.0, 3e-4)))
+        fast = block_factors(lam, j, xs)
+        assert fast.shape == (5, 2)
+        direct = partial_sum_direct(unit_block(2, lam, lam**j - 1), lam**j, RationalTime(q), xs)
+        for value, expected in zip(fast.prod(axis=1).tolist(), direct.tolist()):
+            assert abs(value - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    def test_each_point_at_its_own_modulus(self):
+        xs = [SamplePoint((8,), 16, (1e-3,)), SamplePoint((4,), 12, (2e-3,))]
+        expected = [[block_factor_fast(16, 2, RationalTime(x.q), x.p[0], x.eps[0])] for x in xs]
+        assert block_factors(16, 2, xs).tolist() == expected
 
     def test_partial_block_truncations(self):
         lam, j, q = 16, 3, 32
@@ -418,11 +441,6 @@ class TestFastEvolution:
             a, b, _, _ = block_split(lam, j, q, n_hi)
             direct = quad_block_sum(a, b, q, 10, 2e-4)
             assert abs(fast - direct) <= 1e-9 * max(1.0, abs(direct))
-
-    def test_anchor_mismatch_rejected(self):
-        block = DirichletBlock(1, 16, 2)
-        with pytest.raises(ValueError, match="anchor mismatch"):
-            evolve_rational_fast(block, RationalTime(16), SamplePoint((8,), 12, (0.0,)))
 
     def test_coherent_m_sum_magnitude(self):
         # offsets inside the window keep all block phases near zero, so the
@@ -538,10 +556,11 @@ class TestInt64Contract:
         lambda: gauss_sum_magnitudes(MODULUS_LIMIT + 1, 1),
         lambda: SamplePoint((1,), 0, (0.0,)),
         lambda: SamplePoint((1,), MODULUS_LIMIT + 1, (0.0,)),
-        lambda: DirichletBlock(1, 2, 31),
+        lambda: unit_block(1, FREQ_LIMIT - 4, FREQ_LIMIT + 4),
+        lambda: unit_block(1, 0, 1 << 24),
     ],
     ids=["frequency", "block_range", "time_zero", "time_modulus", "gauss_table",
-         "gauss_magnitudes", "anchor_zero", "anchor_modulus", "block_top"],
+         "gauss_magnitudes", "anchor_zero", "anchor_modulus", "block_top", "block_cap"],
 )
 def test_input_past_a_limit_rejected(call):
     # every guard raises before any array of the limit's size is built
@@ -555,9 +574,8 @@ def test_input_past_a_limit_rejected(call):
         (lambda: SamplePoint((1, 2), 5, (0.0,)), "dimensions differ"),
         (lambda: SamplePoint((), 5, ()), "at least one coordinate"),
         (lambda: FourierData(1, np.array([1, 2]), np.array([1.0])), "counts differ"),
-        (lambda: DirichletBlock(0, 16, 1), "d >= 1"),
-        (lambda: DirichletBlock(1, 1, 1), "lam >= 2"),
-        (lambda: DirichletBlock(1, 16, 0), "j >= 1"),
+        (lambda: unit_block(0, 16, 255), "d >= 1"),
+        (lambda: unit_block(1, 16, 15), "lo <= hi"),
         # a float is never truncated to the integer below it
         (lambda: SamplePoint((2.5,), 8, (0.0,)), "integer"),
         (lambda: SamplePoint((1,), 7.5, (0.0,)), "integer"),
@@ -573,12 +591,24 @@ def test_input_past_a_limit_rejected(call):
         (lambda: quad_block_sum(16, 255, 12, 2.5, 1e-4), "integer"),
         (lambda: CounterexampleParams(d=1, alpha=0.5, lam=16.0, delta=0.1, kappa=0.25),
          "integer"),
+        (lambda: unit_block(1, 0.5, 4), "integer"),
+        (lambda: dirichlet_kernel_1d(2.5, 1.0), "integer"),
+        (lambda: dirichlet_l1(8.5), "integer"),
+        (lambda: convolve_dirichlet_sup(cantor_measure(1 / 3, 6), [8.9], 1458), "integer"),
+        (lambda: convolve_dirichlet_sup(cantor_measure(1 / 3, 6), [8], 1458.5), "integer"),
+        (lambda: carleson_l2_ratio(unit_block(1, -16, 16), cantor_measure(1 / 3, 6), 0.4,
+                                   [4.5, 8.2, 16], RationalTime(4)), "integer"),
+        (lambda: cantor_measure(1 / 3, 3.0), "integer"),
+        (lambda: uniform_measure(2.5), "integer"),
     ],
     ids=["anchor_offset_dims", "anchor_empty", "coefficient_count", "block_dimension",
-         "block_base", "block_level", "anchor_float_numerator", "anchor_float_modulus",
+         "block_empty", "anchor_float_numerator", "anchor_float_modulus",
          "time_float_modulus", "float_frequency", "sum_float_modulus", "sum_float_coefficient",
          "sum_float_range", "table_float_modulus", "table_float_coefficient",
-         "magnitudes_float_modulus", "block_sum_float_anchor", "params_float_lam"],
+         "magnitudes_float_modulus", "block_sum_float_anchor", "params_float_lam",
+         "block_float_bound", "kernel_float_bandwidth", "l1_float_bandwidth",
+         "convolution_float_bandwidth", "convolution_float_grid", "carleson_float_truncation",
+         "cantor_float_level", "uniform_float_count"],
 )
 def test_malformed_input_rejected(call, match):
     with pytest.raises(ValueError, match=match):
